@@ -287,17 +287,27 @@ def monomial(exponent, order: int) -> QExpansion:
 
 
 def series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
-    """Cauchy product; exponents add, validity is the minimum of the inputs."""
+    """Cauchy product; exponents add, validity is the minimum of the inputs.
+
+    Each factor is scaled to integers over the lcm of its denominators, so
+    the O(N^2) inner loop runs on ints and only the N results pay for a
+    Fraction's gcd.
+    """
     n = min(a.order, b.order)
-    coeffs = [Fraction(0)] * n
+    da = math.lcm(*(c.denominator for c in a.coeffs[:n]))
+    db = math.lcm(*(c.denominator for c in b.coeffs[:n]))
+    b_terms = [(j, c.numerator * (db // c.denominator)) for j, c in enumerate(b.coeffs[:n]) if c]
+    acc = [0] * n
     for i, ca in enumerate(a.coeffs[:n]):
         if ca == 0:
             continue
-        for j in range(n - i):
-            cb = b.coeffs[j]
-            if cb != 0:
-                coeffs[i + j] += ca * cb
-    return QExpansion(a.leading_exponent + b.leading_exponent, coeffs, n)
+        x = ca.numerator * (da // ca.denominator)
+        for j, y in b_terms:
+            if i + j >= n:
+                break
+            acc[i + j] += x * y
+    den = da * db
+    return QExpansion(a.leading_exponent + b.leading_exponent, [Fraction(x, den) for x in acc], n)
 
 
 def series_div(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -322,28 +332,33 @@ def series_div(a: QExpansion, b: QExpansion) -> QExpansion:
 def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
     """a**alpha with rational alpha, exactly.
 
-    Fractional alpha needs a unit-constant series (leading exponent 0,
-    first coefficient 1), where the generalised binomial series applies;
-    non-negative integer alpha works for any series.
+    A unit-constant series (leading exponent 0, first coefficient 1) takes
+    any rational alpha through the J.C.P. Miller recurrence, which skips
+    the zero coefficients of ``a``: O(N * nonzeros) operations, so eta
+    powers from the sparse Euler product are cheap.  Any other series
+    takes only non-negative integer alpha, by binary powering.
     """
     alpha = _frac(alpha)
-    if alpha.denominator == 1 and alpha >= 0:
+    unit = a.order > 0 and a.leading_exponent == 0 and a.coeffs[0] == 1
+    if not unit and alpha.denominator == 1 and alpha >= 0:
         return a ** int(alpha)
     if a.order == 0:
         raise ValueError("cannot raise an order-0 series to a fractional power")
-    if a.leading_exponent != 0 or a.coeffs[0] != 1:
+    if not unit:
         raise ValueError(
             "fractional powers need a unit-constant series "
             "(leading exponent 0 and first coefficient 1)"
         )
-    # J.C.P. Miller recurrence: a*b' = alpha*a'*b with b = a**alpha.
+    # Miller recurrence: a*b' = alpha*a'*b with b = a**alpha.
     n = a.order
+    terms = [(i, c) for i, c in enumerate(a.coeffs) if i and c]
     b = [Fraction(1)] + [Fraction(0)] * (n - 1)
     for m in range(1, n):
         acc = Fraction(0)
-        for i in range(1, m + 1):
-            if a.coeffs[i] != 0:
-                acc += ((alpha + 1) * i - m) * a.coeffs[i] * b[m - i]
+        for i, c in terms:
+            if i > m:
+                break
+            acc += ((alpha + 1) * i - m) * c * b[m - i]
         b[m] = acc / m
     return QExpansion(0, b, n)
 

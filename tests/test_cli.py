@@ -118,6 +118,15 @@ def test_verify_tables_reports_known_failures(capsys):
     assert all("table2" in f["check"] for f in payload["failures"])
 
 
+def test_verify_tables_notes_give_published_residuals(capsys):
+    # each failure note carries the q^1 residual that the level's equation
+    # leaves on the published series (k=4, first column: -50/3)
+    _, out, _ = run(capsys, "verify", "--suite", "tables", "--format", "json")
+    notes = {f["check"]: f["note"] for f in json.loads(out)["failures"]}
+    assert "q^1 residual -50/3 " in notes["table2 k=4 mu=1"]
+    assert all("q^1 residual" in note for note in notes.values())
+
+
 def test_verify_bgg_suite_json(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "bgg", "--format", "json")
     assert code == EXIT_OK

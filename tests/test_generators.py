@@ -1,18 +1,20 @@
 """Cyclic generators: hypergeometric pieces, differential equations,
 exponent structure, and the published-table comparison.
 
-The deep oracle here is a Frobenius recursion: the annihilating monic
-equation is pinned down exactly by its indicial exponents, and its
-power-series solutions are recursed coefficient-by-coefficient with no
-hypergeometric machinery involved.  The generator components must agree
-with those solutions.
+Two oracles judge the generator, which solves its differential equation
+by a recurrence.  The hypergeometric construction of the library builds
+the same components by another route, and must agree coefficient by
+coefficient.  A Frobenius recursion here pins the annihilating monic
+equation down by its indicial exponents alone (``mlde_oracle``) and
+solves for each coefficient by applying the whole equation, with no
+operator expansion and no hypergeometric machinery involved.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from sl2onepoint.errors import UnsupportedDimensionError
+from sl2onepoint.errors import DegenerateMldeError, UnsupportedDimensionError
 from sl2onepoint.generators import (
     FixtureReport,
     HypergeomSpec,
@@ -20,8 +22,11 @@ from sl2onepoint.generators import (
     dim3_mlde_coefficients,
     generator_weight,
     hypergeom_series,
+    hypergeometric_generator,
     minimal_exponents,
+    mlde_equation,
     mlde_residual,
+    mlde_solutions,
     table_fixture_check,
 )
 from sl2onepoint.qseries import (
@@ -221,6 +226,51 @@ def test_deep_order_agrees_with_frobenius():
     w = generator_weight(k, k - 2)
     want, _ = frobenius_solution(w, exps, exps[0], order)
     assert (eta_down * gen.components[0][1]).agrees_with(want)
+
+
+# -- the recurrence against the hypergeometric construction ---------------------
+
+
+@pytest.mark.parametrize(
+    "k, lam", [(k, k - 1) for k in range(3, 14, 2)] + [(k, k - 2) for k in range(2, 13, 2)]
+)
+def test_recurrence_equals_hypergeometric_construction(k, lam):
+    fast = cyclic_generator(k, lam, 30)
+    slow = hypergeometric_generator(k, lam, 30)
+    assert fast == slow
+    assert all(series.order == 30 for _, series in fast.components)
+
+
+@pytest.mark.parametrize(
+    "weight, exponents",
+    [
+        (5, [F(0), F(1)]),  # order two: 2 * 5/12 + 1/6 = 0 + 1
+        (F(22, 3), [F(0), F(1, 3), F(2)]),  # order three: exponents 0 and 2
+    ],
+)
+def test_resonant_exponents_are_refused(weight, exponents):
+    with pytest.raises(DegenerateMldeError):
+        mlde_solutions(weight, exponents, 4)
+
+
+def test_solutions_need_exponents_matching_the_weight():
+    with pytest.raises(ValueError):
+        mlde_solutions(1, [F(0), F(1, 4)], 4)
+
+
+def test_hypergeometric_construction_covers_dimensions_two_and_three():
+    with pytest.raises(UnsupportedDimensionError):
+        hypergeometric_generator(4, 4, 5)
+    with pytest.raises(UnsupportedDimensionError):
+        mlde_equation(4, 4)
+
+
+def test_equation_kappas_match_the_oracle():
+    # the eta factor shifts weight and exponents together, so the rescaled
+    # data of mlde_oracle give the same kappas
+    for k, lam in [(3, 2), (9, 8), (2, 0), (4, 2), (12, 10)]:
+        _, kappas = mlde_equation(k, lam)
+        assert kappas == indicial_kappas(generator_weight(k, lam), minimal_exponents(k, lam))
 
 
 # -- differential equation residuals -------------------------------------------

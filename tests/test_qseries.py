@@ -197,6 +197,19 @@ def test_mul_commutative(a, b):
     assert series_mul(a, b).agrees_with(series_mul(b, a))
 
 
+@settings(max_examples=60, deadline=None)
+@given(qexpansions(max_order=8), qexpansions(max_order=8))
+def test_mul_matches_fraction_cauchy_product(a, b):
+    # series_mul convolves integers over common denominators; the oracle
+    # sums Fraction products term by term
+    n = min(a.order, b.order)
+    want = [sum((a.coeffs[i] * b.coeffs[m - i] for i in range(m + 1)), F(0)) for m in range(n)]
+    prod = series_mul(a, b)
+    assert prod.leading_exponent == a.leading_exponent + b.leading_exponent
+    assert list(prod.coeffs) == want
+    assert prod.order == n
+
+
 def test_mul_fixture_difference_of_squares():
     a = QExpansion(F(1, 2), [F(1), F(1), F(0)])
     b = QExpansion(F(1, 2), [F(1), F(-1), F(0)])
@@ -263,6 +276,22 @@ def test_pow_rational_rejects_non_unit():
     # non-negative integer powers are fine for those same inputs
     assert series_pow_rational(bad, 2).coeffs == (F(4), F(4))
     assert series_pow_rational(shifted, 2).leading_exponent == 2
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        QExpansion(0, [F(1), F(-2), F(0), F(3, 4), F(0), F(-1, 5), F(7)]),  # unit constant: Miller
+        QExpansion(F(1, 3), [F(2), F(1), F(-1, 2), F(0), F(5)]),  # not unit: binary powering
+    ],
+)
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
+def test_pow_rational_integer_powers_match_binary_powering(series, n):
+    got = series_pow_rational(series, n)
+    want = series**n
+    assert got.leading_exponent == want.leading_exponent
+    assert got.coeffs == want.coeffs
+    assert got.order == want.order
 
 
 def test_series_div_round_trip():
