@@ -6,7 +6,9 @@
     sl2onepoint verify   --suite NAME [--max-level M] [--tolerance T] [--format F]
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 unsupported request.
+3 unsupported request.  A computation that fails its own consistency
+check (a modular pair off its braid relations, say at a tolerance
+below double-precision error) also exits 1, with the message on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import bgg, generators, mtc, repanalysis, sl2data
-from .errors import UnsupportedDimensionError
+from .errors import (
+    DegenerateMldeError,
+    InternalInconsistencyError,
+    RelationViolationError,
+    UnsupportedDimensionError,
+)
 from .qseries import QExpansion, euler_product, fraction_to_str
 
 EXIT_OK = 0
@@ -124,13 +131,12 @@ def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
         probe = f"refused: {exc}"
     payload = pair.to_json()
     payload["irreducibility_probe"] = probe
-    if p % 2 == 0 and p <= k:
-        payload["analytic_comparison"] = mtc.compare_with_analytic(
-            k, p, config.tolerance, config.max_level
-        )
+    payload["analytic_comparison"] = mtc.compare_with_analytic(
+        k, p, config.tolerance, config.max_level, pair=pair
+    )
     if p == k and k % 2 == 0:
         # the 1x1 case, where competing printed values exist; report all
-        payload["s_value_report"] = mtc.s_k_report(k)
+        payload["s_value_report"] = mtc.s_k_report(k, pair=pair)
     lines = [f"modular pair  level={k}  p={p}  basis={list(pair.basis)}"]
     for key, value in pair.relation_residuals.items():
         lines.append(f"  {key}: {value:.3e}")
@@ -348,6 +354,9 @@ def main(argv=None) -> int:
     except UnsupportedDimensionError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except (RelationViolationError, InternalInconsistencyError, DegenerateMldeError) as exc:
+        print(f"consistency check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except (ValueError, ZeroDivisionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,6 +12,17 @@ is certified on construction by the braid-group relations
 with residuals stored on the object and a loud error when they exceed
 tolerance (a convention bug, never a user error).
 
+Per-level tables, each built once and cached by level: quantum integers
+and factorials (``_qnumbers``), the twists and character S-matrix
+(``_level_constants``), and the half-twists e(h_i/2) (``_half_twists``).
+A braiding phase R^{(rs)t} is then the product (-1)^(r+s-t) e(h_r/2)
+e(h_s/2) / e(h_t/2) of table entries, with no rational arithmetic or
+exponential per call.  The product form loses no precision in the
+modular pair: the four R-phases of a G-entry carry the exponents
+h_j+h_k+h_i-h_l above and h_i+h_j+h_k-h_l below the fraction bar, which
+cancel exactly.  The F, R and G tensors of ``f_r_g_matrices`` are built
+on first access only; they grow like the sixth power of the level.
+
 Label conventions: integer labels 0..k; 6j-symbols take the spin (half
 label) values.  All self-couplings here are multiplicity-free, so no
 degeneracy indices appear.
@@ -21,9 +32,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -188,7 +199,10 @@ class MtcLevelData:
     r(st) with inner edge p to the tree (rs)t with inner edge q, both
     mapping to u; g_tensor has the inverse index convention (p couples
     (r,s), q couples (s,t)); r_tensor[(r,s,t)] is the braiding phase on
-    the coupling r (x) s -> t.
+    the coupling r (x) s -> t.  The three tensors walk every admissible
+    index tuple, which grows like the sixth power of the level, so each
+    is built on first access (fine at desk scale: the coherence tests
+    read them at k <= 8).
     """
 
     level: int
@@ -198,9 +212,45 @@ class MtcLevelData:
     s_char: np.ndarray
     qdim: np.ndarray
     global_dim_root: float
-    f_tensor: dict[tuple[int, int, int, int, int, int], float] = field(repr=False)
-    r_tensor: dict[tuple[int, int, int], complex] = field(repr=False)
-    g_tensor: dict[tuple[int, int, int, int, int, int], complex] = field(repr=False)
+
+    @cached_property
+    def r_tensor(self) -> dict[tuple[int, int, int], complex]:
+        k = self.level
+        return {
+            (r, s, t): _r_phase(k, r, s, t)
+            for r in self.labels
+            for s in self.labels
+            for t in self.labels
+            if _admissible(k, r, s, t)
+        }
+
+    @cached_property
+    def f_tensor(self) -> dict[tuple[int, int, int, int, int, int], float]:
+        k, labels = self.level, self.labels
+        f_tensor = {}
+        for r in labels:
+            for s in labels:
+                for t in labels:
+                    for p in labels:
+                        if not _admissible(k, s, t, p):
+                            continue
+                        for u in labels:
+                            if not _admissible(k, r, p, u):
+                                continue
+                            for q in labels:
+                                if not (_admissible(k, r, s, q) and _admissible(k, q, t, u)):
+                                    continue
+                                f_tensor[(r, s, t, u, p, q)] = _f_entry(k, r, s, t, u, p, q)
+        return f_tensor
+
+    @cached_property
+    def g_tensor(self) -> dict[tuple[int, int, int, int, int, int], complex]:
+        # G^{(ijk)l}_{pq} is admissible exactly where F^{(kji)l}_{pq} is
+        k = self.level
+        return {
+            (i, j, kt, l, p, q): _g_entry(k, i, j, kt, l, p, q)
+            for (kt, j, i, l, p, q) in self.f_tensor
+        }
 
 
 def _admissible(k: int, a: int, b: int, c: int) -> bool:
@@ -229,9 +279,16 @@ def _level_constants(k: int):
     return labels, theta, zeta, s_char, qdim, global_dim_root
 
 
+@lru_cache(maxsize=None)
+def _half_twists(k: int) -> tuple[complex, ...]:
+    """e(h_i/2) for every label i at level k."""
+    return tuple(_e(conformal_weight(k, i) / 2) for i in range(k + 1))
+
+
 def _r_phase(k: int, r: int, s: int, t: int) -> complex:
-    h = conformal_weight(k, r) + conformal_weight(k, s) - conformal_weight(k, t)
-    return ((-1.0) ** (r + s - t)) * _e(h / 2)
+    """R^{(rs)t} = (-1)^(r+s-t) e((h_r + h_s - h_t)/2)."""
+    half = _half_twists(k)
+    return ((-1.0) ** (r + s - t)) * half[r] * half[s] / half[t]
 
 
 def _f_entry(k: int, r: int, s: int, t: int, u: int, p: int, q: int) -> float:
@@ -249,45 +306,13 @@ def _g_entry(k: int, i: int, j: int, kt: int, l: int, p: int, q: int) -> complex
 
 @lru_cache(maxsize=None)
 def f_r_g_matrices(k: int, max_level: int = DEFAULT_MAX_LEVEL) -> MtcLevelData:
-    """All admissible F, R and G entries at level k, plus the character
-    S-matrix, twists, quantum dimensions and the global dimension root.
-
-    Full population walks every admissible index tuple, which grows like
-    the sixth power of the level; fine at desk scale (the coherence tests
-    run at k <= 10).  The modular pairs below fetch the few entries they
-    need directly and stay fast at any guarded level.
-    """
+    """The level-k category data: character S-matrix, twists, quantum
+    dimensions and global dimension root at once, and the F, R and G
+    tensors on first access (see ``MtcLevelData``).  The modular pairs
+    below fetch the few entries they need directly and never build the
+    tensors."""
     _check_level(k, max_level)
     labels, theta, zeta, s_char, qdim, global_dim_root = _level_constants(k)
-
-    r_tensor: dict[tuple[int, int, int], complex] = {}
-    for r in labels:
-        for s in labels:
-            for t in labels:
-                if _admissible(k, r, s, t):
-                    r_tensor[(r, s, t)] = _r_phase(k, r, s, t)
-
-    f_tensor: dict[tuple[int, int, int, int, int, int], float] = {}
-    for r in labels:
-        for s in labels:
-            for t in labels:
-                for p in labels:
-                    if not _admissible(k, s, t, p):
-                        continue
-                    for u in labels:
-                        if not _admissible(k, r, p, u):
-                            continue
-                        for q in labels:
-                            if not (_admissible(k, r, s, q) and _admissible(k, q, t, u)):
-                                continue
-                            f_tensor[(r, s, t, u, p, q)] = _f_entry(k, r, s, t, u, p, q)
-
-    g_tensor: dict[tuple[int, int, int, int, int, int], complex] = {}
-    for (kk, jj, ii, ll, pp, qq), f_val in f_tensor.items():
-        i, j, kt, l, p, q = ii, jj, kk, ll, pp, qq
-        num = r_tensor[(j, kt, q)] * r_tensor[(i, q, l)]
-        den = r_tensor[(i, j, p)] * r_tensor[(p, kt, l)]
-        g_tensor[(i, j, kt, l, p, q)] = num / den * f_val
     return MtcLevelData(
         level=k,
         labels=labels,
@@ -296,9 +321,6 @@ def f_r_g_matrices(k: int, max_level: int = DEFAULT_MAX_LEVEL) -> MtcLevelData:
         s_char=s_char,
         qdim=qdim,
         global_dim_root=global_dim_root,
-        f_tensor=f_tensor,
-        r_tensor=r_tensor,
-        g_tensor=g_tensor,
     )
 
 
@@ -422,16 +444,37 @@ def irreducibility_probe(
     return "irreducible"
 
 
+def _given_or_built(
+    pair: GenModularPair | None, k: int, p: int, tolerance: float, max_level: int
+) -> GenModularPair:
+    """The caller's pair after checking that it is (S^(p), T^(p)) at
+    level k, or a freshly built one when the caller has none."""
+    if pair is None:
+        return gen_modular_pair(k, p, tolerance, max_level)
+    if (pair.level, pair.p_label) != (k, p):
+        raise ValueError(
+            f"pair is for level {pair.level}, p={pair.p_label}, not level {k}, p={p}"
+        )
+    return pair
+
+
 def compare_with_analytic(
-    k: int, lam: int, tolerance: float = DEFAULT_TOLERANCE, max_level: int = DEFAULT_MAX_LEVEL
+    k: int,
+    lam: int,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_level: int = DEFAULT_MAX_LEVEL,
+    pair: GenModularPair | None = None,
 ) -> dict:
     """Compare the categorical T^(lam), divided by the weight-h_lam
     multiplier value on T, against the analytic diagonal exponents
     e(r_mu); report per-entry residuals.  The S-side comparison is
-    reported as data without asserting equality."""
+    reported as data without asserting equality.
+
+    ``pair`` is the certified (S^(lam), T^(lam)) at level k when the
+    caller already holds it; otherwise it is built here."""
     if lam % 2 != 0:
         raise ValueError(f"lambda must be even, got {lam}")
-    pair = gen_modular_pair(k, lam, tolerance, max_level)
+    pair = _given_or_built(pair, k, lam, tolerance, max_level)
     sig = rho_t(k, lam)
     if list(pair.basis) != xi_set(k, lam):
         raise RelationViolationError("categorical basis disagrees with the label set")
@@ -454,13 +497,14 @@ def compare_with_analytic(
     }
 
 
-def s_k_report(k: int) -> dict:
+def s_k_report(k: int, pair: GenModularPair | None = None) -> dict:
     """The three competing values for the one-dimensional S^(k): the
     coupling-space computation, e(-3k/16) (the weight-3k/4 multiplier
-    value on S), and e(-3k/32).  Reported, not adjudicated."""
+    value on S), and e(-3k/32).  Reported, not adjudicated.  ``pair`` is
+    the certified (S^(k), T^(k)) when the caller already holds it."""
     if k % 2 != 0:
         raise ValueError("the one-dimensional pair needs even k")
-    pair = gen_modular_pair(k, k)
+    pair = _given_or_built(pair, k, k, DEFAULT_TOLERANCE, DEFAULT_MAX_LEVEL)
     computed = complex(pair.s_matrix[0, 0])
     return {
         "level": k,

@@ -282,7 +282,8 @@ def one(order: int) -> QExpansion:
 
 def monomial(exponent, order: int) -> QExpansion:
     coeffs = [Fraction(0)] * order
-    coeffs[0] = Fraction(1)
+    if order:
+        coeffs[0] = Fraction(1)
     return QExpansion(exponent, coeffs, order)
 
 

@@ -97,6 +97,46 @@ def test_mtc_subcommand(capsys):
     assert max(payload["relation_residuals"].values()) < 1e-9
 
 
+@pytest.mark.parametrize("k, p", [(7, 2), (6, 6)])
+def test_mtc_builds_one_pair(capsys, monkeypatch, k, p):
+    import sl2onepoint.mtc as mtc_module
+    from sl2onepoint.mtc import compare_with_analytic, s_k_report
+
+    built = []
+    real = mtc_module.gen_modular_pair
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mtc_module, "gen_modular_pair", counting)
+    code, out, _ = run(capsys, "mtc", "--level", str(k), "--p", str(p), "--format", "json")
+    assert code == EXIT_OK
+    assert len(built) == 1
+    monkeypatch.undo()
+    payload = json.loads(out)
+    assert payload["analytic_comparison"] == json.loads(json.dumps(compare_with_analytic(k, p)))
+    if p == k:
+        assert payload["s_value_report"] == json.loads(json.dumps(s_k_report(k)))
+
+
+def test_mtc_one_dimensional_pair_above_default_level_cap(capsys):
+    # the S-value report uses the pair built under the raised cap
+    code, out, err = run(capsys, "mtc", "--level", "50", "--p", "50", "--max-level", "64",
+                         "--format", "json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["s_value_report"]["level"] == 50
+
+
+def test_mtc_relation_violation_exits_1(capsys):
+    # double-precision residuals at k=30 are about 1e-14, above this tolerance
+    code, out, err = run(capsys, "mtc", "--level", "30", "--p", "2", "--tolerance", "1e-16")
+    assert code == EXIT_VERIFY_FAILED
+    assert out == ""
+    assert "relations violated at level 30, p=2" in err
+    assert "Traceback" not in err
+
+
 def test_mtc_rejects_odd_p(capsys):
     code, _, err = run(capsys, "mtc", "--level", "5", "--p", "3")
     assert code == EXIT_INVALID

@@ -205,6 +205,42 @@ def test_r_fixture_value():
         assert abs(data.r_tensor[(1, 1, 0)] - want) < 1e-14
 
 
+def test_r_phase_equals_exact_phase_sum():
+    """The half-twist product against the phase taken from the exact sum
+    h_r + h_s - h_t, for every admissible triple up to the level cap."""
+    import cmath
+
+    from sl2onepoint.mtc import _r_phase
+
+    worst = 0.0
+    for k in range(0, 49):
+        h = [conformal_weight(k, i) for i in range(k + 1)]
+        for r, s, t in itertools.product(range(k + 1), repeat=3):
+            if (r + s + t) % 2 or not abs(r - s) <= t <= min(r + s, 2 * k - r - s):
+                continue
+            exact = h[r] + h[s] - h[t]
+            want = (-1) ** (r + s - t) * cmath.exp(1j * math.pi * float(exact))
+            worst = max(worst, abs(_r_phase(k, r, s, t) - want))
+    assert worst < 1e-13
+
+
+def test_recoupling_tensors_built_on_first_access():
+    data = f_r_g_matrices.__wrapped__(6)  # a fresh, uncached instance
+    assert data.s_char.shape == (7, 7)
+    assert not {"f_tensor", "r_tensor", "g_tensor"} & set(vars(data))
+    g, f, r = data.g_tensor, data.f_tensor, data.r_tensor
+    assert {"f_tensor", "r_tensor", "g_tensor"} <= set(vars(data))
+    assert data.g_tensor is g
+    # G from the tabulated R and F, the way the tensors were once filled
+    assert set(g) == {(i, j, kk, l, p, q) for (kk, j, i, l, p, q) in f}
+    for (i, j, kk, l, p, q), value in g.items():
+        want = (
+            r[(j, kk, q)] * r[(i, q, l)] / (r[(i, j, p)] * r[(p, kk, l)])
+            * f[(kk, j, i, l, p, q)]
+        )
+        assert abs(value - want) < 1e-13
+
+
 def test_pentagon_identity():
     # F^{(abx)e}_{yu} F^{(ucd)e}_{xv} = sum_h F^{(bcd)y}_{xh} F^{(ahd)e}_{yv} F^{(abc)v}_{hu}
     for k in (2, 3):
@@ -492,6 +528,19 @@ def test_compare_with_analytic_sweep():
             report = compare_with_analytic(k, lam)
             assert report["t_consistent"]
             assert report["max_t_residual"] < TOL
+
+
+def test_reports_take_the_callers_pair():
+    pair = gen_modular_pair(6, 2)
+    assert compare_with_analytic(6, 2, pair=pair) == compare_with_analytic(6, 2)
+    with pytest.raises(ValueError):
+        compare_with_analytic(6, 4, pair=pair)
+    with pytest.raises(ValueError):
+        compare_with_analytic(5, 2, pair=pair)
+    one_dim = gen_modular_pair(4, 4)
+    assert s_k_report(4, pair=one_dim) == s_k_report(4)
+    with pytest.raises(ValueError):
+        s_k_report(6, pair=one_dim)
 
 
 def test_compare_fixture_values():

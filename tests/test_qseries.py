@@ -294,6 +294,15 @@ def test_pow_rational_integer_powers_match_binary_powering(series, n):
     assert got.order == want.order
 
 
+def test_order_zero_series_integer_powers():
+    # an order-0 series knows no coefficients; its powers know none either
+    empty = QExpansion(0, [], 0)
+    for got in (empty**2, series_pow_rational(empty, 2), empty**0, one(0)):
+        assert got.order == 0
+        assert got.coeffs == ()
+    assert (QExpansion(F(1, 3), [], 0) ** 2).leading_exponent == F(2, 3)
+
+
 def test_series_div_round_trip():
     a = QExpansion(F(1, 4), [F(3), F(1), F(-2), F(5)])
     b = QExpansion(F(-1, 2), [F(2), F(7), F(1), F(0)])
