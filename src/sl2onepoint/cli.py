@@ -9,6 +9,11 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 unsupported request.  A computation that fails its own consistency
 check (a modular pair off its braid relations, say at a tolerance
 below double-precision error) also exits 1, with the message on stderr.
+
+The categorical layer (``mtc``) is imported inside the two functions
+that use it, ``cmd_mtc`` and ``_suite_mtc``: it needs numpy, whose import
+is most of the start-up time and memory of ``expand`` and ``classify``,
+which never touch it.
 """
 
 from __future__ import annotations
@@ -19,9 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import bgg, generators, mtc, repanalysis, sl2data
+from . import bgg, generators, repanalysis, sl2data
 from .errors import (
     DegenerateMldeError,
     InternalInconsistencyError,
@@ -124,6 +127,8 @@ def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
 
 
 def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
+    from . import mtc
+
     pair = mtc.gen_modular_pair(k, p, config.tolerance, config.max_level)
     try:
         probe = mtc.irreducibility_probe(pair, tolerance=config.tolerance)
@@ -243,16 +248,18 @@ def _suite_dims(config: RunConfig):
 
 
 def _suite_mtc(config: RunConfig):
+    from . import mtc
+
     checks = []
     kmax = min(config.max_level, 10)
+    pairs = {}  # (k, p) -> the certified pair, built once for all three sweeps
     for k in range(0, kmax + 1):
         for p in range(0, k + 1, 2):
-            pair = mtc.gen_modular_pair(k, p, config.tolerance)
+            pair = pairs[(k, p)] = mtc.gen_modular_pair(k, p, config.tolerance)
             worst = max(pair.relation_residuals.values())
             checks.append((f"braid relations k={k} p={p}", worst < config.tolerance, f"residual {worst:.2e}"))
     for k in range(0, kmax + 1):
-        pair = mtc.gen_modular_pair(k, 0, config.tolerance)
-        diff = float(np.max(np.abs(pair.s_matrix - mtc.f_r_g_matrices(k).s_char)))
+        diff = float(abs(pairs[(k, 0)].s_matrix - mtc.f_r_g_matrices(k).s_char).max())
         checks.append((f"S^(0) equals character S-matrix k={k}", diff < config.tolerance, f"max diff {diff:.2e}"))
     for k in range(0, min(kmax, 8) + 1):
         ok = True
@@ -265,7 +272,7 @@ def _suite_mtc(config: RunConfig):
         checks.append((f"Verlinde numbers k={k}", ok, ""))
     for k in range(0, kmax + 1):
         for lam in range(0, k + 1, 2):
-            rep = mtc.compare_with_analytic(k, lam, config.tolerance)
+            rep = mtc.compare_with_analytic(k, lam, config.tolerance, pair=pairs[(k, lam)])
             checks.append(
                 (f"categorical/analytic T k={k} lambda={lam}", rep["t_consistent"],
                  f"max residual {rep['max_t_residual']:.2e}")

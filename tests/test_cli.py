@@ -142,6 +142,54 @@ def test_mtc_rejects_odd_p(capsys):
     assert code == EXIT_INVALID
 
 
+def test_verify_mtc_suite_builds_each_pair_once(capsys, monkeypatch):
+    import sl2onepoint.mtc as mtc_module
+
+    built = []
+    real = mtc_module.gen_modular_pair
+
+    def counting(k, p, *args, **kwargs):
+        built.append((k, p))
+        return real(k, p, *args, **kwargs)
+
+    monkeypatch.setattr(mtc_module, "gen_modular_pair", counting)
+    code, out, _ = run(capsys, "verify", "--suite", "mtc", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"suite": "mtc", "total": 92, "failed": 0, "failures": []}
+    # the 36 (k, p) with p even, 0 <= p <= k <= 10, each built once
+    assert len(built) == 36
+    assert set(built) == {(k, p) for k in range(11) for p in range(0, k + 1, 2)}
+
+
+def test_expand_and_classify_do_not_load_numpy():
+    """numpy serves only the categorical layer, which ``mtc`` and
+    ``verify`` import on demand; checked in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import sl2onepoint
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
+    script = "\n".join(
+        [
+            "import sys",
+            "from sl2onepoint.cli import main",
+            "assert 'numpy' not in sys.modules, 'loaded by the import'",
+            "assert main(['expand', '-k', '3', '-l', '2', '-n', '5']) == 0",
+            "assert main(['classify', '-k', '5', '-l', '2']) == 0",
+            "assert 'numpy' not in sys.modules, 'loaded by expand or classify'",
+            "assert main(['mtc', '-k', '5', '--p', '2']) == 0",
+            "assert 'numpy' in sys.modules",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_verify_mlde_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "mlde")
     assert code == EXIT_OK

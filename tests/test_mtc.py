@@ -12,6 +12,7 @@ its sign exponents sum to zero).
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -32,6 +33,8 @@ from sl2onepoint.mtc import (
     verlinde_fusion,
 )
 from sl2onepoint.sl2data import conformal_weight, fusion_coefficient, rho_t, xi_set
+
+from mtc_oracle import _six_j_2, s_matrix_loop
 
 TOL = 1e-9
 
@@ -150,6 +153,63 @@ def test_six_j_against_mpmath_oracle():
             got = six_j(k, *(F(x, 2) for x in tup))
             want = float(oracle(k, *tup))
             assert abs(got - want) < 1e-12, (k, tup)
+
+
+def test_six_j_kernel_equals_scalar_oracle():
+    """The array kernel against the scalar loop, on every admissible
+    sextuple for k <= 6, all in one call per level."""
+    from sl2onepoint.mtc import _six_j
+
+    for k in range(0, 7):
+        tuples = list(_admissible_sixj_tuples(k))
+        got = _six_j(k, *np.array(tuples).T)
+        assert got.shape == (len(tuples),)
+        for tup, value in zip(tuples, got):
+            assert abs(value - _six_j_2(k, *tup)) < 1e-13, (k, tup)
+
+
+def test_six_j_kernel_equals_scalar_oracle_at_level_48():
+    from sl2onepoint.mtc import _six_j
+
+    k = 48
+    rng = random.Random(4848)
+    labels = range(k + 1)
+    tuples = []
+    while len(tuples) < 2000:
+        a, b, c = (rng.choice(labels) for _ in range(3))
+        es = [e for e in labels if _adm(k, a, b, e)]
+        fs = [f for f in labels if _adm(k, a, c, f)]
+        if not (es and fs):
+            continue
+        e, f = rng.choice(es), rng.choice(fs)
+        ds = [d for d in labels if _adm(k, c, e, d) and _adm(k, d, b, f)]
+        if ds:
+            tuples.append((a, b, e, rng.choice(ds), c, f))
+    got = _six_j(k, *np.array(tuples).T)
+    for tup, value in zip(tuples, got):
+        assert abs(value - _six_j_2(k, *tup)) < 1e-13, tup
+
+
+def test_six_j_kernel_rejects_one_bad_element():
+    from sl2onepoint.mtc import _fact2, _qnumbers, _six_j
+
+    k = 4
+    good = np.array(list(_admissible_sixj_tuples(k))[:20])
+    # (a, b, e) with an odd sum; every triad summing to 12 > 2k; only
+    # (c, e, d) = (0, 4, 0) off the triangle inequality
+    for bad in ((1, 1, 1, 0, 0, 0), (4, 4, 4, 4, 4, 4), (0, 4, 4, 0, 0, 0)):
+        tuples = good.copy()
+        tuples[7] = bad
+        with pytest.raises(ValueError, match="inadmissible spin triad"):
+            _six_j(k, *tuples.T)
+    q = _qnumbers(k)
+    assert np.array_equal(_fact2(q, np.array([0, 2, 10])), [q.qfact[0], q.qfact[1], q.qfact[5]])
+    with pytest.raises(ValueError, match="half-integer"):
+        _fact2(q, np.array([0, 2, 3, 4]))
+    with pytest.raises(ValueError, match="0 <= n <= 5, got 6"):
+        _fact2(q, np.array([0, 12, 4]))
+    with pytest.raises(ValueError, match="got -1"):
+        _fact2(q, np.array([-2, 0]))
 
 
 # -- recoupling tensors ------------------------------------------------------------
@@ -380,6 +440,16 @@ def test_s0_equals_character_s_matrix():
         pair = gen_modular_pair(k, 0)
         diff = np.max(np.abs(pair.s_matrix - f_r_g_matrices(k).s_char))
         assert diff < TOL
+
+
+def test_pair_s_matrix_equals_per_triple_loop():
+    """The array assembly against the term-by-term sum over (i, j, r)."""
+    cases = [(k, p) for k in range(0, 17) for p in range(0, k + 1, 2)] + [(48, 2)]
+    for k, p in cases:
+        got = gen_modular_pair(k, p).s_matrix
+        want = s_matrix_loop(k, p)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12, (k, p)
 
 
 def test_one_dimensional_t_value():
