@@ -17,7 +17,7 @@ Subpackages:
 - :mod:`sl2onepoint.repanalysis` -- admissible sets, graded dimensions,
   T-orders, irreducibility and congruence classification.
 - :mod:`sl2onepoint.mtc` -- numerical modular-tensor-category data:
-  quantum 6j-symbols, F/R/G matrices and the generalised modular pairs
+  quantum 6j-symbols, F/R/G entries and the generalised modular pairs
   acting on self-coupling spaces.
 - :mod:`sl2onepoint.cli` -- the ``sl2onepoint`` command line tool.
 """

@@ -3,7 +3,7 @@
     sl2onepoint expand   --level K --lambda L [--order N] [--format F]
     sl2onepoint classify --level K --lambda L [--format F]
     sl2onepoint mtc      --level K --p P [--tolerance T] [--format F]
-    sl2onepoint verify   --suite NAME [--max-level M] [--tolerance T] [--format F]
+    sl2onepoint verify   --suite NAME [--tolerance T] [--format F]
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 unsupported request.  A computation that fails its own consistency
@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import bgg, generators, repanalysis, sl2data
@@ -46,7 +46,6 @@ class RunConfig:
     order: int = 12
     tolerance: float = 1e-9
     output_format: str = "table"
-    max_level: int = 48
 
     def __post_init__(self):
         if self.order < 1:
@@ -129,16 +128,14 @@ def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
 def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
     from . import mtc
 
-    pair = mtc.gen_modular_pair(k, p, config.tolerance, config.max_level)
+    pair = mtc.gen_modular_pair(k, p, config.tolerance)
     try:
         probe = mtc.irreducibility_probe(pair, tolerance=config.tolerance)
     except ValueError as exc:
         probe = f"refused: {exc}"
     payload = pair.to_json()
     payload["irreducibility_probe"] = probe
-    payload["analytic_comparison"] = mtc.compare_with_analytic(
-        k, p, config.tolerance, config.max_level, pair=pair
-    )
+    payload["analytic_comparison"] = mtc.compare_with_analytic(k, p, config.tolerance, pair=pair)
     if p == k and k % 2 == 0:
         # the 1x1 case, where competing printed values exist; report all
         payload["s_value_report"] = mtc.s_k_report(k, pair=pair)
@@ -251,7 +248,7 @@ def _suite_mtc(config: RunConfig):
     from . import mtc
 
     checks = []
-    kmax = min(config.max_level, 10)
+    kmax = 10
     pairs = {}  # (k, p) -> the certified pair, built once for all three sweeps
     for k in range(0, kmax + 1):
         for p in range(0, k + 1, 2):
@@ -316,29 +313,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_lambda=True):
-        p.add_argument("--level", "-k", type=int, required=True, help="level k >= 0")
-        if need_lambda:
+    def common(p, level=True, lam=False, order=False, tolerance=False):
+        """The options a subcommand reads, and no others."""
+        if level:
+            p.add_argument("--level", "-k", type=int, required=True, help="level k >= 0")
+        if lam:
             p.add_argument("--lambda", "-l", dest="lam", type=int, required=True,
                            help="finite weight lambda (even)")
-        p.add_argument("--order", "-n", type=int, default=12, help="series truncation order")
+        if order:
+            p.add_argument("--order", "-n", type=int, default=RunConfig.order,
+                           help="series truncation order")
+        if tolerance:
+            p.add_argument("--tolerance", type=float, default=RunConfig.tolerance)
         p.add_argument("--format", dest="output_format", choices=("json", "table"),
-                       default="table")
-        p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--max-level", type=int, default=48)
+                       default=RunConfig.output_format)
 
-    common(sub.add_parser("expand", help="q-expansions of the cyclic generator"))
-    common(sub.add_parser("classify", help="representation-level classification"))
+    common(sub.add_parser("expand", help="q-expansions of the cyclic generator"),
+           lam=True, order=True)
+    common(sub.add_parser("classify", help="representation-level classification"), lam=True)
     p_mtc = sub.add_parser("mtc", help="generalised modular pair from categorical data")
-    common(p_mtc, need_lambda=False)
+    common(p_mtc, tolerance=True)
     p_mtc.add_argument("--p", type=int, required=True, help="acting label p (even)")
     p_verify = sub.add_parser("verify", help="run a verification suite")
+    common(p_verify, level=False, tolerance=True)
     p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--order", "-n", type=int, default=12)
-    p_verify.add_argument("--format", dest="output_format", choices=("json", "table"),
-                          default="table")
-    p_verify.add_argument("--tolerance", type=float, default=1e-9)
-    p_verify.add_argument("--max-level", type=int, default=48)
     return parser
 
 
@@ -346,10 +344,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = RunConfig(
-            order=args.order,
-            tolerance=args.tolerance,
-            output_format=args.output_format,
-            max_level=args.max_level,
+            **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
         )
         if args.command == "expand":
             return cmd_expand(args.level, args.lam, config)

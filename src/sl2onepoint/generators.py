@@ -62,7 +62,6 @@ __all__ = [
     "mlde_equation",
     "mlde_solutions",
     "mlde_residual",
-    "dim3_mlde_coefficients",
     "FixtureEntry",
     "FixtureReport",
     "table_fixture_check",
@@ -450,13 +449,6 @@ def mlde_residual(k: int, lam: int, order: int) -> list[QExpansion]:
         raise ValueError("order must be >= 4")
     gen = cyclic_generator(k, lam, order)
     return [_apply_mlde(comp, weight, kappas) for _, comp in gen.components]
-
-
-def dim3_mlde_coefficients(k: int) -> tuple[Fraction, Fraction]:
-    """The exact (kappa_1, kappa_2) of the third-order equation at level k."""
-    if k % 2 != 0 or k < 2:
-        raise ValueError("third-order equation lives at even k >= 2 with lambda = k-2")
-    return mlde_equation(k, k - 2)[1]
 
 
 # -- published-table fixtures -----------------------------------------

@@ -1,32 +1,35 @@
 """Numerical modular-tensor-category data for sl(2) at level k.
 
-Quantum 6j-symbols in the unitary normalisation, the F/R/G recoupling
-tensors built from them, and the generalised modular pair (S^(p), T^(p))
+Quantum 6j-symbols in the unitary normalisation, the F and G recoupling
+entries built from them, and the generalised modular pair (S^(p), T^(p))
 acting on the self-coupling spaces Hom(p (x) i, i).  Arithmetic is
-double-precision complex; levels are capped (default 48) because the
-quantum-factorial ratios lose accuracy beyond desk scale, and every pair
-is certified on construction by the braid-group relations
+double-precision complex at every level, and every pair is certified on
+construction by the braid-group relations
 
     (S T)^3 = S^2,      S^4 = theta_p^{-1} * Id,
 
 with residuals stored on the object and a loud error when they exceed
-tolerance (a convention bug, never a user error).
+tolerance or are not numbers at all (a convention bug or lost precision,
+never a user error).  These residuals are the only precision guard.
 
-Per-level tables, each built once and cached by level: quantum integers
-and factorials (``_qnumbers``), the twists and character S-matrix
-(``_level_constants``), and the half-twists e(h_i/2) (``_half_twists``).
-A braiding phase R^{(rs)t} is then the product (-1)^(r+s-t) e(h_r/2)
-e(h_s/2) / e(h_t/2) of table entries, with no rational arithmetic or
-exponential per call.  The product form loses no precision in the
-modular pair: the four R-phases of a G-entry carry the exponents
-h_j+h_k+h_i-h_l above and h_i+h_j+h_k-h_l below the fraction bar, which
-cancel exactly.  The F, R and G tensors of ``f_r_g_matrices`` are built
-on first access only; they grow like the sixth power of the level.
+Per-level tables, each built once and cached by level: rescaled quantum
+integers and factorials (``_qnumbers``), the twists and character
+S-matrix (``_level_constants``), and the half-twists e(h_i/2)
+(``_half_twists``).  The quantum integers are tabulated as
+sin(pi n/(k+2)) = [n] sin(pi/(k+2)), so the factorials stay in (0, 1]
+at every level, where the unscaled [k+1]! overflows a double from
+k = 202 on.  The 6j formula is homogeneous of degree 0 in the quantum
+integers, so the rescaling cancels in every symbol.  A braiding phase
+R^{(rs)t} is the product (-1)^(r+s-t) e(h_r/2) e(h_s/2) / e(h_t/2) of
+table entries, with no rational arithmetic or exponential per call.  The
+product form loses no precision in the modular pair: the four R-phases
+of a G-entry carry the exponents h_j+h_k+h_i-h_l above and
+h_i+h_j+h_k-h_l below the fraction bar, which cancel exactly.
 
 Array assembly.  One kernel, ``_six_j``, evaluates the
 Kirillov-Reshetikhin 6j formula elementwise over integer arrays of
-doubled labels; ``six_j``, ``_f_entry``, ``_g_entry`` and the tensors all
-call it.  ``gen_modular_pair`` enumerates, by the fusion rule
+doubled labels; ``six_j``, ``_f_entry`` and ``_g_entry`` all call it.
+``gen_modular_pair`` enumerates, by the fusion rule
 (``_admissible``), the triples (i, j, r) that contribute to S^(p)[i, j],
 evaluates the three recoupling factors of all of them in a few array
 calls and accumulates the terms with ``np.add.at``, in the same order of
@@ -49,22 +52,28 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
 
 from .errors import RelationViolationError
 from .qseries import fraction_to_str
-from .sl2data import central_charge, conformal_weight, fusion_coefficient, multiplier, rho_t, xi_set
+from .sl2data import (
+    _check_level,
+    central_charge,
+    conformal_weight,
+    fusion_coefficient,
+    multiplier,
+    rho_t,
+    xi_set,
+)
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "DEFAULT_MAX_LEVEL",
     "MtcLevelData",
     "GenModularPair",
     "quantum_integer",
-    "quantum_factorial",
     "six_j",
     "f_r_g_matrices",
     "adjoint_members",
@@ -76,7 +85,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-9
-DEFAULT_MAX_LEVEL = 48
 
 # Basis rows of S^(p) per pass of the array assembly.  At k = 48 the
 # arrays of one pass peak near 1.5 MB with 4 rows, 2.8 MB with 8 and 11 MB
@@ -90,28 +98,9 @@ def _e(x) -> complex:
     return cmath.exp(2j * cmath.pi * float(x))
 
 
-def _check_level(k: int, max_level: int = DEFAULT_MAX_LEVEL) -> None:
-    if k < 0:
-        raise ValueError(f"level must be non-negative, got {k}")
-    if k > max_level:
-        raise ValueError(
-            f"level {k} exceeds the precision guard {max_level}; "
-            "raise max_level explicitly if you accept the trig error"
-        )
-
-
 def quantum_integer(k: int, n: int) -> float:
     """[n] = sin(pi n/(k+2)) / sin(pi/(k+2))."""
     return math.sin(math.pi * n / (k + 2)) / math.sin(math.pi / (k + 2))
-
-
-def quantum_factorial(k: int, n: int, max_level: int = DEFAULT_MAX_LEVEL) -> float:
-    """[n]! = prod_{m=1}^n [m], defined for 0 <= n <= k+1 ([k+2] = 0, so
-    larger factorials are refused rather than silently zero)."""
-    _check_level(k, max_level)
-    if n < 0 or n > k + 1:
-        raise ValueError(f"quantum factorial needs 0 <= n <= k+1 = {k + 1}, got {n}")
-    return float(_qnumbers(k).qfact[n])
 
 
 def _as_twice(x) -> int:
@@ -131,16 +120,16 @@ def _admissible(k: int, a, b, c):
 
 
 class _QNumbers:
-    """Per-level arrays of the quantum integers [n], n = 0..k+2, and the
-    quantum factorials [n]!, n = 0..k+1."""
+    """Per-level arrays of the rescaled quantum integers
+    sin(pi n/(k+2)) = [n] sin(pi/(k+2)), n = 0..k+2, and of their running
+    products, the rescaled factorials [n]! sin(pi/(k+2))^n, n = 0..k+1,
+    all in (0, 1].  The 6j formula is homogeneous of degree 0 in the
+    quantum integers, so it takes these in place of [n] and [n]!."""
 
     def __init__(self, k: int):
         self.k = k
-        self.qint = np.array([quantum_integer(k, n) for n in range(k + 3)])
-        fact = [1.0] * (k + 2)
-        for n in range(2, k + 2):
-            fact[n] = fact[n - 1] * self.qint[n]
-        self.qfact = np.array(fact)
+        self.qint = np.sin(np.pi * np.arange(k + 3) / (k + 2))
+        self.qfact = np.concatenate(([1.0], np.cumprod(self.qint[1 : k + 2])))
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +138,8 @@ def _qnumbers(k: int) -> _QNumbers:
 
 
 def _fact2(q: _QNumbers, n2: np.ndarray) -> np.ndarray:
-    """[n]! elementwise, with the arguments given doubled (each must be
-    even, 0 <= n <= k+1)."""
+    """The rescaled [n]! elementwise, with the arguments given doubled
+    (each must be even, 0 <= n <= k+1)."""
     if np.any(n2 & 1):
         raise ValueError("quantum factorial of a genuine half-integer")
     if n2.size and (n2.min() < 0 or n2.max() > 2 * q.k + 2):
@@ -216,25 +205,17 @@ def _six_j(k: int, a2, b2, e2, d2, c2, f2) -> np.ndarray:
     return pref * total.reshape(pref.shape)
 
 
-def six_j(k: int, a, b, e, d, c, f, max_level: int = DEFAULT_MAX_LEVEL) -> float:
+def six_j(k: int, a, b, e, d, c, f) -> float:
     """Quantum 6j-symbol {a b e; d c f} for half-integer spins at level k."""
-    _check_level(k, max_level)
+    _check_level(k)
     return float(_six_j(k, *(_as_twice(x) for x in (a, b, e, d, c, f))))
 
 
 @dataclass
 class MtcLevelData:
-    """Immutable-by-convention bundle of the level-k category data.
-
-    f_tensor[(r,s,t,u,p,q)] is the recoupling coefficient from the tree
-    r(st) with inner edge p to the tree (rs)t with inner edge q, both
-    mapping to u; g_tensor has the inverse index convention (p couples
-    (r,s), q couples (s,t)); r_tensor[(r,s,t)] is the braiding phase on
-    the coupling r (x) s -> t.  The three tensors walk every admissible
-    index tuple, which grows like the sixth power of the level, so each
-    is built on first access (fine at desk scale: the coherence tests
-    read them at k <= 8).
-    """
+    """Immutable-by-convention bundle of the level-k constants: labels,
+    twists, zeta = e(c/24), character S-matrix, quantum dimensions and
+    the global dimension root."""
 
     level: int
     labels: tuple[int, ...]
@@ -244,45 +225,11 @@ class MtcLevelData:
     qdim: np.ndarray
     global_dim_root: float
 
-    @cached_property
-    def r_tensor(self) -> dict[tuple[int, int, int], complex]:
-        k = self.level
-        return {
-            (r, s, t): _r_phase(k, r, s, t)
-            for r in self.labels
-            for s in self.labels
-            for t in self.labels
-            if _admissible(k, r, s, t)
-        }
-
-    @cached_property
-    def f_tensor(self) -> dict[tuple[int, int, int, int, int, int], float]:
-        k, labels = self.level, self.labels
-        keys = [
-            (r, s, t, u, p, q)
-            for r in labels
-            for s in labels
-            for t in labels
-            for p in labels
-            if _admissible(k, s, t, p)
-            for u in labels
-            if _admissible(k, r, p, u)
-            for q in labels
-            if _admissible(k, r, s, q) and _admissible(k, q, t, u)
-        ]
-        return dict(zip(keys, _f_entry(k, *np.array(keys).T).tolist()))
-
-    @cached_property
-    def g_tensor(self) -> dict[tuple[int, int, int, int, int, int], complex]:
-        # G^{(ijk)l}_{pq} is admissible exactly where F^{(kji)l}_{pq} is
-        keys = [(i, j, kt, l, p, q) for (kt, j, i, l, p, q) in self.f_tensor]
-        return dict(zip(keys, _g_entry(self.level, *np.array(keys).T).tolist()))
-
 
 @lru_cache(maxsize=None)
 def _level_constants(k: int):
-    """(labels, theta, zeta, s_char, qdim, D) without any recoupling data;
-    cheap at any level within the precision guard."""
+    """(labels, theta, zeta, s_char, qdim, D): O(k^2) work, without any
+    recoupling data."""
     n = k + 2
     labels = tuple(range(k + 1))
     s_char = np.array(
@@ -344,13 +291,12 @@ def _g_entry(k: int, i, j, kt, l, p, q) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def f_r_g_matrices(k: int, max_level: int = DEFAULT_MAX_LEVEL) -> MtcLevelData:
-    """The level-k category data: character S-matrix, twists, quantum
-    dimensions and global dimension root at once, and the F, R and G
-    tensors on first access (see ``MtcLevelData``).  The modular pairs
-    below fetch the few entries they need directly and never build the
-    tensors."""
-    _check_level(k, max_level)
+def f_r_g_matrices(k: int) -> MtcLevelData:
+    """The level-k category constants: character S-matrix, twists,
+    quantum dimensions and global dimension root.  The modular pairs below
+    fetch the F, R and G entries they need directly (``_f_entry``,
+    ``_r_phase``, ``_g_entry``); no full tensor is ever built."""
+    _check_level(k)
     labels, theta, zeta, s_char, qdim, global_dim_root = _level_constants(k)
     return MtcLevelData(
         level=k,
@@ -400,12 +346,11 @@ class GenModularPair:
         }
 
 
-def gen_modular_pair(
-    k: int, p: int, tolerance: float = DEFAULT_TOLERANCE, max_level: int = DEFAULT_MAX_LEVEL
-) -> GenModularPair:
+def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> GenModularPair:
     """Build (S^(p), T^(p)) from the categorical data and certify the
-    relations (S T)^3 = S^2 and S^4 = theta_p^{-1} Id."""
-    _check_level(k, max_level)
+    relations (S T)^3 = S^2 and S^4 = theta_p^{-1} Id.  A residual above
+    ``tolerance``, or one that is NaN, raises ``RelationViolationError``."""
+    _check_level(k)
     if p % 2 != 0 or not 0 <= p <= k:
         raise ValueError(f"p must be an even label in 0..{k}, got {p}")
     labels, theta, zeta, _, qdim, global_dim_root = _level_constants(k)
@@ -451,7 +396,8 @@ def gen_modular_pair(
     s4 = s2 @ s2
     res_dehn = float(np.max(np.abs(s4 - np.eye(dim) / theta[p])))
     residuals = {"st_cubed_vs_s_squared": res_braid, "s_fourth_vs_inverse_twist": res_dehn}
-    if res_braid > tolerance or res_dehn > tolerance:
+    # phrased so that a NaN residual fails too
+    if not (res_braid <= tolerance and res_dehn <= tolerance):
         raise RelationViolationError(
             f"modular pair relations violated at level {k}, p={p}: {residuals}"
         )
@@ -499,12 +445,12 @@ def irreducibility_probe(
 
 
 def _given_or_built(
-    pair: GenModularPair | None, k: int, p: int, tolerance: float, max_level: int
+    pair: GenModularPair | None, k: int, p: int, tolerance: float
 ) -> GenModularPair:
     """The caller's pair after checking that it is (S^(p), T^(p)) at
     level k, or a freshly built one when the caller has none."""
     if pair is None:
-        return gen_modular_pair(k, p, tolerance, max_level)
+        return gen_modular_pair(k, p, tolerance)
     if (pair.level, pair.p_label) != (k, p):
         raise ValueError(
             f"pair is for level {pair.level}, p={pair.p_label}, not level {k}, p={p}"
@@ -516,7 +462,6 @@ def compare_with_analytic(
     k: int,
     lam: int,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_level: int = DEFAULT_MAX_LEVEL,
     pair: GenModularPair | None = None,
 ) -> dict:
     """Compare the categorical T^(lam), divided by the weight-h_lam
@@ -528,7 +473,7 @@ def compare_with_analytic(
     caller already holds it; otherwise it is built here."""
     if lam % 2 != 0:
         raise ValueError(f"lambda must be even, got {lam}")
-    pair = _given_or_built(pair, k, lam, tolerance, max_level)
+    pair = _given_or_built(pair, k, lam, tolerance)
     sig = rho_t(k, lam)
     if list(pair.basis) != xi_set(k, lam):
         raise RelationViolationError("categorical basis disagrees with the label set")
@@ -558,7 +503,7 @@ def s_k_report(k: int, pair: GenModularPair | None = None) -> dict:
     the certified (S^(k), T^(k)) when the caller already holds it."""
     if k % 2 != 0:
         raise ValueError("the one-dimensional pair needs even k")
-    pair = _given_or_built(pair, k, k, DEFAULT_TOLERANCE, DEFAULT_MAX_LEVEL)
+    pair = _given_or_built(pair, k, k, DEFAULT_TOLERANCE)
     computed = complex(pair.s_matrix[0, 0])
     return {
         "level": k,

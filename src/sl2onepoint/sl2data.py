@@ -17,7 +17,6 @@ from .errors import UnsupportedDimensionError
 from .qseries import fraction_to_str
 
 __all__ = [
-    "LevelData",
     "RepSignature",
     "central_charge",
     "conformal_weight",
@@ -63,24 +62,6 @@ def _check_label(k: int, mu: int) -> None:
     _check_level(k)
     if not 0 <= mu <= k:
         raise ValueError(f"label {mu} out of range 0..{k}")
-
-
-@dataclass(frozen=True)
-class LevelData:
-    """Central charge and conformal weight table at a fixed level."""
-
-    level: int
-    central_charge: Fraction
-    weights: tuple[Fraction, ...]
-
-    @classmethod
-    def create(cls, k: int) -> "LevelData":
-        _check_level(k)
-        return cls(
-            level=k,
-            central_charge=central_charge(k),
-            weights=tuple(conformal_weight(k, mu) for mu in range(k + 1)),
-        )
 
 
 @dataclass(frozen=True)

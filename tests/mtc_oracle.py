@@ -1,11 +1,22 @@
-"""The scalar routes of the categorical layer, kept as oracles.
+"""The scalar routes of the categorical layer, kept as oracles, and the
+full recoupling tensors that only the coherence tests read.
 
 Test fixture only.  ``_six_j_2`` evaluates one quantum 6j-symbol by a
 Python loop over z with its own admissibility check and its own tables
-of quantum factorials; ``s_matrix_loop`` assembles S^(p) one (i, j, r)
-term at a time from it and from ``mtc._r_phase``.  The library replaced
-both with array code (``mtc._six_j`` and the blocks of
+of unscaled quantum integers [n] and factorials [n]!; ``s_matrix_loop``
+assembles S^(p) one (i, j, r) term at a time from it and from
+``mtc._r_phase``.  The library replaced both with array code
+(``mtc._six_j`` on rescaled tables, and the blocks of
 ``mtc.gen_modular_pair``), which the tests compare against these.
+
+``f_tensor``, ``r_tensor`` and ``g_tensor`` tabulate the library's F, R
+and G on every admissible index tuple of a level, a count that grows like
+the sixth power of the level, so they serve the coherence tests at
+k <= 8 only.  f_tensor[(r,s,t,u,p,q)] is the recoupling coefficient from
+the tree r(st) with inner edge p to the tree (rs)t with inner edge q,
+both mapping to u; g_tensor has the inverse index convention (p couples
+(r,s), q couples (s,t)); r_tensor[(r,s,t)] is the braiding phase on the
+coupling r (x) s -> t.
 """
 
 import math
@@ -132,3 +143,47 @@ def s_matrix_loop(k: int, p: int) -> np.ndarray:
                 )
             s[a, b] = qdim[i] * qdim[j] / global_dim_root * acc
     return s
+
+
+@lru_cache(maxsize=None)
+def r_tensor(k: int) -> dict:
+    """R^{(rs)t} = ``mtc._r_phase`` on every admissible triple."""
+    labels = range(k + 1)
+    return {
+        (r, s, t): mtc._r_phase(k, r, s, t)
+        for r in labels
+        for s in labels
+        for t in labels
+        if _triad_ok_2(k, r, s, t)
+    }
+
+
+@lru_cache(maxsize=None)
+def f_tensor(k: int) -> dict:
+    """F^{(rst)u}_{pq} on every admissible index tuple, in one call of the
+    library's array kernel."""
+    labels = range(k + 1)
+    keys = [
+        (r, s, t, u, p, q)
+        for r in labels
+        for s in labels
+        for t in labels
+        for p in labels
+        if _triad_ok_2(k, s, t, p)
+        for u in labels
+        if _triad_ok_2(k, r, p, u)
+        for q in labels
+        if _triad_ok_2(k, r, s, q) and _triad_ok_2(k, q, t, u)
+    ]
+    return dict(zip(keys, mtc._f_entry(k, *np.array(keys).T).tolist()))
+
+
+@lru_cache(maxsize=None)
+def g_tensor(k: int) -> dict:
+    """G^{(ijk)l}_{pq} = R^{(jk)q} R^{(iq)l} / (R^{(ij)p} R^{(pk)l}) * F^{(kji)l}_{pq}
+    from the stored F and R; it is admissible exactly where F^{(kji)l}_{pq} is."""
+    f, r = f_tensor(k), r_tensor(k)
+    return {
+        (i, j, kt, l, p, q): r[(j, kt, q)] * r[(i, q, l)] / (r[(i, j, p)] * r[(p, kt, l)]) * value
+        for (kt, j, i, l, p, q), value in f.items()
+    }

@@ -121,11 +121,54 @@ def test_mtc_builds_one_pair(capsys, monkeypatch, k, p):
 
 
 def test_mtc_one_dimensional_pair_above_default_level_cap(capsys):
-    # the S-value report uses the pair built under the raised cap
-    code, out, err = run(capsys, "mtc", "--level", "50", "--p", "50", "--max-level", "64",
-                         "--format", "json")
+    # any level builds, with no option; at k = 206 the unscaled [k+1]!
+    # would overflow a double
+    code, out, err = run(capsys, "mtc", "--level", "206", "--p", "206", "--format", "json")
     assert code == EXIT_OK, err
-    assert json.loads(out)["s_value_report"]["level"] == 50
+    report = json.loads(out)["s_value_report"]
+    assert report["level"] == 206
+    assert abs(complex(*report["computed"]) - complex(*report["e_minus_3k_16"])) < 1e-12
+
+
+# the injected NaN makes numpy warn about the arithmetic it enters
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_mtc_nan_relation_residual_exits_1(capsys, monkeypatch):
+    import math
+
+    import sl2onepoint.mtc as mtc_module
+
+    true_phase = mtc_module._r_phase
+
+    def nan_phase(k, r, s, t):
+        return true_phase(k, r, s, t) * (math.nan if (r, s, t) == (1, 1, 2) else 1.0)
+
+    monkeypatch.setattr(mtc_module, "_r_phase", nan_phase)
+    code, out, err = run(capsys, "mtc", "--level", "3", "--p", "2", "--format", "json")
+    assert code == EXIT_VERIFY_FAILED
+    assert out == ""
+    assert "relations violated at level 3, p=2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "-k", "3", "-l", "2", "--max-level", "64"),
+        ("classify", "-k", "5", "-l", "2", "--max-level", "64"),
+        ("mtc", "-k", "5", "--p", "2", "--max-level", "64"),
+        ("verify", "--suite", "bgg", "--max-level", "64"),
+        ("expand", "-k", "3", "-l", "2", "--tolerance", "1e-6"),
+        ("classify", "-k", "5", "-l", "2", "--order", "5"),
+        ("classify", "-k", "5", "-l", "2", "--tolerance", "1e-6"),
+        ("mtc", "-k", "5", "--p", "2", "--order", "5"),
+        ("verify", "--suite", "bgg", "--order", "5"),
+    ],
+)
+def test_options_no_code_reads_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_INVALID
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_mtc_relation_violation_exits_1(capsys):

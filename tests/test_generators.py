@@ -19,7 +19,6 @@ from sl2onepoint.generators import (
     FixtureReport,
     HypergeomSpec,
     cyclic_generator,
-    dim3_mlde_coefficients,
     generator_weight,
     hypergeom_series,
     hypergeometric_generator,
@@ -213,7 +212,7 @@ def test_dimension_three_components_solve_the_unique_equation(k):
         want, kappas = frobenius_solution(w, exps, lam_i, order)
         got = eta_down * comp
         assert got.agrees_with(want)
-    assert dim3_mlde_coefficients(k) == kappas
+    assert mlde_equation(k, k - 2)[1] == kappas
 
 
 def test_deep_order_agrees_with_frobenius():
@@ -302,7 +301,7 @@ def test_mlde_rejects_dimension_one():
 def test_dim3_kappa_indicial_roots():
     # the solved coefficients reproduce the exponents as indicial roots
     for k in (4, 6, 8, 10):
-        kappa1, kappa2 = dim3_mlde_coefficients(k)
+        kappa1, kappa2 = mlde_equation(k, k - 2)[1]
         w = generator_weight(k, k - 2)
         shifts = [w / 12, (w + 2) / 12, (w + 4) / 12]
         for lam in minimal_exponents(k, k - 2):

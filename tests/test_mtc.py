@@ -2,12 +2,13 @@
 and the generalised modular pairs.
 
 High-precision oracle: the 6j formula re-evaluated in 50-digit mpmath
-arithmetic.  Coherence oracles: F-matrix unitarity (6j orthogonality),
-the pentagon identity, and both hexagon identities.  The hexagon needs
-the braiding with the halved sign (-1)^{(r+s-t)/2}; the shipped R keeps
-the trivial-sign convention of its defining formula, and the two differ
-by a sign that cancels in every modular-pair quantity (see the G-ratio:
-its sign exponents sum to zero).
+arithmetic with the unscaled quantum integers, up to k = 300.  Coherence
+oracles, on the tensors of ``mtc_oracle``: F-matrix unitarity (6j
+orthogonality), the pentagon identity, and both hexagon identities.  The
+hexagon needs the braiding with the halved sign (-1)^{(r+s-t)/2}; the
+shipped R keeps the trivial-sign convention of its defining formula, and
+the two differ by a sign that cancels in every modular-pair quantity
+(see the G-ratio: its sign exponents sum to zero).
 """
 
 import itertools
@@ -26,7 +27,6 @@ from sl2onepoint.mtc import (
     f_r_g_matrices,
     gen_modular_pair,
     irreducibility_probe,
-    quantum_factorial,
     quantum_integer,
     s_k_report,
     six_j,
@@ -34,7 +34,8 @@ from sl2onepoint.mtc import (
 )
 from sl2onepoint.sl2data import conformal_weight, fusion_coefficient, rho_t, xi_set
 
-from mtc_oracle import _six_j_2, s_matrix_loop
+from mtc_oracle import _qnumbers as oracle_qnumbers
+from mtc_oracle import _six_j_2, f_tensor, g_tensor, r_tensor, s_matrix_loop
 
 TOL = 1e-9
 
@@ -57,22 +58,44 @@ def _admissible_sixj_tuples(k):
             yield (a, b, e, d, c, f)
 
 
+def _random_sixj_tuples(k, count, seed):
+    """``count`` seeded doubled-label tuples with all four triads admissible."""
+    rng = random.Random(seed)
+    labels = range(k + 1)
+    tuples = []
+    while len(tuples) < count:
+        a, b, c = (rng.choice(labels) for _ in range(3))
+        es = [e for e in labels if _adm(k, a, b, e)]
+        fs = [f for f in labels if _adm(k, a, c, f)]
+        if not (es and fs):
+            continue
+        e, f = rng.choice(es), rng.choice(fs)
+        ds = [d for d in labels if _adm(k, c, e, d) and _adm(k, d, b, f)]
+        if ds:
+            tuples.append((a, b, e, rng.choice(ds), c, f))
+    return tuples
+
+
 # -- quantum integers and factorials ------------------------------------------
 
 
 def test_quantum_factorial_values():
-    assert quantum_factorial(5, 0) == 1.0
-    assert quantum_factorial(1, 1) == 1.0
-    assert abs(quantum_factorial(2, 2) - math.sqrt(2)) < 1e-14
+    # the unscaled [n]! of the scalar oracle
+    assert oracle_qnumbers(5).qfact[0] == 1.0
+    assert oracle_qnumbers(1).qfact[1] == 1.0
+    assert abs(oracle_qnumbers(2).qfact[2] - math.sqrt(2)) < 1e-14
     assert abs(quantum_integer(3, 2) - 2 * math.cos(math.pi / 5)) < 1e-14
 
 
 def test_quantum_factorial_guards():
+    q = oracle_qnumbers(3)
     with pytest.raises(ValueError):
-        quantum_factorial(3, 5)
+        q.fact2(10)  # [5]!
     with pytest.raises(ValueError):
-        quantum_factorial(3, -1)
-    assert quantum_factorial(3, 4) > 0  # [k+1]! is the largest allowed
+        q.fact2(-2)
+    with pytest.raises(ValueError):
+        q.fact2(3)
+    assert q.fact2(8) > 0  # [k+1]! is the largest allowed
 
 
 # -- 6j symbols ------------------------------------------------------------------
@@ -104,55 +127,63 @@ def test_six_j_collapse_pattern():
             assert abs(abs(val) / prefactor - want) < 1e-12
 
 
-def test_six_j_against_mpmath_oracle():
-    """Re-evaluate the same formula in 50-digit arithmetic."""
+def _six_j_mpmath(k, tuples):
+    """The 6j formula re-evaluated in 50-digit arithmetic with the unscaled
+    quantum integers [n], its factorials tabulated once for the level."""
     import mpmath
 
-    mpmath.mp.dps = 50
+    with mpmath.workdps(50):
+        qint = [mpmath.sin(mpmath.pi * n / (k + 2)) / mpmath.sin(mpmath.pi / (k + 2))
+                for n in range(k + 2)]
+        qfact = [mpmath.mpf(1)]
+        for n in range(1, k + 2):
+            qfact.append(qfact[-1] * qint[n])
 
-    def qint(k, n):
-        return mpmath.sin(mpmath.pi * n / (k + 2)) / mpmath.sin(mpmath.pi / (k + 2))
+        def delta(a2, b2, c2):
+            return mpmath.sqrt(
+                qfact[(-a2 + b2 + c2) // 2]
+                * qfact[(a2 - b2 + c2) // 2]
+                * qfact[(a2 + b2 - c2) // 2]
+                / qfact[(a2 + b2 + c2) // 2 + 1]
+            )
 
-    def qfact(k, n):
-        out = mpmath.mpf(1)
-        for m in range(2, n + 1):
-            out *= qint(k, m)
-        return out
+        out = []
+        for a2, b2, e2, d2, c2, f2 in tuples:
+            pref = (
+                (-1) ** ((a2 + b2 - c2 - d2 - 2 * e2) // 2)
+                * mpmath.sqrt(qint[e2 + 1] * qint[f2 + 1])
+                * delta(a2, b2, e2)
+                * delta(a2, c2, f2)
+                * delta(c2, e2, d2)
+                * delta(d2, b2, f2)
+            )
+            triads = (a2 + b2 + e2, a2 + c2 + f2, b2 + d2 + f2, c2 + d2 + e2)
+            quads = (a2 + b2 + c2 + d2, a2 + d2 + e2 + f2, b2 + c2 + e2 + f2)
+            total = mpmath.mpf(0)
+            for z2 in range(max(triads), min(min(quads), 2 * k) + 2, 2):
+                term = (-1) ** (z2 // 2) * qfact[z2 // 2 + 1]
+                for t in triads:
+                    term /= qfact[(z2 - t) // 2]
+                for s in quads:
+                    term /= qfact[(s - z2) // 2]
+                total += term
+            out.append(float(pref * total))
+    return out
 
-    def delta(k, a2, b2, c2):
-        return mpmath.sqrt(
-            qfact(k, (-a2 + b2 + c2) // 2)
-            * qfact(k, (a2 - b2 + c2) // 2)
-            * qfact(k, (a2 + b2 - c2) // 2)
-            / qfact(k, (a2 + b2 + c2) // 2 + 1)
-        )
 
-    def oracle(k, a2, b2, e2, d2, c2, f2):
-        pref = (
-            (-1) ** ((a2 + b2 - c2 - d2 - 2 * e2) // 2)
-            * mpmath.sqrt(qint(k, e2 + 1) * qint(k, f2 + 1))
-            * delta(k, a2, b2, e2)
-            * delta(k, a2, c2, f2)
-            * delta(k, c2, e2, d2)
-            * delta(k, d2, b2, f2)
-        )
-        triads = (a2 + b2 + e2, a2 + c2 + f2, b2 + d2 + f2, c2 + d2 + e2)
-        quads = (a2 + b2 + c2 + d2, a2 + d2 + e2 + f2, b2 + c2 + e2 + f2)
-        total = mpmath.mpf(0)
-        for z2 in range(max(triads), min(min(quads), 2 * k) + 2, 2):
-            term = (-1) ** (z2 // 2) * qfact(k, z2 // 2 + 1)
-            for t in triads:
-                term /= qfact(k, (z2 - t) // 2)
-            for s in quads:
-                term /= qfact(k, (s - z2) // 2)
-            total += term
-        return pref * total
-
+def test_six_j_against_mpmath_oracle():
+    """Every admissible sextuple at k = 2, 3, and 20 seeded ones at
+    k = 150 and 300, where the unscaled [k+1]! overflows a double."""
     for k in (2, 3):
-        for tup in _admissible_sixj_tuples(k):
+        tuples = list(_admissible_sixj_tuples(k))
+        for tup, want in zip(tuples, _six_j_mpmath(k, tuples)):
             got = six_j(k, *(F(x, 2) for x in tup))
-            want = float(oracle(k, *tup))
             assert abs(got - want) < 1e-12, (k, tup)
+    for k in (150, 300):
+        tuples = _random_sixj_tuples(k, 20, seed=k)
+        for tup, want in zip(tuples, _six_j_mpmath(k, tuples)):
+            got = six_j(k, *(F(x, 2) for x in tup))
+            assert abs(got - want) < 1e-10, (k, tup)
 
 
 def test_six_j_kernel_equals_scalar_oracle():
@@ -172,19 +203,7 @@ def test_six_j_kernel_equals_scalar_oracle_at_level_48():
     from sl2onepoint.mtc import _six_j
 
     k = 48
-    rng = random.Random(4848)
-    labels = range(k + 1)
-    tuples = []
-    while len(tuples) < 2000:
-        a, b, c = (rng.choice(labels) for _ in range(3))
-        es = [e for e in labels if _adm(k, a, b, e)]
-        fs = [f for f in labels if _adm(k, a, c, f)]
-        if not (es and fs):
-            continue
-        e, f = rng.choice(es), rng.choice(fs)
-        ds = [d for d in labels if _adm(k, c, e, d) and _adm(k, d, b, f)]
-        if ds:
-            tuples.append((a, b, e, rng.choice(ds), c, f))
+    tuples = _random_sixj_tuples(k, 2000, seed=4848)
     got = _six_j(k, *np.array(tuples).T)
     for tup, value in zip(tuples, got):
         assert abs(value - _six_j_2(k, *tup)) < 1e-13, tup
@@ -203,7 +222,10 @@ def test_six_j_kernel_rejects_one_bad_element():
         with pytest.raises(ValueError, match="inadmissible spin triad"):
             _six_j(k, *tuples.T)
     q = _qnumbers(k)
-    assert np.array_equal(_fact2(q, np.array([0, 2, 10])), [q.qfact[0], q.qfact[1], q.qfact[5]])
+    # the table is [n]! rescaled by sin(pi/(k+2))^n
+    scale = math.sin(math.pi / (k + 2))
+    want = [oracle_qnumbers(k).qfact[n] * scale**n for n in (0, 1, 5)]
+    assert np.allclose(_fact2(q, np.array([0, 2, 10])), want, rtol=1e-14, atol=0)
     with pytest.raises(ValueError, match="half-integer"):
         _fact2(q, np.array([0, 2, 3, 4]))
     with pytest.raises(ValueError, match="0 <= n <= 5, got 6"):
@@ -217,8 +239,7 @@ def test_six_j_kernel_rejects_one_bad_element():
 
 def test_f_unitor_normalisation():
     for k in (2, 5):
-        data = f_r_g_matrices(k)
-        zero_entries = [v for key, v in data.f_tensor.items() if 0 in key[:3]]
+        zero_entries = [v for key, v in f_tensor(k).items() if 0 in key[:3]]
         assert zero_entries
         assert all(abs(v - 1.0) < 1e-12 for v in zero_entries)
 
@@ -226,7 +247,7 @@ def test_f_unitor_normalisation():
 def test_f_matrix_unitarity():
     # rows of each F-block are orthonormal (6j orthogonality)
     for k in (2, 3, 4):
-        data = f_r_g_matrices(k)
+        f = f_tensor(k)
         labels = range(k + 1)
         for i, j, kk, l in itertools.product(labels, repeat=4):
             ps = [p for p in labels if _adm(k, j, kk, p) and _adm(k, i, p, l)]
@@ -235,39 +256,34 @@ def test_f_matrix_unitarity():
                 continue
             assert len(ps) == len(qs)
             block = np.array(
-                [[data.f_tensor[(i, j, kk, l, p, q)] for q in qs] for p in ps]
+                [[f[(i, j, kk, l, p, q)] for q in qs] for p in ps]
             )
             assert np.max(np.abs(block @ block.T - np.eye(len(ps)))) < 1e-12
 
 
 def test_g_inverts_f():
     for k in (2, 3):
-        data = f_r_g_matrices(k)
+        f, g = f_tensor(k), g_tensor(k)
         labels = range(k + 1)
         for i, j, kk, l in itertools.product(labels, repeat=4):
             ps = [p for p in labels if _adm(k, i, j, p) and _adm(k, p, kk, l)]
             qs = [q for q in labels if _adm(k, j, kk, q) and _adm(k, i, q, l)]
             for p in ps:
                 for p2 in ps:
-                    acc = sum(
-                        data.g_tensor[(i, j, kk, l, p, q)]
-                        * data.f_tensor[(i, j, kk, l, q, p2)]
-                        for q in qs
-                    )
+                    acc = sum(g[(i, j, kk, l, p, q)] * f[(i, j, kk, l, q, p2)] for q in qs)
                     assert abs(acc - (1.0 if p == p2 else 0.0)) < 1e-12
 
 
 def test_r_fixture_value():
     for k in (2, 5, 8):
-        data = f_r_g_matrices(k)
         h1 = conformal_weight(k, 1)
         want = complex(np.exp(2j * np.pi * float(h1)))
-        assert abs(data.r_tensor[(1, 1, 0)] - want) < 1e-14
+        assert abs(r_tensor(k)[(1, 1, 0)] - want) < 1e-14
 
 
 def test_r_phase_equals_exact_phase_sum():
     """The half-twist product against the phase taken from the exact sum
-    h_r + h_s - h_t, for every admissible triple up to the level cap."""
+    h_r + h_s - h_t, for every admissible triple at k <= 48."""
     import cmath
 
     from sl2onepoint.mtc import _r_phase
@@ -284,28 +300,24 @@ def test_r_phase_equals_exact_phase_sum():
     assert worst < 1e-13
 
 
-def test_recoupling_tensors_built_on_first_access():
-    data = f_r_g_matrices.__wrapped__(6)  # a fresh, uncached instance
-    assert data.s_char.shape == (7, 7)
-    assert not {"f_tensor", "r_tensor", "g_tensor"} & set(vars(data))
-    g, f, r = data.g_tensor, data.f_tensor, data.r_tensor
-    assert {"f_tensor", "r_tensor", "g_tensor"} <= set(vars(data))
-    assert data.g_tensor is g
-    # G from the tabulated R and F, the way the tensors were once filled
-    assert set(g) == {(i, j, kk, l, p, q) for (kk, j, i, l, p, q) in f}
-    for (i, j, kk, l, p, q), value in g.items():
-        want = (
-            r[(j, kk, q)] * r[(i, q, l)] / (r[(i, j, p)] * r[(p, kk, l)])
-            * f[(kk, j, i, l, p, q)]
-        )
-        assert abs(value - want) < 1e-13
+def test_g_entry_equals_tabulated_recoupling():
+    """The library's array G, which the modular pairs use, against G built
+    from the stored F entries and four braiding phases."""
+    from sl2onepoint.mtc import _g_entry
+
+    k = 6
+    g = g_tensor(k)
+    assert set(g) == {(i, j, kk, l, p, q) for (kk, j, i, l, p, q) in f_tensor(k)}
+    keys = list(g)
+    got = _g_entry(k, *np.array(keys).T)
+    for key, value in zip(keys, got):
+        assert abs(value - g[key]) < 1e-13, key
 
 
 def test_pentagon_identity():
     # F^{(abx)e}_{yu} F^{(ucd)e}_{xv} = sum_h F^{(bcd)y}_{xh} F^{(ahd)e}_{yv} F^{(abc)v}_{hu}
     for k in (2, 3):
-        data = f_r_g_matrices(k)
-        f = data.f_tensor
+        f = f_tensor(k)
         labels = range(k + 1)
         checked = 0
         for a, b, c, d in itertools.product(labels, repeat=4):
@@ -348,8 +360,7 @@ def test_hexagon_identities():
     sign (-1)^{(r+s-t)/2} relative to the shipped R (the sign cancels in
     all modular-pair quantities but matters here)."""
     for k in (2, 3, 4):
-        data = f_r_g_matrices(k)
-        f, r = data.f_tensor, data.r_tensor
+        f, r = f_tensor(k), r_tensor(k)
         labels = range(k + 1)
 
         def rho(x, y, t, conj):
@@ -462,8 +473,9 @@ def test_one_dimensional_t_value():
 
 
 def test_s_k_report_matches_multiplier_value():
-    # the computed 1x1 S equals e(-3k/16); the e(-3k/32) reading disagrees
-    for k in (2, 4, 6):
+    # the computed 1x1 S equals e(-3k/16); the e(-3k/32) reading disagrees;
+    # from k = 202 on the unscaled [k+1]! would overflow a double
+    for k in (2, 4, 6, 202, 206, 400):
         rep = s_k_report(k)
         computed = complex(*rep["computed"])
         assert abs(computed - complex(*rep["e_minus_3k_16"])) < TOL
@@ -511,10 +523,11 @@ def test_gen_modular_pair_guards():
     with pytest.raises(ValueError):
         gen_modular_pair(5, 6)
     with pytest.raises(ValueError):
-        gen_modular_pair(60, 0)  # precision guard
-    with pytest.raises(ValueError):
         gen_modular_pair(-1, 0)
-    gen_modular_pair(50, 50, max_level=64)  # guard is overridable
+    # any level builds: the relation residuals are the precision guard
+    pair = gen_modular_pair(60, 0)
+    assert max(pair.relation_residuals.values()) < TOL
+    assert np.max(np.abs(pair.s_matrix - f_r_g_matrices(60).s_char)) < TOL
 
 
 def test_relation_violation_surfaces_loudly(monkeypatch):
@@ -530,6 +543,31 @@ def test_relation_violation_surfaces_loudly(monkeypatch):
     monkeypatch.setattr(mtc_module, "_r_phase", wrong_phase)
     with pytest.raises(RelationViolationError):
         gen_modular_pair(3, 2)
+
+
+# the injected NaN makes numpy warn about the arithmetic it enters
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nan_residual_is_refused(monkeypatch):
+    # a NaN compares false with any tolerance; the certification must
+    # still refuse it
+    import sl2onepoint.mtc as mtc_module
+
+    true_phase = mtc_module._r_phase
+
+    def nan_phase(k, r, s, t):
+        return true_phase(k, r, s, t) * (math.nan if (r, s, t) == (1, 1, 2) else 1.0)
+
+    monkeypatch.setattr(mtc_module, "_r_phase", nan_phase)
+    with pytest.raises(RelationViolationError, match="nan"):
+        gen_modular_pair(3, 2)
+
+
+def test_pair_beyond_double_range_factorials_is_certified():
+    # the unscaled [k+1]! overflows a double from k = 202 on
+    pair = gen_modular_pair(250, 240)
+    assert len(pair.basis) == 11
+    assert np.all(np.isfinite(pair.s_matrix))
+    assert max(pair.relation_residuals.values()) < TOL
 
 
 def test_pair_json_payload():
