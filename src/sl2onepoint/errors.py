@@ -23,3 +23,9 @@ class DegenerateMldeError(ArithmeticError):
 class RelationViolationError(ArithmeticError):
     """A modular pair failed its defining relations beyond tolerance.
     Signals a convention bug in the categorical data."""
+
+
+class PrecisionLossError(ArithmeticError):
+    """A floating-point evaluation lost its value to underflow or overflow:
+    the quantity is not representable in double precision at this level.
+    Signals a limit of the arithmetic, never bad user input."""

@@ -1,9 +1,9 @@
 """Numerical modular-tensor-category data for sl(2) at level k.
 
-Quantum 6j-symbols in the unitary normalisation, the F and G recoupling
-entries built from them, and the generalised modular pair (S^(p), T^(p))
-acting on the self-coupling spaces Hom(p (x) i, i).  Arithmetic is
-double-precision complex at every level, and every pair is certified on
+Quantum 6j-symbols in the unitary normalisation and the generalised
+modular pair (S^(p), T^(p)) acting on the self-coupling spaces
+Hom(p (x) i, i).  Arithmetic is double-precision complex at every level,
+in plain Python floats and nested tuples, and every pair is certified on
 construction by the braid-group relations
 
     (S T)^3 = S^2,      S^4 = theta_p^{-1} * Id,
@@ -21,25 +21,30 @@ at every level, where the unscaled [k+1]! overflows a double from
 k = 202 on.  The 6j formula is homogeneous of degree 0 in the quantum
 integers, so the rescaling cancels in every symbol.  A braiding phase
 R^{(rs)t} is the product (-1)^(r+s-t) e(h_r/2) e(h_s/2) / e(h_t/2) of
-table entries, with no rational arithmetic or exponential per call.  The
-product form loses no precision in the modular pair: the four R-phases
-of a G-entry carry the exponents h_j+h_k+h_i-h_l above and
-h_i+h_j+h_k-h_l below the fraction bar, which cancel exactly.
+table entries, with no rational arithmetic or exponential per call.
 
-Array assembly.  One kernel, ``_six_j``, evaluates the
-Kirillov-Reshetikhin 6j formula elementwise over integer arrays of
-doubled labels; ``six_j``, ``_f_entry`` and ``_g_entry`` all call it.
-``gen_modular_pair`` enumerates, by the fusion rule
-(``_admissible``), the triples (i, j, r) that contribute to S^(p)[i, j],
-evaluates the three recoupling factors of all of them in a few array
-calls and accumulates the terms with ``np.add.at``, in the same order of
-r as the sum it replaces.  It does so ``_ROW_BLOCK`` basis rows at a
-time, so that the arrays of one pass stay small (about 1.5 MB at k = 48)
-instead of growing with the whole triple set.  Braiding phases are
-gathered through ``_r_phase`` on every pass, once per distinct triple
-(``_r_phases``), and are never cached across pairs: a pair is certified
-by its relations, and that check must see whatever ``_r_phase`` gives,
-which a stale phase table or a cached pair would hide.
+The modular pair.  The categorical definition sums, over the admissible
+r, theta_r/(theta_i theta_j) G^{(iij)j}_{0r} F^{(iij)j}_{r0}
+G^{(pir)j}_{ij}, with G^{(ijk)l}_{pq} = R^{(jk)q} R^{(iq)l} /
+(R^{(ij)p} R^{(pk)l}) F^{(kji)l}_{pq} and F^{(rst)u}_{pq} =
+{t s p; r u q}.  Two of its three 6j-symbols carry a zero label and are
+equal, so their product is d_r/(d_i d_j); the phases of the last G
+reduce to R^{(pj)j}/R^{(pi)i}.  What is left is the one-punctured-torus
+formula
+
+    S^(p)_ij = (1/D) R^{(pj)j} / (R^{(pi)i} theta_i theta_j)
+               * sum_r N_ij^r d_r theta_r phi_ijr {p/2 i/2 i/2; r/2 j/2 j/2},
+
+one 6j-symbol per term, each with at most p/2 + 1 terms of its own
+alternating sum.  phi_ijr = R^{(ij)r} R^{(ir)j} / (R^{(ii)0} R^{(0j)j})
+is identically 1, yet it stays in the sum, its numerator taken from
+``_r_phase`` on every term and its denominator once per (i, j), like the
+phases outside the sum: a pair is certified by its relations, and that
+check must see whatever ``_r_phase`` gives.  Nothing is cached across
+pairs for the same reason.  The four matrix products of the
+certification are plain Python too, O(d^3) in the basis size d.
+``tests/mtc_oracle.py`` keeps the three-symbol sum, term by term, as the
+oracle.
 
 Label conventions: integer labels 0..k; 6j-symbols take the spin (half
 label) values.  All self-couplings here are multiplicity-free, so no
@@ -50,14 +55,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
-import numpy as np
-
-from .errors import RelationViolationError
+from .errors import PrecisionLossError, RelationViolationError
 from .qseries import fraction_to_str
 from .sl2data import (
     _check_level,
@@ -86,11 +92,7 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-9
 
-# Basis rows of S^(p) per pass of the array assembly.  At k = 48 the
-# arrays of one pass peak near 1.5 MB with 4 rows, 2.8 MB with 8 and 11 MB
-# with all rows at once; the larger passes showed as 2-6% more peak RSS
-# of an `mtc` job and saved about 0.02 s.
-_ROW_BLOCK = 4
+Matrix = tuple[tuple[complex, ...], ...]
 
 
 def _e(x) -> complex:
@@ -111,25 +113,26 @@ def _as_twice(x) -> int:
     return int(d)
 
 
-def _admissible(k: int, a, b, c):
+def _admissible(k: int, a: int, b: int, c: int) -> bool:
     """The fusion rule N_{ab}^c = 1 at level k, which is also the
     admissibility of the spin triad with doubled labels (a, b, c):
-    triangle inequalities, even sum, and sum <= 2k.  Elementwise on
-    integer arrays; plain ints give a bool."""
-    return ((a + b + c) % 2 == 0) & (abs(a - b) <= c) & (c <= a + b) & (a + b + c <= 2 * k)
+    triangle inequalities, even sum, and sum <= 2k."""
+    return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b and a + b + c <= 2 * k
 
 
 class _QNumbers:
-    """Per-level arrays of the rescaled quantum integers
+    """Per-level tables of the rescaled quantum integers
     sin(pi n/(k+2)) = [n] sin(pi/(k+2)), n = 0..k+2, and of their running
     products, the rescaled factorials [n]! sin(pi/(k+2))^n, n = 0..k+1,
     all in (0, 1].  The 6j formula is homogeneous of degree 0 in the
     quantum integers, so it takes these in place of [n] and [n]!."""
 
     def __init__(self, k: int):
-        self.k = k
-        self.qint = np.sin(np.pi * np.arange(k + 3) / (k + 2))
-        self.qfact = np.concatenate(([1.0], np.cumprod(self.qint[1 : k + 2])))
+        self.qint = tuple(math.sin(math.pi * n / (k + 2)) for n in range(k + 3))
+        fact = [1.0]
+        for n in range(1, k + 2):
+            fact.append(fact[-1] * self.qint[n])
+        self.qfact = tuple(fact)
 
 
 @lru_cache(maxsize=None)
@@ -137,78 +140,62 @@ def _qnumbers(k: int) -> _QNumbers:
     return _QNumbers(k)
 
 
-def _fact2(q: _QNumbers, n2: np.ndarray) -> np.ndarray:
-    """The rescaled [n]! elementwise, with the arguments given doubled
-    (each must be even, 0 <= n <= k+1)."""
-    if np.any(n2 & 1):
-        raise ValueError("quantum factorial of a genuine half-integer")
-    if n2.size and (n2.min() < 0 or n2.max() > 2 * q.k + 2):
-        got = int(n2[(n2 < 0) | (n2 > 2 * q.k + 2)].flat[0]) // 2
-        raise ValueError(f"quantum factorial needs 0 <= n <= {q.k + 1}, got {got}")
-    return q.qfact[n2 >> 1]
+def _six_j2(k: int, a2: int, b2: int, e2: int, d2: int, c2: int, f2: int) -> float:
+    """Unitary quantum 6j-symbol {a b e; d c f} from doubled labels whose
+    four triads are admissible (not checked here), by the
+    Kirillov-Reshetikhin formula (Kirillov & Reshetikhin, "Representations
+    of the algebra U_q(sl(2)), q-orthogonal polynomials and invariants of
+    links", 1989).
 
-
-def _delta2(q: _QNumbers, a2, b2, c2) -> np.ndarray:
-    return np.sqrt(
-        _fact2(q, -a2 + b2 + c2)
-        * _fact2(q, a2 - b2 + c2)
-        * _fact2(q, a2 + b2 - c2)
-        / _fact2(q, a2 + b2 + c2 + 2)
-    )
-
-
-def _six_j(k: int, a2, b2, e2, d2, c2, f2) -> np.ndarray:
-    """Unitary quantum 6j-symbol {a b e; d c f} elementwise over integer
-    arrays (or ints) of doubled labels, by the Kirillov-Reshetikhin
-    formula (Kirillov & Reshetikhin, "Representations of the algebra
-    U_q(sl(2)), q-orthogonal polynomials and invariants of links", 1989).
-
-    The sum runs z from the largest triad sum to the smallest of the
-    quadrilateral sums and k ([k+2] = 0 kills anything beyond k).  The
-    terms of all symbols of one call are laid out as one flat array of
-    (symbol, z) cells, each symbol's own range of z and no padding, and
-    summed per symbol in the order of z.  Any inadmissible triad, and any
-    factorial argument that is a genuine half-integer or outside 0..k+1,
-    raises ``ValueError``.
+    Admissible triads make every factorial argument an integer in
+    0..k+1.  The sum runs z from the largest triad sum to the smallest of
+    the quadrilateral sums and k ([k+2] = 0 kills anything beyond k), in
+    the order of z.  A value lost to underflow or overflow raises
+    ``PrecisionLossError``: such a symbol is not representable in double
+    precision, and returning NaN or a zero would pass it on silently.
     """
     q = _qnumbers(k)
-    a2, b2, e2, d2, c2, f2 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=np.int64) for x in (a2, b2, e2, d2, c2, f2))
-    )
-    triads = ((a2, b2, e2), (a2, c2, f2), (c2, e2, d2), (d2, b2, f2))
-    for triad in triads:
-        bad = ~_admissible(k, *triad)
-        if np.any(bad):
-            first = tuple(int(x[bad].flat[0]) / 2 for x in triad)
-            raise ValueError(f"inadmissible spin triad {first} at level {k}")
-    pref = np.where((a2 + b2 - c2 - d2 - 2 * e2) // 2 % 2 == 0, 1.0, -1.0)
-    pref *= np.sqrt(q.qint[e2 + 1] * q.qint[f2 + 1])
-    for triad in triads:
-        pref *= _delta2(q, *triad)
-    triad_sums = (a2 + b2 + e2, a2 + c2 + f2, b2 + d2 + f2, c2 + d2 + e2)
-    quad_sums = (a2 + b2 + c2 + d2, a2 + d2 + e2 + f2, b2 + c2 + e2 + f2)
-    z_lo2 = reduce(np.maximum, triad_sums)
-    z_hi2 = np.minimum(reduce(np.minimum, quad_sums), 2 * k)
-    # the (symbol, z) cells, symbol by symbol and z ascending within each:
-    # admissible triads make every count at least 1
-    count = ((z_hi2 - z_lo2) // 2 + 1).ravel()
-    owner = np.repeat(np.arange(count.size), count)
-    z2 = z_lo2.ravel()[owner] + 2 * (np.arange(owner.size) - (np.cumsum(count) - count)[owner])
-    denom = np.ones(z2.shape)
-    for t in triad_sums:
-        denom *= _fact2(q, z2 - t.ravel()[owner])
-    for s in quad_sums:
-        denom *= _fact2(q, s.ravel()[owner] - z2)
-    terms = np.where(z2 // 2 % 2 == 0, 1.0, -1.0) * _fact2(q, z2 + 2) / denom
-    total = np.zeros(count.size)
-    np.add.at(total, owner, terms)
-    return pref * total.reshape(pref.shape)
+    fact = q.qfact
+    # triad sums, halved
+    t1, t2 = (a2 + b2 + e2) // 2, (a2 + c2 + f2) // 2
+    t3, t4 = (b2 + d2 + f2) // 2, (c2 + d2 + e2) // 2
+    # quadrilateral sums, halved
+    s1, s2, s3 = (a2 + b2 + c2 + d2) // 2, (a2 + d2 + e2 + f2) // 2, (b2 + c2 + e2 + f2) // 2
+    try:
+        # sqrt([2e+1][2f+1]) times the four triangle coefficients, all positive
+        pref = math.sqrt(q.qint[e2 + 1] * q.qint[f2 + 1])
+        pref *= math.sqrt(fact[t1 - a2] * fact[t1 - b2] * fact[t1 - e2] / fact[t1 + 1])
+        pref *= math.sqrt(fact[t2 - a2] * fact[t2 - c2] * fact[t2 - f2] / fact[t2 + 1])
+        pref *= math.sqrt(fact[t4 - c2] * fact[t4 - e2] * fact[t4 - d2] / fact[t4 + 1])
+        pref *= math.sqrt(fact[t3 - d2] * fact[t3 - b2] * fact[t3 - f2] / fact[t3 + 1])
+        total = 0.0
+        for z in range(max(t1, t2, t3, t4), min(s1, s2, s3, k) + 1):
+            term = fact[z + 1] / (
+                fact[z - t1] * fact[z - t2] * fact[z - t3] * fact[z - t4]
+                * fact[s1 - z] * fact[s2 - z] * fact[s3 - z]
+            )
+            total += -term if z % 2 else term
+        value = -pref * total if (a2 + b2 - c2 - d2 - 2 * e2) // 2 % 2 else pref * total
+    except ZeroDivisionError:
+        value = math.nan
+    if not math.isfinite(value):
+        spins = [str(Fraction(x, 2)) for x in (a2, b2, e2, d2, c2, f2)]
+        raise PrecisionLossError(
+            f"6j-symbol {{{' '.join(spins[:3])}; {' '.join(spins[3:])}}} at level {k} "
+            "is not representable in double precision: its factorial products underflow"
+        )
+    return value
 
 
 def six_j(k: int, a, b, e, d, c, f) -> float:
-    """Quantum 6j-symbol {a b e; d c f} for half-integer spins at level k."""
+    """Quantum 6j-symbol {a b e; d c f} for half-integer spins at level k.
+    An inadmissible triad raises ``ValueError``."""
     _check_level(k)
-    return float(_six_j(k, *(_as_twice(x) for x in (a, b, e, d, c, f))))
+    a2, b2, e2, d2, c2, f2 = (_as_twice(x) for x in (a, b, e, d, c, f))
+    for triad in ((a2, b2, e2), (a2, c2, f2), (c2, e2, d2), (d2, b2, f2)):
+        if not _admissible(k, *triad):
+            raise ValueError(f"inadmissible spin triad {tuple(x / 2 for x in triad)} at level {k}")
+    return _six_j2(k, a2, b2, e2, d2, c2, f2)
 
 
 @dataclass
@@ -221,8 +208,8 @@ class MtcLevelData:
     labels: tuple[int, ...]
     theta: tuple[complex, ...]
     zeta: complex
-    s_char: np.ndarray
-    qdim: np.ndarray
+    s_char: tuple[tuple[float, ...], ...]
+    qdim: tuple[float, ...]
     global_dim_root: float
 
 
@@ -232,17 +219,12 @@ def _level_constants(k: int):
     recoupling data."""
     n = k + 2
     labels = tuple(range(k + 1))
-    s_char = np.array(
-        [
-            [
-                math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) * (j + 1) / n)
-                for j in labels
-            ]
-            for i in labels
-        ]
+    s_char = tuple(
+        tuple(math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) * (j + 1) / n) for j in labels)
+        for i in labels
     )
-    qdim = s_char[:, 0] / s_char[0, 0]
-    global_dim_root = 1.0 / s_char[0, 0]
+    qdim = tuple(row[0] / s_char[0][0] for row in s_char)
+    global_dim_root = 1.0 / s_char[0][0]
     theta = tuple(_e(conformal_weight(k, i)) for i in labels)
     zeta = _e(central_charge(k) / 24)
     return labels, theta, zeta, s_char, qdim, global_dim_root
@@ -260,42 +242,12 @@ def _r_phase(k: int, r: int, s: int, t: int) -> complex:
     return ((-1.0) ** (r + s - t)) * half[r] * half[s] / half[t]
 
 
-def _r_phases(k: int, *triples) -> np.ndarray:
-    """R^{(rs)t} elementwise for each triple (r, s, t) of label arrays, in
-    one array with a leading axis over the triples, calling ``_r_phase``
-    once per distinct triple among all of them."""
-    n = k + 1
-    codes = np.stack(np.broadcast_arrays(*((r * n + s) * n + t for r, s, t in triples)))
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    rs, ts = np.divmod(distinct, n)
-    rs, ss = np.divmod(rs, n)
-    phases = np.array(
-        [_r_phase(k, *triple) for triple in zip(rs.tolist(), ss.tolist(), ts.tolist())],
-        dtype=complex,
-    )
-    return phases[inverse].reshape(codes.shape)
-
-
-def _f_entry(k: int, r, s, t, u, p, q) -> np.ndarray:
-    """F^{(rst)u}_{pq} = {t/2 s/2 p/2; r/2 u/2 q/2} elementwise over label
-    arrays; an inadmissible entry raises ``ValueError``."""
-    return _six_j(k, t, s, p, r, u, q)
-
-
-def _g_entry(k: int, i, j, kt, l, p, q) -> np.ndarray:
-    """G^{(ijk)l}_{pq} = R^{(jk)q} R^{(iq)l} / (R^{(ij)p} R^{(pk)l}) * F^{(kji)l}_{pq}
-    elementwise over label arrays."""
-    f = _f_entry(k, kt, j, i, l, p, q)
-    r_jkq, r_iql, r_ijp, r_pkl = _r_phases(k, (j, kt, q), (i, q, l), (i, j, p), (p, kt, l))
-    return r_jkq * r_iql / (r_ijp * r_pkl) * f
-
-
 @lru_cache(maxsize=None)
 def f_r_g_matrices(k: int) -> MtcLevelData:
     """The level-k category constants: character S-matrix, twists,
     quantum dimensions and global dimension root.  The modular pairs below
-    fetch the F, R and G entries they need directly (``_f_entry``,
-    ``_r_phase``, ``_g_entry``); no full tensor is ever built."""
+    take the 6j-symbols and braiding phases they need directly
+    (``six_j``, ``_r_phase``); no recoupling tensor is ever built."""
     _check_level(k)
     labels, theta, zeta, s_char, qdim, global_dim_root = _level_constants(k)
     return MtcLevelData(
@@ -323,14 +275,18 @@ def adjoint_members(k: int) -> list[int]:
 @dataclass(frozen=True)
 class GenModularPair:
     """The action of the once-punctured-torus mapping class group on the
-    self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}."""
+    self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}.
+    ``stages`` records what building it cost: the number of 6j-symbols
+    evaluated, the assembly and certification times in seconds, and the
+    headroom of the worst residual below the tolerance in decimal digits."""
 
     level: int
     p_label: int
     basis: tuple[int, ...]
-    s_matrix: np.ndarray
-    t_matrix: np.ndarray
+    s_matrix: Matrix
+    t_matrix: Matrix
     relation_residuals: dict[str, float]
+    stages: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         def cpx(z: complex) -> list[float]:
@@ -341,9 +297,26 @@ class GenModularPair:
             "p": self.p_label,
             "basis": list(self.basis),
             "s_matrix": [[cpx(z) for z in row] for row in self.s_matrix],
-            "t_diagonal": [cpx(z) for z in np.diag(self.t_matrix)],
+            "t_diagonal": [cpx(row[a]) for a, row in enumerate(self.t_matrix)],
             "relation_residuals": {key: float(v) for key, v in self.relation_residuals.items()},
+            "stages": dict(self.stages),
         }
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
+
+
+def _max_abs_diff(a: Matrix, b: Matrix) -> float:
+    """The largest entrywise |a - b|, NaN if any difference is NaN."""
+    diffs = [abs(x - y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)]
+    return math.nan if any(map(math.isnan, diffs)) else max(diffs)
+
+
+def _diagonal(entries) -> Matrix:
+    n = len(entries)
+    return tuple(tuple(entries[a] if a == b else 0j for b in range(n)) for a in range(n))
 
 
 def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> GenModularPair:
@@ -358,56 +331,57 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     if not basis:
         raise ValueError(f"label {p} has no self-couplings at level {k}")
     dim = len(basis)
-    basis_arr = np.array(basis)
-    theta_arr = np.array(theta)
-    s = np.zeros((dim, dim), dtype=complex)
-    for start in range(0, dim, _ROW_BLOCK):
-        rows = basis_arr[start : start + _ROW_BLOCK]
-        # every admissible (i, j, r) with i in these rows, in the order (i, j, r)
-        a, b, r = np.nonzero(
-            _admissible(k, rows[:, None, None], basis_arr[None, :, None], np.arange(k + 1))
-        )
-        i, j = rows[a], basis_arr[b]
-        # G^{(iij)j}_{0r} and G^{(pir)j}_{ij} in one call, so that each
-        # braiding triple of these rows goes through _r_phase once
-        g_first, g_second = _g_entry(
-            k,
-            np.stack([i, np.full_like(i, p)]),
-            i,
-            np.stack([j, r]),
-            j,
-            np.stack([np.zeros_like(i), i]),
-            np.stack([r, j]),
-        )
-        terms = (
-            theta_arr[r]
-            / (theta_arr[i] * theta_arr[j])
-            * g_first
-            * _f_entry(k, i, i, j, j, r, 0)
-            * g_second
-        )
-        np.add.at(s, (start + a, b), terms)
-    s = np.outer(qdim[basis_arr], qdim[basis_arr]) / global_dim_root * s
-    t = np.diag([theta[i] / zeta for i in basis])
 
-    st3 = np.linalg.matrix_power(s @ t, 3)
-    s2 = s @ s
-    res_braid = float(np.max(np.abs(st3 - s2)))
-    s4 = s2 @ s2
-    res_dehn = float(np.max(np.abs(s4 - np.eye(dim) / theta[p])))
+    # S^(p)_ij by the one-punctured-torus formula of the module docstring
+    start = time.perf_counter()
+    evaluations = 0
+    rows = []
+    for i in basis:
+        r_ii0 = _r_phase(k, i, i, 0)
+        row = []
+        for j in basis:
+            r_ii0_0jj = r_ii0 * _r_phase(k, 0, j, j)
+            acc = 0j
+            # the r with N_ij^r = 1, ascending
+            for r in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2):
+                phi = _r_phase(k, i, j, r) * _r_phase(k, i, r, j) / r_ii0_0jj
+                acc += qdim[r] * theta[r] * phi * _six_j2(k, p, i, i, r, j, j)
+                evaluations += 1
+            outer = _r_phase(k, p, j, j) / (_r_phase(k, p, i, i) * theta[i] * theta[j])
+            row.append(outer * acc / global_dim_root)
+        rows.append(tuple(row))
+    s = tuple(rows)
+    t_diag = tuple(theta[i] / zeta for i in basis)
+    assembled = time.perf_counter()
+
+    st = tuple(tuple(x * y for x, y in zip(row, t_diag)) for row in s)
+    st3 = _matmul(_matmul(st, st), st)
+    s2 = _matmul(s, s)
+    res_braid = _max_abs_diff(st3, s2)
+    s4 = _matmul(s2, s2)
+    res_dehn = _max_abs_diff(s4, _diagonal([1 / theta[p]] * dim))
     residuals = {"st_cubed_vs_s_squared": res_braid, "s_fourth_vs_inverse_twist": res_dehn}
     # phrased so that a NaN residual fails too
     if not (res_braid <= tolerance and res_dehn <= tolerance):
         raise RelationViolationError(
             f"modular pair relations violated at level {k}, p={p}: {residuals}"
         )
+    # a residual below one ulp of 1.0 counts as one ulp
+    worst = max(res_braid, res_dehn, sys.float_info.epsilon)
+    stages = {
+        "six_j_evaluations": evaluations,
+        "assembly_s": assembled - start,
+        "certification_s": time.perf_counter() - assembled,
+        "headroom_digits": math.log10(tolerance / worst),
+    }
     return GenModularPair(
         level=k,
         p_label=p,
         basis=basis,
         s_matrix=s,
-        t_matrix=t,
+        t_matrix=_diagonal(t_diag),
         relation_residuals=residuals,
+        stages=stages,
     )
 
 
@@ -419,14 +393,17 @@ def irreducibility_probe(
     if every proper non-empty subset couples to its complement through a
     non-negligible S-entry.  The multiplier weight is irrelevant to the
     existence of invariant subspaces (a scalar rescaling) and is accepted
-    only for interface symmetry with the analytic side."""
+    only for interface symmetry with the analytic side.  A pair whose S
+    is not finite everywhere is refused with ``ValueError``."""
     del multiplier_weight
+    if not all(cmath.isfinite(z) for row in pair.s_matrix for z in row):
+        raise ValueError("refusing a pair whose S-matrix has non-finite entries")
     dim = len(pair.basis)
     if dim > 20:
         raise ValueError(f"refusing subset enumeration for basis size {dim} > 20")
     if dim == 1:
         return "irreducible"
-    tdiag = np.diag(pair.t_matrix)
+    tdiag = [row[a] for a, row in enumerate(pair.t_matrix)]
     for a in range(dim):
         for b in range(a + 1, dim):
             if abs(tdiag[a] - tdiag[b]) <= tolerance:
@@ -437,7 +414,7 @@ def irreducibility_probe(
             inside = set(subset)
             outside = [m for m in indices if m not in inside]
             coupled = any(
-                abs(pair.s_matrix[o, i]) > tolerance for i in inside for o in outside
+                abs(pair.s_matrix[o][i]) > tolerance for i in inside for o in outside
             )
             if not coupled:
                 return "inconclusive"
@@ -480,17 +457,16 @@ def compare_with_analytic(
     nu_t = _e(multiplier(sig.multiplier_weight, "T"))
     nu_s = _e(multiplier(sig.multiplier_weight, "S"))
     t_resid = {}
-    tdiag = np.diag(pair.t_matrix)
-    for (mu, r), t_entry in zip(zip(pair.basis, sig.t_exponents), tdiag):
-        t_resid[mu] = float(abs(t_entry / nu_t - _e(r)))
-    s_over_nu = pair.s_matrix / nu_s
+    for a, (mu, r) in enumerate(zip(pair.basis, sig.t_exponents)):
+        t_resid[mu] = float(abs(pair.t_matrix[a][a] / nu_t - _e(r)))
+    s_over_nu = [[z / nu_s for z in row] for row in pair.s_matrix]
     return {
         "level": k,
         "lambda": lam,
         "t_residuals": {int(mu): v for mu, v in t_resid.items()},
         "max_t_residual": max(t_resid.values()),
         "t_consistent": max(t_resid.values()) < tolerance,
-        "s_over_nu": [[[float(z.real), float(z.imag)] for z in row] for row in s_over_nu],
+        "s_over_nu": [[[z.real, z.imag] for z in row] for row in s_over_nu],
         "nu_t_exponent": fraction_to_str(multiplier(sig.multiplier_weight, "T")),
         "nu_s_exponent": fraction_to_str(multiplier(sig.multiplier_weight, "S")),
     }
@@ -504,7 +480,7 @@ def s_k_report(k: int, pair: GenModularPair | None = None) -> dict:
     if k % 2 != 0:
         raise ValueError("the one-dimensional pair needs even k")
     pair = _given_or_built(pair, k, k, DEFAULT_TOLERANCE)
-    computed = complex(pair.s_matrix[0, 0])
+    computed = complex(pair.s_matrix[0][0])
     return {
         "level": k,
         "computed": [computed.real, computed.imag],
@@ -515,12 +491,11 @@ def s_k_report(k: int, pair: GenModularPair | None = None) -> dict:
 
 def verlinde_fusion(k: int, lam: int, mu: int, nu: int) -> float:
     """Fusion number from the character S-matrix:
-    sum_m S_{lam,m} S_{mu,m} conj(S_{nu,m}) / S_{0,m}."""
+    sum_m S_{lam,m} S_{mu,m} conj(S_{nu,m}) / S_{0,m}; the matrix is
+    real, so the conjugation is the identity."""
     _check_level(k)
     for label in (lam, mu, nu):
         if not 0 <= label <= k:
             raise ValueError(f"label {label} out of range 0..{k}")
     labels, _, _, s, _, _ = _level_constants(k)
-    return float(
-        np.real(sum(s[lam, m] * s[mu, m] * np.conj(s[nu, m]) / s[0, m] for m in labels))
-    )
+    return float(sum(s[lam][m] * s[mu][m] * s[nu][m] / s[0][m] for m in labels))

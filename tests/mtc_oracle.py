@@ -5,9 +5,11 @@ Test fixture only.  ``_six_j_2`` evaluates one quantum 6j-symbol by a
 Python loop over z with its own admissibility check and its own tables
 of unscaled quantum integers [n] and factorials [n]!; ``s_matrix_loop``
 assembles S^(p) one (i, j, r) term at a time from it and from
-``mtc._r_phase``.  The library replaced both with array code
-(``mtc._six_j`` on rescaled tables, and the blocks of
-``mtc.gen_modular_pair``), which the tests compare against these.
+``mtc._r_phase``, as the categorical definition reads: three 6j-symbols
+per term, two of them inside G-entries.  The library evaluates one
+6j-symbol per term instead (the one-punctured-torus formula of
+``mtc.gen_modular_pair``, on the rescaled tables of ``mtc._six_j2``),
+and the tests compare it against these.
 
 ``f_tensor``, ``r_tensor`` and ``g_tensor`` tabulate the library's F, R
 and G on every admissible index tuple of a level, a count that grows like
@@ -160,8 +162,8 @@ def r_tensor(k: int) -> dict:
 
 @lru_cache(maxsize=None)
 def f_tensor(k: int) -> dict:
-    """F^{(rst)u}_{pq} on every admissible index tuple, in one call of the
-    library's array kernel."""
+    """F^{(rst)u}_{pq} = {t/2 s/2 p/2; r/2 u/2 q/2} on every admissible
+    index tuple, from the library's 6j-symbols."""
     labels = range(k + 1)
     keys = [
         (r, s, t, u, p, q)
@@ -175,7 +177,7 @@ def f_tensor(k: int) -> dict:
         for q in labels
         if _triad_ok_2(k, r, s, q) and _triad_ok_2(k, q, t, u)
     ]
-    return dict(zip(keys, mtc._f_entry(k, *np.array(keys).T).tolist()))
+    return {(r, s, t, u, p, q): mtc._six_j2(k, t, s, p, r, u, q) for r, s, t, u, p, q in keys}
 
 
 @lru_cache(maxsize=None)

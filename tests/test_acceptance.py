@@ -195,7 +195,8 @@ def test_criterion_09_s0_and_verlinde():
     worst = 0.0
     for k in range(0, 11):
         pair = mtc.gen_modular_pair(k, 0, TOL)
-        worst = max(worst, float(np.max(np.abs(pair.s_matrix - mtc.f_r_g_matrices(k).s_char))))
+        diff = np.asarray(pair.s_matrix) - np.asarray(mtc.f_r_g_matrices(k).s_char)
+        worst = max(worst, float(np.max(np.abs(diff))))
     ok = worst < TOL
     for k in range(0, 9):
         for lam in range(k + 1):
@@ -218,8 +219,9 @@ def test_criterion_10_four_dimensional_noncongruence():
     published = np.array(
         [[a, b, b, a], [b, a, -a, -b], [b, -a, -a, b], [a, -b, b, -a]]
     )
-    two_decimals = np.max(np.abs(np.round(pair.s_matrix, 2) - published)) < 5e-3
-    no_zero = float(np.min(np.abs(pair.s_matrix))) > 1e-6
+    s = np.asarray(pair.s_matrix)
+    two_decimals = np.max(np.abs(np.round(s, 2) - published)) < 5e-3
+    no_zero = float(np.min(np.abs(s))) > 1e-6
     probe = mtc.irreducibility_probe(pair, tolerance=TOL) == "irreducible"
     rule = repanalysis.prime_power_parameters(5) == (7, 1) and repanalysis.prime_power_rule_applies(
         5, 2

@@ -130,8 +130,6 @@ def test_mtc_one_dimensional_pair_above_default_level_cap(capsys):
     assert abs(complex(*report["computed"]) - complex(*report["e_minus_3k_16"])) < 1e-12
 
 
-# the injected NaN makes numpy warn about the arithmetic it enters
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_mtc_nan_relation_residual_exits_1(capsys, monkeypatch):
     import math
 
@@ -180,6 +178,23 @@ def test_mtc_relation_violation_exits_1(capsys):
     assert "Traceback" not in err
 
 
+def test_mtc_unrepresentable_six_j_exits_1(capsys):
+    # at k = 600 the factorial products of {295 295/2 295/2; 125 295/2 295/2}
+    # underflow a double: a limit of the arithmetic, not bad input
+    code, out, err = run(capsys, "mtc", "--level", "600", "--p", "590")
+    assert code == EXIT_VERIFY_FAILED
+    assert out == ""
+    assert "6j-symbol {295 295/2 295/2; 125 295/2 295/2} at level 600" in err
+    assert "Traceback" not in err
+
+
+def test_mtc_json_reports_stages(capsys):
+    code, out, _ = run(capsys, "mtc", "--level", "5", "--p", "2", "--format", "json")
+    assert code == EXIT_OK
+    stages = json.loads(out)["stages"]
+    assert set(stages) == {"six_j_evaluations", "assembly_s", "certification_s", "headroom_digits"}
+
+
 def test_mtc_rejects_odd_p(capsys):
     code, _, err = run(capsys, "mtc", "--level", "5", "--p", "3")
     assert code == EXIT_INVALID
@@ -204,9 +219,10 @@ def test_verify_mtc_suite_builds_each_pair_once(capsys, monkeypatch):
     assert set(built) == {(k, p) for k in range(11) for p in range(0, k + 1, 2)}
 
 
-def test_expand_and_classify_do_not_load_numpy():
-    """numpy serves only the categorical layer, which ``mtc`` and
-    ``verify`` import on demand; checked in a fresh interpreter."""
+def test_no_subcommand_loads_numpy():
+    """The package runs without numpy, which only the tests use: the
+    import, ``expand``, ``classify``, ``mtc`` and ``verify --suite mtc``
+    leave it unloaded, checked in a fresh interpreter."""
     import os
     import subprocess
     import sys
@@ -221,9 +237,9 @@ def test_expand_and_classify_do_not_load_numpy():
             "assert 'numpy' not in sys.modules, 'loaded by the import'",
             "assert main(['expand', '-k', '3', '-l', '2', '-n', '5']) == 0",
             "assert main(['classify', '-k', '5', '-l', '2']) == 0",
-            "assert 'numpy' not in sys.modules, 'loaded by expand or classify'",
             "assert main(['mtc', '-k', '5', '--p', '2']) == 0",
-            "assert 'numpy' in sys.modules",
+            "assert main(['verify', '--suite', 'mtc']) == 0",
+            "assert 'numpy' not in sys.modules, 'loaded by a subcommand'",
         ]
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

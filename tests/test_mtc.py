@@ -19,7 +19,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from sl2onepoint.errors import RelationViolationError
+from sl2onepoint.errors import PrecisionLossError, RelationViolationError
 from sl2onepoint.mtc import (
     GenModularPair,
     adjoint_members,
@@ -186,52 +186,62 @@ def test_six_j_against_mpmath_oracle():
             assert abs(got - want) < 1e-10, (k, tup)
 
 
-def test_six_j_kernel_equals_scalar_oracle():
-    """The array kernel against the scalar loop, on every admissible
-    sextuple for k <= 6, all in one call per level."""
-    from sl2onepoint.mtc import _six_j
+def _six_j_doubled(k, tup):
+    return six_j(k, *(F(x, 2) for x in tup))
 
+
+def test_six_j_kernel_equals_scalar_oracle():
+    """The library's scalar loop on rescaled tables against the oracle's
+    loop on unscaled ones, on every admissible sextuple for k <= 6."""
     for k in range(0, 7):
-        tuples = list(_admissible_sixj_tuples(k))
-        got = _six_j(k, *np.array(tuples).T)
-        assert got.shape == (len(tuples),)
-        for tup, value in zip(tuples, got):
-            assert abs(value - _six_j_2(k, *tup)) < 1e-13, (k, tup)
+        for tup in _admissible_sixj_tuples(k):
+            assert abs(_six_j_doubled(k, tup) - _six_j_2(k, *tup)) < 1e-13, (k, tup)
 
 
 def test_six_j_kernel_equals_scalar_oracle_at_level_48():
-    from sl2onepoint.mtc import _six_j
-
     k = 48
-    tuples = _random_sixj_tuples(k, 2000, seed=4848)
-    got = _six_j(k, *np.array(tuples).T)
-    for tup, value in zip(tuples, got):
-        assert abs(value - _six_j_2(k, *tup)) < 1e-13, tup
+    for tup in _random_sixj_tuples(k, 2000, seed=4848):
+        assert abs(_six_j_doubled(k, tup) - _six_j_2(k, *tup)) < 1e-13, tup
 
 
 def test_six_j_kernel_rejects_one_bad_element():
-    from sl2onepoint.mtc import _fact2, _qnumbers, _six_j
+    from sl2onepoint.mtc import _qnumbers
 
     k = 4
-    good = np.array(list(_admissible_sixj_tuples(k))[:20])
+    for tup in list(_admissible_sixj_tuples(k))[:20]:
+        assert math.isfinite(_six_j_doubled(k, tup))
     # (a, b, e) with an odd sum; every triad summing to 12 > 2k; only
     # (c, e, d) = (0, 4, 0) off the triangle inequality
     for bad in ((1, 1, 1, 0, 0, 0), (4, 4, 4, 4, 4, 4), (0, 4, 4, 0, 0, 0)):
-        tuples = good.copy()
-        tuples[7] = bad
         with pytest.raises(ValueError, match="inadmissible spin triad"):
-            _six_j(k, *tuples.T)
-    q = _qnumbers(k)
+            _six_j_doubled(k, bad)
     # the table is [n]! rescaled by sin(pi/(k+2))^n
     scale = math.sin(math.pi / (k + 2))
-    want = [oracle_qnumbers(k).qfact[n] * scale**n for n in (0, 1, 5)]
-    assert np.allclose(_fact2(q, np.array([0, 2, 10])), want, rtol=1e-14, atol=0)
-    with pytest.raises(ValueError, match="half-integer"):
-        _fact2(q, np.array([0, 2, 3, 4]))
-    with pytest.raises(ValueError, match="0 <= n <= 5, got 6"):
-        _fact2(q, np.array([0, 12, 4]))
-    with pytest.raises(ValueError, match="got -1"):
-        _fact2(q, np.array([-2, 0]))
+    for n in (0, 1, 5):
+        want = oracle_qnumbers(k).qfact[n] * scale**n
+        assert abs(_qnumbers(k).qfact[n] - want) <= 1e-14 * want
+
+
+def test_six_j_refuses_underflow():
+    """At k = 480 the factorial products of 2 of these 150 sextuples
+    underflow (the alternating sum then holds inf or NaN); exactly those
+    raise, naming the level and the labels, and every other value is
+    finite."""
+    tuples = _random_sixj_tuples(480, 150, seed=480)
+    refused = []
+    for n, tup in enumerate(tuples):
+        try:
+            assert math.isfinite(_six_j_doubled(480, tup))
+        except PrecisionLossError as exc:
+            refused.append(n)
+            assert "at level 480" in str(exc)
+    assert refused == [8, 44]
+    assert "{151 219/2 237/2; 265/2 109 192}" in str(
+        pytest.raises(PrecisionLossError, _six_j_doubled, 480, tuples[8]).value
+    )
+    # from k = 1085 on the factorial table itself holds zeros
+    with pytest.raises(PrecisionLossError, match="at level 1200"):
+        six_j(1200, 362, 362, 362, 362, 362, 362)
 
 
 # -- recoupling tensors ------------------------------------------------------------
@@ -301,17 +311,16 @@ def test_r_phase_equals_exact_phase_sum():
 
 
 def test_g_entry_equals_tabulated_recoupling():
-    """The library's array G, which the modular pairs use, against G built
-    from the stored F entries and four braiding phases."""
-    from sl2onepoint.mtc import _g_entry
+    """G from the oracle's own 6j loop, as the oracle S-matrix uses it,
+    against G built from the library's F entries and four braiding
+    phases."""
+    from mtc_oracle import _g_entry
 
     k = 6
     g = g_tensor(k)
     assert set(g) == {(i, j, kk, l, p, q) for (kk, j, i, l, p, q) in f_tensor(k)}
-    keys = list(g)
-    got = _g_entry(k, *np.array(keys).T)
-    for key, value in zip(keys, got):
-        assert abs(value - g[key]) < 1e-13, key
+    for key, value in g.items():
+        assert abs(_g_entry(k, *key) - value) < 1e-13, key
 
 
 def test_pentagon_identity():
@@ -401,12 +410,12 @@ def test_theta_and_quantum_dimensions():
             assert abs(data.qdim[i] - quantum_integer(k, i + 1)) < TOL
             assert data.qdim[i] > 0
         assert abs(data.qdim[0] - 1.0) < TOL
-        assert abs(data.global_dim_root - math.sqrt(float(np.sum(data.qdim**2)))) < 1e-9
+        assert abs(data.global_dim_root - math.sqrt(float(np.sum(np.asarray(data.qdim) ** 2)))) < 1e-9
 
 
 def test_s_char_orthogonal_and_involutive():
     for k in range(0, 11):
-        s = f_r_g_matrices(k).s_char
+        s = np.asarray(f_r_g_matrices(k).s_char)
         n = k + 1
         assert np.max(np.abs(s - s.T)) < 1e-12
         assert np.max(np.abs(s @ s - np.eye(n))) < 1e-12  # self-dual: S^2 = C = 1
@@ -449,15 +458,17 @@ def test_braid_relations_sweep():
 def test_s0_equals_character_s_matrix():
     for k in range(0, 11):
         pair = gen_modular_pair(k, 0)
-        diff = np.max(np.abs(pair.s_matrix - f_r_g_matrices(k).s_char))
+        diff = np.max(np.abs(np.asarray(pair.s_matrix) - np.asarray(f_r_g_matrices(k).s_char)))
         assert diff < TOL
 
 
 def test_pair_s_matrix_equals_per_triple_loop():
-    """The array assembly against the term-by-term sum over (i, j, r)."""
-    cases = [(k, p) for k in range(0, 17) for p in range(0, k + 1, 2)] + [(48, 2)]
+    """The one-symbol assembly against the three-symbol sum over (i, j, r),
+    term by term."""
+    cases = [(k, p) for k in range(0, 17) for p in range(0, k + 1, 2)]
+    cases += [(48, 2), (30, 28), (100, 98), (200, 190)]
     for k, p in cases:
-        got = gen_modular_pair(k, p).s_matrix
+        got = np.asarray(gen_modular_pair(k, p).s_matrix)
         want = s_matrix_loop(k, p)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-12, (k, p)
@@ -467,9 +478,9 @@ def test_one_dimensional_t_value():
     # T^(k) = e(k/16)
     for k in (2, 4, 6, 10):
         pair = gen_modular_pair(k, k)
-        assert pair.t_matrix.shape == (1, 1)
+        assert np.asarray(pair.t_matrix).shape == (1, 1)
         want = np.exp(2j * np.pi * k / 16)
-        assert abs(pair.t_matrix[0, 0] - want) < TOL
+        assert abs(pair.t_matrix[0][0] - want) < TOL
 
 
 def test_s_k_report_matches_multiplier_value():
@@ -491,7 +502,7 @@ def test_one_dimensional_s_value_deprojectivises_correctly():
     for k in (2, 4, 6, 8, 10):
         pair = gen_modular_pair(k, k)
         nu_s = np.exp(2j * np.pi * float(multiplier(conformal_weight(k, k), "S")))
-        got = complex(pair.s_matrix[0, 0]) / nu_s
+        got = complex(pair.s_matrix[0][0]) / nu_s
         want = np.exp(-2j * np.pi * k / 8)
         assert abs(got - want) < TOL
 
@@ -500,7 +511,7 @@ def test_level5_p2_published_matrix():
     pair = gen_modular_pair(5, 2)
     assert pair.basis == (1, 2, 3, 4)
     # diagonal T = e(1/56), e(11/56), e(25/56), e(43/56)
-    for entry, frac in zip(np.diag(pair.t_matrix), (F(1, 56), F(11, 56), F(25, 56), F(43, 56))):
+    for entry, frac in zip(np.diag(np.asarray(pair.t_matrix)), (F(1, 56), F(11, 56), F(25, 56), F(43, 56))):
         assert abs(entry - np.exp(2j * np.pi * float(frac))) < TOL
     a = -0.16 - 0.33j
     b = -0.26 - 0.55j
@@ -512,8 +523,9 @@ def test_level5_p2_published_matrix():
             [a, -b, b, -a],
         ]
     )
-    assert np.max(np.abs(np.round(pair.s_matrix, 2) - published)) < 5e-3
-    assert np.min(np.abs(pair.s_matrix)) > 1e-6
+    s = np.asarray(pair.s_matrix)
+    assert np.max(np.abs(np.round(s, 2) - published)) < 5e-3
+    assert np.min(np.abs(s)) > 1e-6
     assert irreducibility_probe(pair) == "irreducible"
 
 
@@ -527,7 +539,7 @@ def test_gen_modular_pair_guards():
     # any level builds: the relation residuals are the precision guard
     pair = gen_modular_pair(60, 0)
     assert max(pair.relation_residuals.values()) < TOL
-    assert np.max(np.abs(pair.s_matrix - f_r_g_matrices(60).s_char)) < TOL
+    assert np.max(np.abs(np.asarray(pair.s_matrix) - np.asarray(f_r_g_matrices(60).s_char))) < TOL
 
 
 def test_relation_violation_surfaces_loudly(monkeypatch):
@@ -545,8 +557,6 @@ def test_relation_violation_surfaces_loudly(monkeypatch):
         gen_modular_pair(3, 2)
 
 
-# the injected NaN makes numpy warn about the arithmetic it enters
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_nan_residual_is_refused(monkeypatch):
     # a NaN compares false with any tolerance; the certification must
     # still refuse it
@@ -566,7 +576,7 @@ def test_pair_beyond_double_range_factorials_is_certified():
     # the unscaled [k+1]! overflows a double from k = 202 on
     pair = gen_modular_pair(250, 240)
     assert len(pair.basis) == 11
-    assert np.all(np.isfinite(pair.s_matrix))
+    assert np.all(np.isfinite(np.asarray(pair.s_matrix)))
     assert max(pair.relation_residuals.values()) < TOL
 
 
@@ -581,6 +591,19 @@ def test_pair_json_payload():
     }
 
 
+def test_pair_stages_count_one_six_j_per_term():
+    # the basis (1, 2, 3, 4) at k = 5 couples through 36 admissible (i, j, r)
+    pair = gen_modular_pair(5, 2)
+    triples = [
+        (i, j, r) for i in pair.basis for j in pair.basis for r in range(6) if _adm(5, i, j, r)
+    ]
+    assert pair.stages["six_j_evaluations"] == len(triples) == 36
+    assert pair.stages["assembly_s"] >= 0 and pair.stages["certification_s"] >= 0
+    worst = max(pair.relation_residuals.values())
+    assert abs(pair.stages["headroom_digits"] - math.log10(TOL / worst)) < 1e-12
+    assert gen_modular_pair(0, 0).stages["six_j_evaluations"] == 1
+
+
 # -- irreducibility probe ----------------------------------------------------------
 
 
@@ -589,13 +612,18 @@ def test_probe_trivial_and_cross_check():
     assert irreducibility_probe(gen_modular_pair(3, 2)) == "irreducible"  # dim 2
 
 
+def _diag(entries):
+    n = len(entries)
+    return tuple(tuple(entries[a] if a == b else 0j for b in range(n)) for a in range(n))
+
+
 def test_probe_inconclusive_on_t_collision():
     fake = GenModularPair(
         level=1,
         p_label=0,
         basis=(0, 1),
-        s_matrix=np.eye(2, dtype=complex),
-        t_matrix=np.diag([1.0 + 0j, 1.0 + 0j]),
+        s_matrix=_diag([1.0 + 0j, 1.0 + 0j]),
+        t_matrix=_diag([1.0 + 0j, 1.0 + 0j]),
         relation_residuals={},
     )
     assert irreducibility_probe(fake) == "inconclusive"
@@ -606,8 +634,8 @@ def test_probe_detects_zero_coupling():
         level=1,
         p_label=0,
         basis=(0, 1),
-        s_matrix=np.diag([1.0 + 0j, -1.0 + 0j]),  # block diagonal: invariant axes
-        t_matrix=np.diag([1.0 + 0j, 1j]),
+        s_matrix=_diag([1.0 + 0j, -1.0 + 0j]),  # block diagonal: invariant axes
+        t_matrix=_diag([1.0 + 0j, 1j]),
         relation_residuals={},
     )
     assert irreducibility_probe(fake) == "inconclusive"
@@ -619,12 +647,31 @@ def test_probe_refuses_large_basis():
         level=1,
         p_label=0,
         basis=tuple(range(n)),
-        s_matrix=np.eye(n, dtype=complex),
-        t_matrix=np.diag(np.exp(2j * np.pi * np.arange(n) / n)),
+        s_matrix=_diag([1.0 + 0j] * n),
+        t_matrix=_diag([complex(np.exp(2j * np.pi * a / n)) for a in range(n)]),
         relation_residuals={},
     )
     with pytest.raises(ValueError):
         irreducibility_probe(fake)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_probe_refuses_non_finite_s(bad):
+    # the off-diagonal entries couple and the T-eigenvalues are distinct,
+    # so the subset test alone would call this pair irreducible
+    s = ((complex(bad, 0.0), 0.5 + 0j), (0.5 + 0j, 0.5 + 0j))
+    fake = GenModularPair(
+        level=3,
+        p_label=2,
+        basis=(1, 2),
+        s_matrix=s,
+        t_matrix=_diag([1.0 + 0j, 1j]),
+        relation_residuals={},
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        irreducibility_probe(fake)
+    finite = GenModularPair(3, 2, (1, 2), ((0.5 + 0j, 0.5 + 0j), s[1]), fake.t_matrix, {})
+    assert irreducibility_probe(finite) == "irreducible"
 
 
 # -- categorical vs analytic -----------------------------------------------------------
