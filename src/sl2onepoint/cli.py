@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -72,11 +73,21 @@ def _emit(payload: dict, config: RunConfig, table_lines) -> None:
 
 
 def cmd_expand(k: int, lam: int, config: RunConfig) -> int:
+    start = time.perf_counter()
     gen = generators.cyclic_generator(k, lam, config.order)
+    generator_s = time.perf_counter() - start
     lines = [f"cyclic generator  level={k}  lambda={lam}  weight={fraction_to_str(gen.form_weight)}"]
     for mu, series in gen.components:
         lines.append(f"  mu={mu}: {series.pretty()}")
-    _emit(gen.to_json(), config, lines)
+    payload = gen.to_json()
+    # the largest numerator or denominator of any coefficient, in bits
+    bits = max(
+        max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        for _, series in gen.components
+        for c in series.coeffs
+    )
+    payload["stages"] = {"generator_s": generator_s, "coeff_bits_max": bits}
+    _emit(payload, config, lines)
     return EXIT_OK
 
 

@@ -9,7 +9,8 @@ D^3 + kappa_1 eis_4 D + kappa_2 eis_6, acting at the generator's weight.
 Its indicial roots are the components' leading exponents, which fix the
 kappas in closed form.  Written as sum_j a_j(q) theta^j with
 theta = q d/dq, the equation yields each component one coefficient at a
-time (``mlde_solutions``), in O(N^2) exact operations for N coefficients.
+time (``mlde_solutions``), in O(N^2) exact operations for N coefficients,
+all of them on Python ints over shared denominators.
 No two exponents differ by an integer, so each component is the unique
 solution with leading coefficient 1; that normalisation, which an
 intertwiner rescaling always permits, keeps the pipeline in exact
@@ -38,6 +39,7 @@ from importlib import resources
 from .errors import DegenerateMldeError, InternalInconsistencyError, UnsupportedDimensionError
 from .qseries import (
     QExpansion,
+    _convolve,
     eisenstein,
     eta_power,
     fraction_from_str,
@@ -47,9 +49,8 @@ from .qseries import (
     monomial,
     one,
     series_pow_rational,
-    zero,
 )
-from .sl2data import conformal_weight, leading_exponents, xi_set
+from .sl2data import conformal_weight, leading_exponents, weight_lower_bound, xi_set
 
 __all__ = [
     "HypergeomSpec",
@@ -173,11 +174,9 @@ def minimal_exponents(k: int, lam: int) -> list[Fraction]:
 
 
 def generator_weight(k: int, lam: int) -> Fraction:
-    """Weight of the eta-rescaled cyclic generator: 12*(sum)/d + 1 - d on
-    its minimal exponents."""
-    exps = minimal_exponents(k, lam)
-    d = len(exps)
-    return Fraction(12) * sum(exps) / d + 1 - d
+    """Weight of the eta-rescaled cyclic generator: the weight bound
+    12*(sum)/d + 1 - d on its minimal exponents."""
+    return weight_lower_bound(minimal_exponents(k, lam))
 
 
 def _component_factors(lam_i: Fraction, others: list[Fraction]) -> tuple[Fraction, HypergeomSpec]:
@@ -335,27 +334,64 @@ def mlde_equation(k: int, lam: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     return weight, _indicial_kappas(weight, leading_exponents(k, lam))
 
 
-def _theta_form(weight: Fraction, kappas, order: int) -> list[QExpansion]:
-    """Series a_0, ..., a_d of the monic equation of order d = len(kappas)+1
-    written as sum_j a_j(q) theta^j with theta = q d/dq."""
-    e2 = eisenstein(2, order)
-    # D_v (sum_j a_j theta^j) = sum_j (theta a_j + v eis_2 a_j) theta^j + a_j theta^(j+1)
-    powers = [[one(order)]]
+def _integer_eisenstein(weight: int, scale: int, order: int) -> list[int]:
+    """The coefficients of ``scale * eisenstein(weight, order)``, which must
+    be integers."""
+    out = []
+    for c in eisenstein(weight, order).coeffs:
+        c = scale * c
+        if c.denominator != 1:
+            raise InternalInconsistencyError(f"{scale} * eis_{weight} is not integral")
+        out.append(c.numerator)
+    return out
+
+
+def _theta_form(weight: Fraction, kappas, order: int) -> tuple[int, list[list[int]]]:
+    """The monic equation of order d = len(kappas)+1 acting at ``weight``,
+    written as sum_j a_j(q) theta^j with theta = q d/dq: (den, A) with
+    a_j = A[j]/den, ``den`` the least common denominator of all a_j and
+    A[d] = [den, 0, 0, ...].
+
+    Built from D_v (sum_j a_j theta^j) = sum_j (theta a_j + v eis_2 a_j)
+    theta^j + a_j theta^(j+1) and the integer series 12 eis_2 = -1 +
+    24 sum sigma_1(n) q^n, 720 eis_4 = E_4 and -30240 eis_6 = E_6.  Every
+    product is an integer convolution, and each step multiplies the shared
+    denominator by the denominator of v/12.
+    """
+    e2 = _integer_eisenstein(2, 12, order)
+    # powers[i] = (den, A) of D^i, starting from the identity
+    powers = [(1, [[1] + [0] * (order - 1)])]
     for i in range(len(kappas) + 1):
-        prev = powers[-1]
+        den, ops = powers[-1]
         v = weight + 2 * i
-        nxt = [zero(order)] * (len(prev) + 1)
-        for j, a in enumerate(prev):
-            theta_a = QExpansion(0, tuple(n * c for n, c in enumerate(a.coeffs)), order)
-            nxt[j] = nxt[j] + theta_a + v * (e2 * a)
-            nxt[j + 1] = nxt[j + 1] + a
-        powers.append(nxt)
-    op = list(powers[-1])
-    for j, a in enumerate(powers[-3]):
-        op[j] = op[j] + kappas[0] * (eisenstein(4, order) * a)
+        s = 12 * v.denominator  # v eis_2 = v.numerator * e2 / s
+        nxt = [[0] * order for _ in range(len(ops) + 1)]
+        for j, a in enumerate(ops):
+            e2a = _convolve(e2, a, order)
+            nxt[j] = [
+                z + s * n * x + v.numerator * y
+                for n, (z, x, y) in enumerate(zip(nxt[j], a, e2a))
+            ]
+            nxt[j + 1] = [z + s * x for z, x in zip(nxt[j + 1], a)]
+        powers.append((den * s, nxt))
+    den, op = powers[-1]
+    # + kappa_1 eis_4 D^(d-2): kappa_1 eis_4 a = (kappa_1 / 720) E_4 a
+    low_den, low = powers[-3]
+    ratio = Fraction(kappas[0]) * den / (720 * low_den)
+    e4 = _integer_eisenstein(4, 720, order)
+    op = [[ratio.denominator * x for x in a] for a in op]
+    den *= ratio.denominator
+    for j, a in enumerate(low):
+        op[j] = [x + ratio.numerator * y for x, y in zip(op[j], _convolve(e4, a, order))]
     if len(kappas) == 2:
-        op[0] = op[0] + kappas[1] * eisenstein(6, order)
-    return op
+        # + kappa_2 eis_6 = -(kappa_2 / 30240) E_6
+        ratio = -Fraction(kappas[1]) * den / 30240
+        e6 = _integer_eisenstein(6, -30240, order)
+        op = [[ratio.denominator * x for x in a] for a in op]
+        den *= ratio.denominator
+        op[0] = [x + ratio.numerator * y for x, y in zip(op[0], e6)]
+    g = math.gcd(den, *(x for a in op for x in a))
+    return den // g, [[x // g for x in a] for a in op]
 
 
 def mlde_solutions(weight, exponents, order: int) -> list[QExpansion]:
@@ -369,7 +405,13 @@ def mlde_solutions(weight, exponents, order: int) -> list[QExpansion]:
 
         c_n = -sum_{m<n} sum_j a_j[n-m] (x+m)^j c_m / P(x+n),
 
-    O(N^2) operations for N coefficients.  Raises DegenerateMldeError when
+    O(N^2) operations for N coefficients, all on ints.  With a_j = A_j/den
+    and x = p/r, the inner polynomial is b/(den r^(top-1)) with integer
+    b = sum_j A_j[n-m] r^(top-1-j) (p+mr)^j.  Writing P(x+n) = u_n/v_n in
+    lowest terms and q_n = den r^(top-1) u_n, the solution is held as
+    c_n = C_n/Q_n with Q_n = q_1 ... q_n and C_n = -v_n S_n, where
+    S_n = sum_{m<n} b C_m q_{m+1} ... q_{n-1} is summed by Horner in the q_i.
+    Only the N results become Fractions.  Raises DegenerateMldeError when
     P(x+n) = 0 for some n >= 1 (two exponents differ by an integer, so the
     solution is not unique or does not exist as a power series).
     """
@@ -378,42 +420,48 @@ def mlde_solutions(weight, exponents, order: int) -> list[QExpansion]:
     weight = Fraction(weight)
     exponents = [Fraction(x) for x in exponents]
     kappas = _indicial_kappas(weight, exponents)
-    ops = [a.coeffs for a in _theta_form(weight, kappas, order)]
-    # a_top = 1, so a shift s >= 1 sees only a_0 .. a_{top-1}: scale those
-    # to integers over one denominator and keep the inner sum off Fraction
+    den, ops = _theta_form(weight, kappas, order)
+    # a_top = 1, so a shift s >= 1 sees only a_0 .. a_{top-1}
     top = len(ops) - 1
-    den = math.lcm(*(c.denominator for a in ops[:top] for c in a))
-    lower = [[int(c * den) for c in a] for a in ops[:top]]
+    constants = [a[0] for a in ops]
 
-    def indicial(y: Fraction) -> Fraction:
-        value = Fraction(1)
-        for a in reversed(ops[:top]):
-            value = value * y + a[0]
-        return value
+    def indicial(p: int, r: int) -> Fraction:
+        """P(p/r), by Horner on ints."""
+        value = 0
+        for j in range(top, -1, -1):
+            value = value * p + constants[j] * r ** (top - j)
+        return Fraction(value, den * r**top)
 
     out = []
     for x in exponents:
-        if indicial(x) != 0:
-            raise InternalInconsistencyError(f"{x} is not a root of the indicial polynomial")
-        # with x + m = (p + m r)/r, sum_j a_j[s] (x+m)^j = b / (den r^(top-1))
         p, r = x.numerator, x.denominator
-        scaled = [[c * r ** (top - 1 - j) for c in a] for j, a in enumerate(lower)]
-        cs = [Fraction(1)]
+        if indicial(p, r) != 0:
+            raise InternalInconsistencyError(f"{x} is not a root of the indicial polynomial")
+        # cols[s] = the A_j[s] r^(top-1-j) from j = top-1 down, for Horner in p+mr
+        cols = list(zip(*([c * r ** (top - 1 - j) for c in ops[j]] for j in reversed(range(top)))))
+        scale = den * r ** (top - 1)
+        nums = [1]  # C_n
+        steps = [1]  # q_n
         for n in range(1, order):
-            pn = indicial(x + n)
+            pn = indicial(p + n * r, r)
             if pn == 0:
                 raise DegenerateMldeError(
                     f"exponents {x} and {x + n} differ by an integer: resonant equation"
                 )
-            acc = Fraction(0)
+            acc = 0
             for m in range(n):
                 y, s = p + m * r, n - m
                 b = 0
-                for a in reversed(scaled):
-                    b = b * y + a[s]
-                if b:
-                    acc += b * cs[m]
-            cs.append(-acc / (den * r ** (top - 1) * pn))
+                for c in cols[s]:
+                    b = b * y + c
+                acc = acc * steps[m] + b * nums[m]
+            nums.append(-pn.denominator * acc)
+            steps.append(scale * pn.numerator)
+        cs = []
+        denom = 1  # Q_n
+        for cn, qn in zip(nums, steps):
+            denom *= qn
+            cs.append(Fraction(cn, denom))
         out.append(QExpansion(x, cs, order))
     return out
 

@@ -9,6 +9,8 @@ values.  The leading exponent may be fractional, but all exponents of a
 single series live in the coset ``lam + Z``; binary operations insist on
 compatible cosets.  The ``order`` field records how many coefficients are
 trustworthy; operations shrink it conservatively and never extrapolate.
+The O(N^2) loops of products and rational powers run on Python ints
+over shared denominators; only the N results become Fractions.
 
 Alongside the ring operations this module provides the standard modular
 constructors (Bernoulli numbers, Eisenstein series, Dedekind eta powers,
@@ -287,6 +289,21 @@ def monomial(exponent, order: int) -> QExpansion:
     return QExpansion(exponent, coeffs, order)
 
 
+def _convolve(xs, ys, n: int) -> list[int]:
+    """First n terms of the Cauchy product of two integer sequences,
+    skipping the zeros of both."""
+    y_terms = [(j, y) for j, y in enumerate(ys[:n]) if y]
+    acc = [0] * n
+    for i, x in enumerate(xs[:n]):
+        if not x:
+            continue
+        for j, y in y_terms:
+            if i + j >= n:
+                break
+            acc[i + j] += x * y
+    return acc
+
+
 def series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
     """Cauchy product; exponents add, validity is the minimum of the inputs.
 
@@ -297,16 +314,11 @@ def series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
     n = min(a.order, b.order)
     da = math.lcm(*(c.denominator for c in a.coeffs[:n]))
     db = math.lcm(*(c.denominator for c in b.coeffs[:n]))
-    b_terms = [(j, c.numerator * (db // c.denominator)) for j, c in enumerate(b.coeffs[:n]) if c]
-    acc = [0] * n
-    for i, ca in enumerate(a.coeffs[:n]):
-        if ca == 0:
-            continue
-        x = ca.numerator * (da // ca.denominator)
-        for j, y in b_terms:
-            if i + j >= n:
-                break
-            acc[i + j] += x * y
+    acc = _convolve(
+        [c.numerator * (da // c.denominator) for c in a.coeffs[:n]],
+        [c.numerator * (db // c.denominator) for c in b.coeffs[:n]],
+        n,
+    )
     den = da * db
     return QExpansion(a.leading_exponent + b.leading_exponent, [Fraction(x, den) for x in acc], n)
 
@@ -334,10 +346,22 @@ def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
     """a**alpha with rational alpha, exactly.
 
     A unit-constant series (leading exponent 0, first coefficient 1) takes
-    any rational alpha through the J.C.P. Miller recurrence, which skips
-    the zero coefficients of ``a``: O(N * nonzeros) operations, so eta
-    powers from the sparse Euler product are cheap.  Any other series
-    takes only non-negative integer alpha, by binary powering.
+    any rational alpha through J.C.P. Miller's recurrence (Knuth, TAOCP
+    vol. 2, section 4.7),
+
+        m b_m = sum_{i=1..m} ((alpha+1) i - m) a_i b_{m-i},
+
+    which skips the zero coefficients of ``a``: O(N * nonzeros) operations,
+    so eta powers from the sparse Euler product are cheap.  The loop runs
+    on ints.  With alpha = P/Q and a_i = A_i/d over the lcm d of the
+    denominators, b_m = B_m/(m! (Qd)^m) with integer B_m, so every b_m is
+    held as an integer over the one denominator (N-1)! (Qd)^(N-1), and
+    each step ends in an exact division by m*Q*d.  When Q = d = 1 the b_m
+    are integers themselves (eta^r for integer r) and the denominator is 1.
+    Only the N results become Fractions.
+
+    Any other series takes only non-negative integer alpha, by binary
+    powering.
     """
     alpha = _frac(alpha)
     unit = a.order > 0 and a.leading_exponent == 0 and a.coeffs[0] == 1
@@ -350,18 +374,27 @@ def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
             "fractional powers need a unit-constant series "
             "(leading exponent 0 and first coefficient 1)"
         )
-    # Miller recurrence: a*b' = alpha*a'*b with b = a**alpha.
+    # Miller recurrence: a*b' = alpha*a'*b with b = a**alpha, times Q*d*den
     n = a.order
-    terms = [(i, c) for i, c in enumerate(a.coeffs) if i and c]
-    b = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    p, q = alpha.numerator, alpha.denominator
+    d = math.lcm(*(c.denominator for c in a.coeffs))
+    qd = q * d
+    # term i contributes ((P+Q) i - Q m) A_i b_{m-i} = (u - m v) b_{m-i}
+    terms = []
+    for i, c in enumerate(a.coeffs):
+        if i and c:
+            coeff = c.numerator * (d // c.denominator)
+            terms.append((i, (p + q) * i * coeff, q * coeff))
+    den = 1 if qd == 1 else math.factorial(n - 1) * qd ** (n - 1)
+    b = [den] + [0] * (n - 1)
     for m in range(1, n):
-        acc = Fraction(0)
-        for i, c in terms:
+        acc = 0
+        for i, u, v in terms:
             if i > m:
                 break
-            acc += ((alpha + 1) * i - m) * c * b[m - i]
-        b[m] = acc / m
-    return QExpansion(0, b, n)
+            acc += (u - m * v) * b[m - i]
+        b[m] = acc // (m * qd)
+    return QExpansion(0, [Fraction(x, den) for x in b], n)
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,13 @@
 """Representation-level classification of the modular-group actions.
 
-Minimal admissible exponent sets, the weight lower bound, Hilbert-Poincare
-graded dimensions of the cyclic operator modules, closed-form dimension
-formulas for dimensions 1-3, the order of the diagonal T-action,
-a sufficient irreducibility test via subproducts of T-eigenvalues, and a
-rule engine for congruence/non-congruence verdicts.  The rule engine is
-deliberately not a decision procedure: "undetermined" is a first-class
-outcome carrying the identifier of the last rule consulted.
+Minimal admissible exponent sets, the weight lower bound (defined in
+``sl2data`` and re-exported here), Hilbert-Poincare graded dimensions of
+the cyclic operator modules, closed-form dimension formulas for
+dimensions 1-3, the order of the diagonal T-action, a sufficient
+irreducibility test via subproducts of T-eigenvalues, and a rule engine
+for congruence/non-congruence verdicts.  The rule engine is deliberately
+not a decision procedure: "undetermined" is a first-class outcome
+carrying the identifier of the last rule consulted.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 
 from .errors import UnsupportedDimensionError
 from .qseries import fraction_to_str
-from .sl2data import RepSignature, rho_t
+from .sl2data import RepSignature, rho_t, weight_lower_bound
 
 __all__ = [
     "AdmissibleSet",
@@ -95,15 +96,6 @@ def minimal_admissible_set(sig: RepSignature, multiplier_weight) -> AdmissibleSe
         x = r + m / 12
         out.append(x - math.floor(x))
     return AdmissibleSet(exponents=tuple(out))
-
-
-def weight_lower_bound(exponents) -> Fraction:
-    """12*(sum of exponents)/d + 1 - d."""
-    exps = [Fraction(x) for x in exponents]
-    if not exps:
-        raise ValueError("need at least one exponent")
-    d = len(exps)
-    return Fraction(12) * sum(exps) / d + 1 - d
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,9 @@
 
 Conformal weights, central charge, fusion rules, the label sets of
 self-coupling intertwiners, leading exponents of the trace functions,
-the diagonal T-action, eta-type multiplier systems, holomorphy and
-weight-saturation classification, and the positivity sum certifying that
+the diagonal T-action, eta-type multiplier systems, the weight bound
+12*(sum of exponents)/d + 1 - d, holomorphy and weight-saturation
+classification, and the positivity sum certifying that
 the distinguished insertion vector has a non-vanishing trace.
 """
 
@@ -26,6 +27,7 @@ __all__ = [
     "rho_t",
     "multiplier",
     "holomorphy_classify",
+    "weight_lower_bound",
     "saturation_check",
     "leading_trace_sum",
     "HOLOMORPHIC_EQUAL",
@@ -185,15 +187,22 @@ def holomorphy_classify(k: int, lam: int) -> str:
     return HOLOMORPHIC_PROPER
 
 
+def weight_lower_bound(exponents) -> Fraction:
+    """12*(sum of exponents)/d + 1 - d for d exponents: the weight lower
+    bound, which the cyclic generator built on them attains."""
+    exps = [Fraction(x) for x in exponents]
+    if not exps:
+        raise ValueError("need at least one exponent")
+    d = len(exps)
+    return Fraction(12) * sum(exps) / d + 1 - d
+
+
 def saturation_check(k: int, lam: int) -> bool:
-    """Exact equality 12*(sum of leading exponents)/d + 1 - d = h_lam + lam/2."""
+    """Exact equality weight_lower_bound(leading exponents) = h_lam + lam/2."""
     _check_label(k, lam)
     _check_even(lam)
-    exps = leading_exponents(k, lam)
-    d = len(exps)
-    lhs = Fraction(12) * sum(exps) / d + 1 - d
     rhs = conformal_weight(k, lam) + Fraction(lam, 2)
-    return lhs == rhs
+    return weight_lower_bound(leading_exponents(k, lam)) == rhs
 
 
 def leading_trace_sum(k: int, lam: int, mu: int) -> Fraction:

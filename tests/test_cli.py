@@ -45,6 +45,19 @@ def test_expand_json_round_trips(capsys):
     assert payload["components"][0]["series"]["coeffs"][2] == "-117/25"
 
 
+def test_expand_json_reports_stages(capsys):
+    code, out, _ = run(capsys, "expand", "-k", "3", "-l", "2", "-n", "5", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    stages = payload["stages"]
+    assert set(stages) == {"generator_s", "coeff_bits_max"}
+    assert stages["generator_s"] >= 0
+    # the largest numerator or denominator is 3659, of 3659/625 at q^4 for mu = 1
+    assert payload["components"][0]["series"]["coeffs"][4] == "3659/625"
+    assert stages["coeff_bits_max"] == (3659).bit_length() == 12
+    assert set(payload) == {"level", "weight_label", "form_weight", "components", "stages"}
+
+
 def test_expand_unsupported_dimension(capsys):
     code, _, err = run(capsys, "expand", "--level", "4", "--lambda", "0")
     assert code == EXIT_UNSUPPORTED

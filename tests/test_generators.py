@@ -10,6 +10,7 @@ solves for each coefficient by applying the whole equation, with no
 operator expansion and no hypergeometric machinery involved.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from sl2onepoint.errors import DegenerateMldeError, UnsupportedDimensionError
 from sl2onepoint.generators import (
     FixtureReport,
+    _theta_form,
     HypergeomSpec,
     cyclic_generator,
     generator_weight,
@@ -39,6 +41,7 @@ from sl2onepoint.qseries import (
 from sl2onepoint.repanalysis import minimal_admissible_set
 from sl2onepoint.sl2data import conformal_weight, leading_exponents, rho_t, xi_set
 
+import fraction_oracle
 from mlde_oracle import apply_monic_operator, indicial_kappas
 
 
@@ -238,6 +241,33 @@ def test_recurrence_equals_hypergeometric_construction(k, lam):
     slow = hypergeometric_generator(k, lam, 30)
     assert fast == slow
     assert all(series.order == 30 for _, series in fast.components)
+
+
+_RECURRENCE_CASES = [(k, k - 1) for k in range(3, 14, 2)] + [(k, k - 2) for k in range(2, 13, 2)]
+
+
+@pytest.mark.parametrize("order", [1, 120])
+@pytest.mark.parametrize("k, lam", _RECURRENCE_CASES)
+def test_integer_recurrence_equals_fraction_oracle(k, lam, order):
+    # the library holds c_n = C_n/Q_n on ints; the oracle sums in Fraction,
+    # with its kappas from mlde_oracle rather than the library
+    weight = conformal_weight(k, lam) + F(lam, 2)
+    exponents = leading_exponents(k, lam)
+    want = fraction_oracle.mlde_solutions(
+        weight, exponents, indicial_kappas(weight, exponents), order
+    )
+    assert mlde_solutions(weight, exponents, order) == want
+
+
+@pytest.mark.parametrize("k, lam", [(3, 2), (13, 12), (2, 0), (12, 10)])
+def test_integer_theta_form_equals_fraction_oracle(k, lam):
+    weight, kappas = mlde_equation(k, lam)
+    den, ops = _theta_form(weight, kappas, 40)
+    want = fraction_oracle.theta_form(weight, kappas, 40)
+    assert [[F(x, den) for x in a] for a in ops] == [list(a.coeffs) for a in want]
+    # one least common denominator, and a monic top coefficient
+    assert math.gcd(den, *(x for a in ops for x in a)) == 1
+    assert ops[-1] == [den] + [0] * 39
 
 
 @pytest.mark.parametrize(

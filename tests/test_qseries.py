@@ -31,6 +31,8 @@ from sl2onepoint.qseries import (
     series_pow_rational,
 )
 
+import fraction_oracle
+
 
 # -- oracles ------------------------------------------------------------
 
@@ -292,6 +294,36 @@ def test_pow_rational_integer_powers_match_binary_powering(series, n):
     assert got.leading_exponent == want.leading_exponent
     assert got.coeffs == want.coeffs
     assert got.order == want.order
+
+
+_ALPHAS = [F(0), F(1, 3), F(-5, 7), F(7, 2), F(-3), F(24)]
+
+
+def _v_unit(order):
+    """The unit-constant part of 1728/(jq), a dense series with
+    non-integer coefficients (the v of the hypergeometric generator)."""
+    return QExpansion(0, tuple(c / 1728 for c in j_inverse(order).coeffs), order)
+
+
+@pytest.mark.parametrize("alpha", _ALPHAS)
+@pytest.mark.parametrize("base", ["euler", "v_unit"])
+def test_pow_rational_equals_fraction_oracle(base, alpha):
+    # the library holds b_m as integers over one denominator; the oracle
+    # runs the same recurrence with a reduced Fraction per term
+    series = euler_product(120) if base == "euler" else _v_unit(60)
+    got = series_pow_rational(series, alpha)
+    assert got == fraction_oracle.series_pow_rational(series, alpha)
+    assert got.order == series.order
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=0, max_size=14),
+    st.fractions(min_value=-40, max_value=40, max_denominator=30),
+)
+def test_pow_rational_equals_fraction_oracle_on_random_unit_series(tail, alpha):
+    series = QExpansion(0, [F(1)] + tail)
+    assert series_pow_rational(series, alpha) == fraction_oracle.series_pow_rational(series, alpha)
 
 
 def test_order_zero_series_integer_powers():
