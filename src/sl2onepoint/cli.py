@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -55,8 +56,9 @@ class RunConfig:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # phrased so that NaN fails too
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.output_format not in ("json", "table"):
             raise ValueError(f"unknown format {self.output_format!r}")
 
@@ -151,9 +153,9 @@ def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
     payload = pair.to_json()
     payload["irreducibility_probe"] = probe
     payload["analytic_comparison"] = mtc.compare_with_analytic(k, p, config.tolerance, pair=pair)
-    if p == k and k % 2 == 0:
+    if p == k:
         # the 1x1 case, where competing printed values exist; report all
-        payload["s_value_report"] = mtc.s_k_report(k, pair=pair)
+        payload["s_value_report"] = mtc.s_k_report(pair)
     lines = [f"modular pair  level={k}  p={p}  basis={list(pair.basis)}"]
     for key, value in pair.relation_residuals.items():
         lines.append(f"  {key}: {value:.3e}")

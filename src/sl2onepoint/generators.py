@@ -42,7 +42,6 @@ from .qseries import (
     _convolve,
     eisenstein,
     eta_power,
-    fraction_from_str,
     fraction_to_str,
     j_inverse,
     modular_derivative,
@@ -50,7 +49,7 @@ from .qseries import (
     one,
     series_pow_rational,
 )
-from .sl2data import conformal_weight, leading_exponents, weight_lower_bound, xi_set
+from .sl2data import form_weight, leading_exponents, weight_lower_bound, xi_set
 
 __all__ = [
     "HypergeomSpec",
@@ -210,11 +209,6 @@ def _dimension(k: int, lam: int) -> int:
     return d
 
 
-def _form_weight(k: int, lam: int) -> Fraction:
-    """Weight h_lam + lam/2 of the (k, lam) generator."""
-    return conformal_weight(k, lam) + Fraction(lam, 2)
-
-
 def cyclic_generator(k: int, lam: int, order: int) -> VvmfVector:
     """The normalised cyclic generator for (k, lam) with k-lam in {0,1,2}.
 
@@ -228,14 +222,14 @@ def cyclic_generator(k: int, lam: int, order: int) -> VvmfVector:
     d = _dimension(k, lam)
     mus = xi_set(k, lam)
     exps = leading_exponents(k, lam)
-    form_weight = _form_weight(k, lam)
+    weight = form_weight(k, lam)
     if d == 1:
         comps = [eta_power(Fraction(3 * k, 2), order)]
     else:
-        comps = mlde_solutions(form_weight, exps, order)
+        comps = mlde_solutions(weight, exps, order)
     for comp, exponent in zip(comps, exps):
         _check_component(comp, exponent)
-    return VvmfVector(k, lam, tuple(zip(mus, comps)), form_weight)
+    return VvmfVector(k, lam, tuple(zip(mus, comps)), weight)
 
 
 def hypergeometric_generator(k: int, lam: int, order: int) -> VvmfVector:
@@ -253,7 +247,7 @@ def hypergeometric_generator(k: int, lam: int, order: int) -> VvmfVector:
         raise UnsupportedDimensionError("the hypergeometric construction covers dimensions 2-3")
     mus = xi_set(k, lam)
     exps = leading_exponents(k, lam)
-    form_weight = _form_weight(k, lam)
+    weight = form_weight(k, lam)
 
     lambdas = minimal_exponents(k, lam)
     w = generator_weight(k, lam)
@@ -271,7 +265,7 @@ def hypergeometric_generator(k: int, lam: int, order: int) -> VvmfVector:
         comp = eta_part * monomial(c, order) * series_pow_rational(v_unit, c) * series
         _check_component(comp, exps[i])
         components.append((mu, comp))
-    return VvmfVector(k, lam, tuple(components), form_weight)
+    return VvmfVector(k, lam, tuple(components), weight)
 
 
 def _check_component(comp: QExpansion, expected_exponent: Fraction) -> None:
@@ -330,7 +324,7 @@ def mlde_equation(k: int, lam: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     """
     if _dimension(k, lam) == 1:
         raise UnsupportedDimensionError("differential equations cover dimensions 2-3, got 1")
-    weight = _form_weight(k, lam)
+    weight = form_weight(k, lam)
     return weight, _indicial_kappas(weight, leading_exponents(k, lam))
 
 
@@ -576,8 +570,8 @@ def table_fixture_check(which: str) -> FixtureReport:
             mu = int(mu_str)
             got = gen.component(mu)
             published = QExpansion(
-                fraction_from_str(fixture["exponent"]),
-                [fraction_from_str(c) for c in fixture["coeffs"]],
+                Fraction(fixture["exponent"]),
+                [Fraction(c) for c in fixture["coeffs"]],
             )
             entries.append(
                 FixtureEntry(

@@ -13,15 +13,16 @@ tolerance or are not numbers at all (a convention bug or lost precision,
 never a user error).  These residuals are the only precision guard.
 
 Per-level tables, each built once and cached by level: rescaled quantum
-integers and factorials (``_qnumbers``), the twists and character
-S-matrix (``_level_constants``), and the half-twists e(h_i/2)
-(``_half_twists``).  The quantum integers are tabulated as
-sin(pi n/(k+2)) = [n] sin(pi/(k+2)), so the factorials stay in (0, 1]
-at every level, where the unscaled [k+1]! overflows a double from
-k = 202 on.  The 6j formula is homogeneous of degree 0 in the quantum
-integers, so the rescaling cancels in every symbol.  A braiding phase
-R^{(rs)t} is the product (-1)^(r+s-t) e(h_r/2) e(h_s/2) / e(h_t/2) of
-table entries, with no rational arithmetic or exponential per call.
+integers and factorials (``_qnumbers``), the twists, quantum dimensions
+and character S-matrix (``f_r_g_matrices``, one frozen ``MtcLevelData``),
+and the half-twists e(h_i/2) (``_half_twists``).  The quantum integers
+are tabulated as sin(pi n/(k+2)) = [n] sin(pi/(k+2)), so the factorials
+stay in (0, 1] at every level, where the unscaled [k+1]! overflows a
+double from k = 202 on.  The 6j formula is homogeneous of degree 0 in
+the quantum integers, so the rescaling cancels in every symbol.  A
+braiding phase R^{(rs)t} is the product (-1)^(r+s-t) e(h_r/2) e(h_s/2) /
+e(h_t/2) of table entries, with no rational arithmetic or exponential
+per call.
 
 The modular pair.  The categorical definition sums, over the admissible
 r, theta_r/(theta_i theta_j) G^{(iij)j}_{0r} F^{(iij)j}_{r0}
@@ -198,11 +199,11 @@ def six_j(k: int, a, b, e, d, c, f) -> float:
     return _six_j2(k, a2, b2, e2, d2, c2, f2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MtcLevelData:
-    """Immutable-by-convention bundle of the level-k constants: labels,
-    twists, zeta = e(c/24), character S-matrix, quantum dimensions and
-    the global dimension root."""
+    """The level-k constants: labels, twists, zeta = e(c/24), character
+    S-matrix, quantum dimensions and the global dimension root.  Frozen,
+    because ``f_r_g_matrices`` shares one cached instance per level."""
 
     level: int
     labels: tuple[int, ...]
@@ -211,23 +212,6 @@ class MtcLevelData:
     s_char: tuple[tuple[float, ...], ...]
     qdim: tuple[float, ...]
     global_dim_root: float
-
-
-@lru_cache(maxsize=None)
-def _level_constants(k: int):
-    """(labels, theta, zeta, s_char, qdim, D): O(k^2) work, without any
-    recoupling data."""
-    n = k + 2
-    labels = tuple(range(k + 1))
-    s_char = tuple(
-        tuple(math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) * (j + 1) / n) for j in labels)
-        for i in labels
-    )
-    qdim = tuple(row[0] / s_char[0][0] for row in s_char)
-    global_dim_root = 1.0 / s_char[0][0]
-    theta = tuple(_e(conformal_weight(k, i)) for i in labels)
-    zeta = _e(central_charge(k) / 24)
-    return labels, theta, zeta, s_char, qdim, global_dim_root
 
 
 @lru_cache(maxsize=None)
@@ -244,20 +228,24 @@ def _r_phase(k: int, r: int, s: int, t: int) -> complex:
 
 @lru_cache(maxsize=None)
 def f_r_g_matrices(k: int) -> MtcLevelData:
-    """The level-k category constants: character S-matrix, twists,
-    quantum dimensions and global dimension root.  The modular pairs below
+    """The level-k category constants, O(k^2) work.  The modular pairs
     take the 6j-symbols and braiding phases they need directly
-    (``six_j``, ``_r_phase``); no recoupling tensor is ever built."""
+    (``_six_j2``, ``_r_phase``); no recoupling tensor is ever built."""
     _check_level(k)
-    labels, theta, zeta, s_char, qdim, global_dim_root = _level_constants(k)
+    n = k + 2
+    labels = tuple(range(k + 1))
+    s_char = tuple(
+        tuple(math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) * (j + 1) / n) for j in labels)
+        for i in labels
+    )
     return MtcLevelData(
         level=k,
         labels=labels,
-        theta=theta,
-        zeta=zeta,
+        theta=tuple(_e(conformal_weight(k, i)) for i in labels),
+        zeta=_e(central_charge(k) / 24),
         s_char=s_char,
-        qdim=qdim,
-        global_dim_root=global_dim_root,
+        qdim=tuple(row[0] / s_char[0][0] for row in s_char),
+        global_dim_root=1.0 / s_char[0][0],
     )
 
 
@@ -326,8 +314,9 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     _check_level(k)
     if p % 2 != 0 or not 0 <= p <= k:
         raise ValueError(f"p must be an even label in 0..{k}, got {p}")
-    labels, theta, zeta, _, qdim, global_dim_root = _level_constants(k)
-    basis = tuple(i for i in labels if fusion_coefficient(k, p, i, i) == 1)
+    data = f_r_g_matrices(k)
+    theta, qdim = data.theta, data.qdim
+    basis = tuple(i for i in data.labels if fusion_coefficient(k, p, i, i) == 1)
     if not basis:
         raise ValueError(f"label {p} has no self-couplings at level {k}")
     dim = len(basis)
@@ -348,10 +337,10 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
                 acc += qdim[r] * theta[r] * phi * _six_j2(k, p, i, i, r, j, j)
                 evaluations += 1
             outer = _r_phase(k, p, j, j) / (_r_phase(k, p, i, i) * theta[i] * theta[j])
-            row.append(outer * acc / global_dim_root)
+            row.append(outer * acc / data.global_dim_root)
         rows.append(tuple(row))
     s = tuple(rows)
-    t_diag = tuple(theta[i] / zeta for i in basis)
+    t_diag = tuple(theta[i] / data.zeta for i in basis)
     assembled = time.perf_counter()
 
     st = tuple(tuple(x * y for x, y in zip(row, t_diag)) for row in s)
@@ -385,17 +374,12 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     )
 
 
-def irreducibility_probe(
-    pair: GenModularPair, multiplier_weight=0, tolerance: float = DEFAULT_TOLERANCE
-) -> str:
+def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERANCE) -> str:
     """Numerical irreducibility certificate: with distinct T-eigenvalues,
     any invariant subspace is spanned by basis vectors, and is ruled out
     if every proper non-empty subset couples to its complement through a
-    non-negligible S-entry.  The multiplier weight is irrelevant to the
-    existence of invariant subspaces (a scalar rescaling) and is accepted
-    only for interface symmetry with the analytic side.  A pair whose S
-    is not finite everywhere is refused with ``ValueError``."""
-    del multiplier_weight
+    non-negligible S-entry.  A pair whose S is not finite everywhere is
+    refused with ``ValueError``."""
     if not all(cmath.isfinite(z) for row in pair.s_matrix for z in row):
         raise ValueError("refusing a pair whose S-matrix has non-finite entries")
     dim = len(pair.basis)
@@ -421,36 +405,19 @@ def irreducibility_probe(
     return "irreducible"
 
 
-def _given_or_built(
-    pair: GenModularPair | None, k: int, p: int, tolerance: float
-) -> GenModularPair:
-    """The caller's pair after checking that it is (S^(p), T^(p)) at
-    level k, or a freshly built one when the caller has none."""
-    if pair is None:
-        return gen_modular_pair(k, p, tolerance)
-    if (pair.level, pair.p_label) != (k, p):
-        raise ValueError(
-            f"pair is for level {pair.level}, p={pair.p_label}, not level {k}, p={p}"
-        )
-    return pair
-
-
 def compare_with_analytic(
-    k: int,
-    lam: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    pair: GenModularPair | None = None,
+    k: int, lam: int, tolerance: float = DEFAULT_TOLERANCE, pair: GenModularPair | None = None
 ) -> dict:
     """Compare the categorical T^(lam), divided by the weight-h_lam
     multiplier value on T, against the analytic diagonal exponents
     e(r_mu); report per-entry residuals.  The S-side comparison is
-    reported as data without asserting equality.
-
-    ``pair`` is the certified (S^(lam), T^(lam)) at level k when the
-    caller already holds it; otherwise it is built here."""
-    if lam % 2 != 0:
-        raise ValueError(f"lambda must be even, got {lam}")
-    pair = _given_or_built(pair, k, lam, tolerance)
+    reported as data without asserting equality.  ``pair`` is the
+    certified (S^(lam), T^(lam)) at level k when the caller holds it;
+    otherwise it is built here."""
+    if pair is None:
+        pair = gen_modular_pair(k, lam, tolerance)
+    elif (pair.level, pair.p_label) != (k, lam):
+        raise ValueError(f"pair is for level {pair.level}, p={pair.p_label}, not {k}, {lam}")
     sig = rho_t(k, lam)
     if list(pair.basis) != xi_set(k, lam):
         raise RelationViolationError("categorical basis disagrees with the label set")
@@ -472,14 +439,14 @@ def compare_with_analytic(
     }
 
 
-def s_k_report(k: int, pair: GenModularPair | None = None) -> dict:
-    """The three competing values for the one-dimensional S^(k): the
-    coupling-space computation, e(-3k/16) (the weight-3k/4 multiplier
-    value on S), and e(-3k/32).  Reported, not adjudicated.  ``pair`` is
-    the certified (S^(k), T^(k)) when the caller already holds it."""
-    if k % 2 != 0:
-        raise ValueError("the one-dimensional pair needs even k")
-    pair = _given_or_built(pair, k, k, DEFAULT_TOLERANCE)
+def s_k_report(pair: GenModularPair) -> dict:
+    """The three competing values for the one-dimensional S^(k) of a pair
+    with p = k: the coupling-space computation, e(-3k/16) (the weight-3k/4
+    multiplier value on S), and e(-3k/32).  Reported, not adjudicated.
+    Any other pair raises ``ValueError``."""
+    k = pair.level
+    if pair.p_label != k:
+        raise ValueError(f"the one-dimensional report needs p = k = {k}, got p={pair.p_label}")
     computed = complex(pair.s_matrix[0][0])
     return {
         "level": k,
@@ -497,5 +464,5 @@ def verlinde_fusion(k: int, lam: int, mu: int, nu: int) -> float:
     for label in (lam, mu, nu):
         if not 0 <= label <= k:
             raise ValueError(f"label {label} out of range 0..{k}")
-    labels, _, _, s, _, _ = _level_constants(k)
-    return float(sum(s[lam][m] * s[mu][m] * s[nu][m] / s[0][m] for m in labels))
+    s = f_r_g_matrices(k).s_char
+    return float(sum(s[lam][m] * s[mu][m] * s[nu][m] / s[0][m] for m in range(k + 1)))

@@ -41,7 +41,6 @@ __all__ = [
     "series_pow_rational",
     "modular_derivative",
     "fraction_to_str",
-    "fraction_from_str",
 ]
 
 
@@ -57,10 +56,6 @@ def fraction_to_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 class QExpansion:
@@ -268,8 +263,8 @@ class QExpansion:
     @classmethod
     def from_json(cls, obj: dict) -> "QExpansion":
         return cls(
-            fraction_from_str(obj["leading_exponent"]),
-            [fraction_from_str(c) for c in obj["coeffs"]],
+            Fraction(obj["leading_exponent"]),
+            [Fraction(c) for c in obj["coeffs"]],
             obj["order"],
         )
 

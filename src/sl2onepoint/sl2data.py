@@ -28,6 +28,7 @@ __all__ = [
     "multiplier",
     "holomorphy_classify",
     "weight_lower_bound",
+    "form_weight",
     "saturation_check",
     "leading_trace_sum",
     "HOLOMORPHIC_EQUAL",
@@ -197,12 +198,16 @@ def weight_lower_bound(exponents) -> Fraction:
     return Fraction(12) * sum(exps) / d + 1 - d
 
 
+def form_weight(k: int, lam: int) -> Fraction:
+    """Weight h_lam + lam/2 of the (k, lam) cyclic generator."""
+    return conformal_weight(k, lam) + Fraction(lam, 2)
+
+
 def saturation_check(k: int, lam: int) -> bool:
-    """Exact equality weight_lower_bound(leading exponents) = h_lam + lam/2."""
+    """Exact equality weight_lower_bound(leading exponents) = form_weight."""
     _check_label(k, lam)
     _check_even(lam)
-    rhs = conformal_weight(k, lam) + Fraction(lam, 2)
-    return weight_lower_bound(leading_exponents(k, lam)) == rhs
+    return weight_lower_bound(leading_exponents(k, lam)) == form_weight(k, lam)
 
 
 def leading_trace_sum(k: int, lam: int, mu: int) -> Fraction:

@@ -126,7 +126,8 @@ def _g_entry(k: int, i: int, j: int, kt: int, l: int, p: int, q: int) -> complex
 def s_matrix_loop(k: int, p: int) -> np.ndarray:
     """S^(p) on the basis {i : N_{p,i}^i = 1}, summed one admissible
     (i, j, r) at a time."""
-    labels, theta, _, _, qdim, global_dim_root = mtc._level_constants(k)
+    data = mtc.f_r_g_matrices(k)
+    labels, theta, qdim = data.labels, data.theta, data.qdim
     basis = tuple(i for i in labels if fusion_coefficient(k, p, i, i) == 1)
     dim = len(basis)
     s = np.zeros((dim, dim), dtype=complex)
@@ -143,7 +144,7 @@ def s_matrix_loop(k: int, p: int) -> np.ndarray:
                     * _f_entry(k, i, i, j, j, r, 0)
                     * _g_entry(k, p, i, r, j, i, j)
                 )
-            s[a, b] = qdim[i] * qdim[j] / global_dim_root * acc
+            s[a, b] = qdim[i] * qdim[j] / data.global_dim_root * acc
     return s
 
 

@@ -130,7 +130,8 @@ def test_mtc_builds_one_pair(capsys, monkeypatch, k, p):
     payload = json.loads(out)
     assert payload["analytic_comparison"] == json.loads(json.dumps(compare_with_analytic(k, p)))
     if p == k:
-        assert payload["s_value_report"] == json.loads(json.dumps(s_k_report(k)))
+        pair = mtc_module.gen_modular_pair(k, k)
+        assert payload["s_value_report"] == json.loads(json.dumps(s_k_report(pair)))
 
 
 def test_mtc_one_dimensional_pair_above_default_level_cap(capsys):
@@ -211,6 +212,17 @@ def test_mtc_json_reports_stages(capsys):
 def test_mtc_rejects_odd_p(capsys):
     code, _, err = run(capsys, "mtc", "--level", "5", "--p", "3")
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize(
+    "argv", [("mtc", "-k", "5", "--p", "2"), ("verify", "--suite", "mtc")]
+)
+def test_non_finite_tolerance_is_invalid_input(capsys, argv, tolerance):
+    code, out, err = run(capsys, *argv, "--tolerance", tolerance, "--format", "json")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "invalid input: tolerance must be finite and positive" in err
 
 
 def test_verify_mtc_suite_builds_each_pair_once(capsys, monkeypatch):
@@ -298,8 +310,9 @@ def test_verify_bgg_suite_json(capsys):
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(order=0)
-    with pytest.raises(ValueError):
-        RunConfig(tolerance=0.0)
+    for tolerance in (0.0, -1e-9, float("nan"), float("inf"), float("1e400")):
+        with pytest.raises(ValueError):
+            RunConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         RunConfig(output_format="yaml")
 

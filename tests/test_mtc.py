@@ -11,6 +11,7 @@ the two differ by a sign that cancels in every modular-pair quantity
 (see the G-ratio: its sign exponents sum to zero).
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -487,7 +488,7 @@ def test_s_k_report_matches_multiplier_value():
     # the computed 1x1 S equals e(-3k/16); the e(-3k/32) reading disagrees;
     # from k = 202 on the unscaled [k+1]! would overflow a double
     for k in (2, 4, 6, 202, 206, 400):
-        rep = s_k_report(k)
+        rep = s_k_report(gen_modular_pair(k, k))
         computed = complex(*rep["computed"])
         assert abs(computed - complex(*rep["e_minus_3k_16"])) < TOL
         if k % 32 != 0:
@@ -692,10 +693,21 @@ def test_reports_take_the_callers_pair():
         compare_with_analytic(6, 4, pair=pair)
     with pytest.raises(ValueError):
         compare_with_analytic(5, 2, pair=pair)
-    one_dim = gen_modular_pair(4, 4)
-    assert s_k_report(4, pair=one_dim) == s_k_report(4)
-    with pytest.raises(ValueError):
-        s_k_report(6, pair=one_dim)
+
+
+def test_s_k_report_refuses_a_pair_with_p_not_k():
+    assert s_k_report(gen_modular_pair(4, 4))["level"] == 4
+    for k, p in ((4, 2), (6, 0), (5, 4)):
+        with pytest.raises(ValueError, match="needs p = k"):
+            s_k_report(gen_modular_pair(k, p))
+
+
+def test_cached_level_table_refuses_assignment():
+    data = f_r_g_matrices(6)
+    assert f_r_g_matrices(6) is data
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.zeta = 1.0
+    assert data.zeta != 1.0
 
 
 def test_compare_fixture_values():

@@ -20,7 +20,6 @@ from sl2onepoint.qseries import (
     eisenstein,
     eta_power,
     euler_product,
-    fraction_from_str,
     fraction_to_str,
     j_inverse,
     modular_derivative,
@@ -429,8 +428,6 @@ def test_json_round_trip():
 def test_fraction_codec():
     assert fraction_to_str(F(3, 1)) == "3"
     assert fraction_to_str(F(-7, 12)) == "-7/12"
-    assert fraction_from_str("-7/12") == F(-7, 12)
-    assert fraction_from_str("5") == F(5)
 
 
 def test_float_refused():
