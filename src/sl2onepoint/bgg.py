@@ -86,24 +86,15 @@ def _denominator_inverse(qorder: int) -> tuple[tuple[int, int], ...]:
     Independent of level and weight, so cached per order.  Returned as
     hashable tuples of (z-exponent, coefficient) pairs.
     """
-    # numerator product, truncated at q-grade < qorder
-    prod: list[Row] = [{0: 1}] + [{} for _ in range(qorder - 1)]
+    inv: list[Row] = [{0: 1}] + [{} for _ in range(qorder - 1)]
     for m in range(1, qorder):
         for shift in (2, 0, -2):
-            new = [dict(row) for row in prod]
+            # divide by (1 - z^shift q^m) in place: with n ascending, grade
+            # n - m is already divided, so the geometric series sums
             for n in range(m, qorder):
-                for e, c in prod[n - m].items():
-                    key = e + shift
-                    new[n][key] = new[n].get(key, 0) - c
-            prod = [{e: c for e, c in row.items() if c} for row in new]
-    # invert grade by grade (constant row of prod is {0: 1})
-    inv: list[Row] = [{0: 1}]
-    for n in range(1, qorder):
-        acc: Row = {}
-        for m in range(1, n + 1):
-            for e, c in _zconv(prod[m], inv[n - m]).items():
-                acc[e] = acc.get(e, 0) - c
-        inv.append({e: c for e, c in acc.items() if c})
+                row = inv[n]
+                for e, c in inv[n - m].items():
+                    row[e + shift] = row.get(e + shift, 0) + c
     return tuple(tuple(sorted(row.items())) for row in inv)
 
 

@@ -3,10 +3,10 @@
 A single vector of q-series generates, under the modular-differential-
 operator algebra, every form attached to insertions from the simple
 module with finite weight lam = k, k-1 or k-2.  Dimension one is a pure
-eta power.  In dimensions two and three every component solves one monic
-modular differential equation, D^2 + kappa_1 eis_4 or
-D^3 + kappa_1 eis_4 D + kappa_2 eis_6, acting at the generator's weight.
-Its indicial roots are the components' leading exponents, which fix the
+eta power.  In dimension d = 2 or 3 every component solves one monic
+modular differential equation D^d + sum_t kappa_t eis_w D^(d-2-t), acting
+at the generator's weight, with the forms eis_w of ``_FORMS``.  Its
+indicial roots are the components' leading exponents, which fix the
 kappas in closed form.  Written as sum_j a_j(q) theta^j with
 theta = q d/dq, the equation yields each component one coefficient at a
 time (``mlde_solutions``), in O(N^2) exact operations for N coefficients,
@@ -66,6 +66,11 @@ __all__ = [
     "FixtureReport",
     "table_fixture_check",
 ]
+
+# (w, scale) of the forms eis_w that the kappas multiply, in order:
+# scale * eis_w = E_w is integral with constant term 1.
+_FORMS = ((4, 720), (6, -30240))
+_MAX_ORDER = len(_FORMS) + 1  # an equation of order d uses d - 1 forms
 
 
 @dataclass(frozen=True)
@@ -160,16 +165,12 @@ class VvmfVector:
 
 
 def minimal_exponents(k: int, lam: int) -> list[Fraction]:
-    """Leading exponents of the eta-rescaled generator: the minimal
-    admissible set of the shifted multiplier pair."""
-    d = k - lam + 1
-    if d == 1:
-        return [Fraction(0)]
-    if d == 2:
-        return [Fraction(0), Fraction(1, 4)]
-    if d == 3:
-        return [Fraction(0), Fraction(k + 1, 4 * (k + 2)), Fraction(1, 2)]
-    raise UnsupportedDimensionError(f"no generator formula for dimension {d}")
+    """Leading exponents of the eta-rescaled generator, the minimal
+    admissible set of the shifted multiplier pair: those of (k, lam) less
+    the smallest."""
+    _dimension(k, lam)
+    exps = leading_exponents(k, lam)
+    return [x - exps[0] for x in exps]
 
 
 def generator_weight(k: int, lam: int) -> Fraction:
@@ -204,7 +205,7 @@ def _dimension(k: int, lam: int) -> int:
     if lam % 2 != 0:
         raise ValueError(f"lambda must be even (no self-couplings otherwise), got {lam}")
     d = k - lam + 1
-    if d not in (1, 2, 3):
+    if d > _MAX_ORDER:
         raise UnsupportedDimensionError(f"no generator formula for dimension {d}")
     return d
 
@@ -291,27 +292,30 @@ def _roots_polynomial(roots) -> list[Fraction]:
 
 
 def _indicial_kappas(weight, exponents) -> tuple[Fraction, ...]:
-    """(kappa_1,) or (kappa_1, kappa_2) of the monic equation of order
-    len(exponents), acting at ``weight``, whose indicial roots are
-    ``exponents``.
+    """The kappas of the monic equation of order d = len(exponents),
+    acting at ``weight``, whose indicial roots are ``exponents``.
 
-    D_w sends q^x to (x - w/12) q^x + O(q^{x+1}), so the indicial
-    polynomial is prod (x - s_i) + (kappa_1/720) (x - s_0) - kappa_2/30240
-    with s_i = w/12 + i/6 (the kappa_2 term and the factor (x - s_0) only
-    in order three).  Matching it against prod (x - exponent) forces the
-    kappas, provided the exponents sum to the s_i.
+    D_w sends q^x to (x - w/12) q^x + O(q^{x+1}), so with s_i = w/12 + i/6
+    the indicial polynomial is prod_{i<d} (x - s_i) + sum_t (kappa_t/scale_t)
+    prod_{i<d-2-t} (x - s_i).  Each product is monic, so matching it against
+    prod (x - exponent) gives the kappas in turn from the coefficients of
+    x^(d-2), x^(d-3), ..., provided the exponents sum to the s_i.
     """
     w = Fraction(weight)
-    order = len(exponents)
-    if order not in (2, 3):
-        raise UnsupportedDimensionError(f"monic equations of order 2-3 only, got {order}")
-    shifts = [w / 12 + Fraction(i, 6) for i in range(order)]
+    d = len(exponents)
+    if not 2 <= d <= _MAX_ORDER:
+        raise UnsupportedDimensionError(f"monic equations of order 2-{_MAX_ORDER} only, got {d}")
+    shifts = [w / 12 + Fraction(i, 6) for i in range(d)]
     diff = [a - b for a, b in zip(_roots_polynomial(exponents), _roots_polynomial(shifts))]
-    if diff[order - 1] != 0:
+    if diff[d - 1] != 0:
         raise ValueError(f"exponents {exponents} do not sum to {sum(shifts)} as weight {w} needs")
-    if order == 2:
-        return (720 * diff[0],)
-    return 720 * diff[1], -30240 * (diff[0] + diff[1] * shifts[0])
+    kappas = []
+    for j, (_, scale) in zip(reversed(range(d - 1)), _FORMS):
+        ratio = diff[j]  # kappa_t / scale_t, the leading coefficient of its term
+        kappas.append(scale * ratio)
+        for i, c in enumerate(_roots_polynomial(shifts[:j])):
+            diff[i] -= ratio * c
+    return tuple(kappas)
 
 
 def mlde_equation(k: int, lam: int) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -347,15 +351,16 @@ def _theta_form(weight: Fraction, kappas, order: int) -> tuple[int, list[list[in
     A[d] = [den, 0, 0, ...].
 
     Built from D_v (sum_j a_j theta^j) = sum_j (theta a_j + v eis_2 a_j)
-    theta^j + a_j theta^(j+1) and the integer series 12 eis_2 = -1 +
-    24 sum sigma_1(n) q^n, 720 eis_4 = E_4 and -30240 eis_6 = E_6.  Every
-    product is an integer convolution, and each step multiplies the shared
-    denominator by the denominator of v/12.
+    theta^j + a_j theta^(j+1), the integer series 12 eis_2 = -1 +
+    24 sum sigma_1(n) q^n and the integral scale * eis_w of ``_FORMS``.
+    Every product is an integer convolution, and each step multiplies the
+    shared denominator by the denominator of v/12 or of a kappa's ratio.
     """
+    d = len(kappas) + 1
     e2 = _integer_eisenstein(2, 12, order)
     # powers[i] = (den, A) of D^i, starting from the identity
     powers = [(1, [[1] + [0] * (order - 1)])]
-    for i in range(len(kappas) + 1):
+    for i in range(d):
         den, ops = powers[-1]
         v = weight + 2 * i
         s = 12 * v.denominator  # v eis_2 = v.numerator * e2 / s
@@ -368,22 +373,16 @@ def _theta_form(weight: Fraction, kappas, order: int) -> tuple[int, list[list[in
             ]
             nxt[j + 1] = [z + s * x for z, x in zip(nxt[j + 1], a)]
         powers.append((den * s, nxt))
-    den, op = powers[-1]
-    # + kappa_1 eis_4 D^(d-2): kappa_1 eis_4 a = (kappa_1 / 720) E_4 a
-    low_den, low = powers[-3]
-    ratio = Fraction(kappas[0]) * den / (720 * low_den)
-    e4 = _integer_eisenstein(4, 720, order)
-    op = [[ratio.denominator * x for x in a] for a in op]
-    den *= ratio.denominator
-    for j, a in enumerate(low):
-        op[j] = [x + ratio.numerator * y for x, y in zip(op[j], _convolve(e4, a, order))]
-    if len(kappas) == 2:
-        # + kappa_2 eis_6 = -(kappa_2 / 30240) E_6
-        ratio = -Fraction(kappas[1]) * den / 30240
-        e6 = _integer_eisenstein(6, -30240, order)
+    den, op = powers[d]
+    # + kappa_t eis_w D^(d-2-t) = (kappa_t / scale) E_w D^(d-2-t)
+    for t, (kappa, (w, scale)) in enumerate(zip(kappas, _FORMS)):
+        low_den, low = powers[d - 2 - t]
+        ratio = Fraction(kappa) * den / (scale * low_den)
+        e = _integer_eisenstein(w, scale, order)
         op = [[ratio.denominator * x for x in a] for a in op]
         den *= ratio.denominator
-        op[0] = [x + ratio.numerator * y for x, y in zip(op[0], e6)]
+        for j, a in enumerate(low):
+            op[j] = [x + ratio.numerator * y for x, y in zip(op[j], _convolve(e, a, order))]
     g = math.gcd(den, *(x for a in op for x in a))
     return den // g, [[x // g for x in a] for a in op]
 
@@ -463,14 +462,14 @@ def mlde_solutions(weight, exponents, order: int) -> list[QExpansion]:
 def _apply_mlde(f: QExpansion, weight: Fraction, kappas) -> QExpansion:
     """The monic equation with ``kappas`` applied to ``f`` at ``weight`` by
     repeated modular derivatives; valid to len(kappas)+1 orders less."""
-    order = len(kappas) + 1
-    valid = f.order - order
+    d = len(kappas) + 1
+    valid = f.order - d
     ds = [f]
-    for i in range(order):
+    for i in range(d):
         ds.append(modular_derivative(ds[-1], weight + 2 * i))
-    res = ds[order] + kappas[0] * (eisenstein(4, f.order) * ds[order - 2]).truncate(valid)
-    if order == 3:
-        res = res + kappas[1] * (eisenstein(6, f.order) * f).truncate(valid)
+    res = ds[d]
+    for t, (kappa, (w, _)) in enumerate(zip(kappas, _FORMS)):
+        res = res + kappa * (eisenstein(w, f.order) * ds[d - 2 - t]).truncate(valid)
     return res
 
 

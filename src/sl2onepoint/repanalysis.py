@@ -48,10 +48,7 @@ UNDETERMINED = "undetermined"
 IRREDUCIBLE = "irreducible"
 INCONCLUSIVE = "inconclusive"
 
-# 2^8 * 3^4 * 5^2 * 7^2; stored factored so divisibility tests are exact
-# prime-power comparisons.
-_ORDER_BOUND_FACTORS = {2: 8, 3: 4, 5: 2, 7: 2}
-NONCONGRUENCE_ORDER_BOUND = 25401600
+NONCONGRUENCE_ORDER_BOUND = 2**8 * 3**4 * 5**2 * 7**2
 
 
 @dataclass(frozen=True)
@@ -168,27 +165,14 @@ def irreducibility_subproduct_test(sig: RepSignature) -> str:
 def prime_power_parameters(k: int) -> tuple[int, int] | None:
     """(p, t) with k + 2 = p^t for a prime p > 3, or None."""
     n = k + 2
-    if n < 5:
-        return None
-    p = None
-    m = n
-    for cand in range(2, math.isqrt(n) + 1):
-        if m % cand == 0:
-            p = cand
-            while m % cand == 0:
-                m //= cand
-            break
-    if p is None:
-        p, m = n, 1
-    if m != 1:
-        return None  # not a prime power
-    if p <= 3:
-        return None
+    if n < 2:
+        return None  # no prime factor
+    p = next((c for c in range(2, math.isqrt(n) + 1) if n % c == 0), n)
     t = 0
     while n % p == 0:
         n //= p
         t += 1
-    return (p, t)
+    return (p, t) if n == 1 and p > 3 else None
 
 
 def prime_power_rule_applies(k: int, lam: int) -> bool:
@@ -204,15 +188,6 @@ def prime_power_rule_applies(k: int, lam: int) -> bool:
     if t == 1:
         return True
     return lam + 1 > p ** (t - 2)
-
-
-def _divides_order_bound(order: int) -> bool:
-    m = order
-    for p, e in _ORDER_BOUND_FACTORS.items():
-        for _ in range(e):
-            if m % p == 0:
-                m //= p
-    return m == 1
 
 
 def congruence_classify(k: int, lam: int) -> CongruenceVerdict:
@@ -233,7 +208,7 @@ def congruence_classify(k: int, lam: int) -> CongruenceVerdict:
             return CongruenceVerdict(CONGRUENCE, 8, "thm-dim2-level8")
         return CongruenceVerdict(CONGRUENCE, 24, "thm-dim2-level24")
     if d == 3:
-        if not _divides_order_bound(t_order(k, lam)):
+        if NONCONGRUENCE_ORDER_BOUND % t_order(k, lam):
             return CongruenceVerdict(NONCONGRUENCE, None, "thm-dim3-order")
         return CongruenceVerdict(UNDETERMINED, None, "thm-dim3-order-divides")
     if prime_power_rule_applies(k, lam):

@@ -244,6 +244,18 @@ def test_verify_mtc_suite_builds_each_pair_once(capsys, monkeypatch):
     assert set(built) == {(k, p) for k in range(11) for p in range(0, k + 1, 2)}
 
 
+def test_verify_mtc_suite_reports_residuals_above_a_tight_tolerance(capsys):
+    # the pairs are certified at the default tolerance and judged at 1e-15,
+    # so a double-precision residual fails its check instead of the suite
+    code, out, err = run(capsys, "verify", "--suite", "mtc", "--tolerance", "1e-15", "--format", "json")
+    assert code == EXIT_VERIFY_FAILED
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["total"] == 92
+    notes = {f["check"]: f["note"] for f in payload["failures"]}
+    assert float(notes["braid relations k=1 p=0"].removeprefix("residual ")) > 1e-15
+
+
 def test_no_subcommand_loads_numpy():
     """The package runs without numpy, which only the tests use: the
     import, ``expand``, ``classify``, ``mtc`` and ``verify --suite mtc``

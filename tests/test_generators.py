@@ -14,10 +14,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2onepoint.errors import DegenerateMldeError, UnsupportedDimensionError
 from sl2onepoint.generators import (
     FixtureReport,
+    _indicial_kappas,
     _theta_form,
     HypergeomSpec,
     cyclic_generator,
@@ -300,6 +303,22 @@ def test_equation_kappas_match_the_oracle():
     for k, lam in [(3, 2), (9, 8), (2, 0), (4, 2), (12, 10)]:
         _, kappas = mlde_equation(k, lam)
         assert kappas == indicial_kappas(generator_weight(k, lam), minimal_exponents(k, lam))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(-2, 2, max_denominator=48), min_size=2, max_size=3))
+def test_indicial_kappas_equal_the_oracle_for_any_exponents(exponents):
+    # the weight that the exponents' sum fixes: 12 sum/d - (d - 1)
+    d = len(exponents)
+    weight = 12 * sum(exponents) / d - (d - 1)
+    assert _indicial_kappas(weight, exponents) == indicial_kappas(weight, exponents)
+
+
+@pytest.mark.parametrize("exponents", [[F(0)], [F(0), F(1, 4), F(1, 2), F(3, 4)]])
+def test_indicial_kappas_refuse_orders_without_forms(exponents):
+    d = len(exponents)
+    with pytest.raises(UnsupportedDimensionError):
+        _indicial_kappas(12 * sum(exponents) / d - (d - 1), exponents)
 
 
 # -- differential equation residuals -------------------------------------------
