@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qseries import fraction_to_str
+from .sl2data import _check_label, rep_dimension
 
 __all__ = ["ZQCharacter", "simple_character", "trivial_multiplicity"]
 
@@ -113,10 +114,7 @@ def _h(k: int, w: int) -> Fraction:
 
 def simple_character(k: int, lam: int, qorder: int) -> ZQCharacter:
     """Character rows of L(k, lam) through q-grade qorder - 1."""
-    if k < 0:
-        raise ValueError("level must be non-negative")
-    if not 0 <= lam <= k:
-        raise ValueError(f"weight {lam} out of range 0..{k}")
+    _check_label(k, lam)
     if qorder < 1:
         raise ValueError("qorder must be >= 1")
     inv = [dict(row) for row in _denominator_inverse(qorder)]
@@ -145,8 +143,7 @@ def simple_character(k: int, lam: int, qorder: int) -> ZQCharacter:
 def trivial_multiplicity(k: int, lam: int, n: int) -> int:
     """Multiplicity of the trivial sl(2) module at conformal grade n of
     L(k, lam), for even lam: coeff(z^0 q^n) - coeff(z^2 q^n)."""
-    if lam % 2 != 0:
-        raise ValueError(f"trivial multiplicity needs even lambda, got {lam}")
+    rep_dimension(k, lam)
     if n < 0:
         raise ValueError("grade must be non-negative")
     return simple_character(k, lam, n + 1).trivial_multiplicity(n)

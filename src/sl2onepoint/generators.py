@@ -40,6 +40,7 @@ from .errors import DegenerateMldeError, InternalInconsistencyError, Unsupported
 from .qseries import (
     QExpansion,
     _convolve,
+    _integers,
     eisenstein,
     eta_power,
     fraction_to_str,
@@ -49,7 +50,7 @@ from .qseries import (
     one,
     series_pow_rational,
 )
-from .sl2data import form_weight, leading_exponents, weight_lower_bound, xi_set
+from .sl2data import form_weight, leading_exponents, rep_dimension, weight_lower_bound, xi_set
 
 __all__ = [
     "HypergeomSpec",
@@ -67,9 +68,8 @@ __all__ = [
     "table_fixture_check",
 ]
 
-# (w, scale) of the forms eis_w that the kappas multiply, in order:
-# scale * eis_w = E_w is integral with constant term 1.
-_FORMS = ((4, 720), (6, -30240))
+# weights w of the forms eis_w that the kappas multiply, in order
+_FORMS = (4, 6)
 _MAX_ORDER = len(_FORMS) + 1  # an equation of order d uses d - 1 forms
 
 
@@ -200,11 +200,7 @@ def _component_factors(lam_i: Fraction, others: list[Fraction]) -> tuple[Fractio
 
 def _dimension(k: int, lam: int) -> int:
     """Validate a generator's (k, lam); return its dimension."""
-    if not 0 <= lam <= k:
-        raise ValueError(f"need 0 <= lambda <= k, got lambda={lam}, k={k}")
-    if lam % 2 != 0:
-        raise ValueError(f"lambda must be even (no self-couplings otherwise), got {lam}")
-    d = k - lam + 1
+    d = rep_dimension(k, lam)
     if d > _MAX_ORDER:
         raise UnsupportedDimensionError(f"no generator formula for dimension {d}")
     return d
@@ -296,10 +292,11 @@ def _indicial_kappas(weight, exponents) -> tuple[Fraction, ...]:
     acting at ``weight``, whose indicial roots are ``exponents``.
 
     D_w sends q^x to (x - w/12) q^x + O(q^{x+1}), so with s_i = w/12 + i/6
-    the indicial polynomial is prod_{i<d} (x - s_i) + sum_t (kappa_t/scale_t)
-    prod_{i<d-2-t} (x - s_i).  Each product is monic, so matching it against
-    prod (x - exponent) gives the kappas in turn from the coefficients of
-    x^(d-2), x^(d-3), ..., provided the exponents sum to the s_i.
+    the indicial polynomial is prod_{i<d} (x - s_i) + sum_t kappa_t e_t
+    prod_{i<d-2-t} (x - s_i), e_t the constant term of eis_w.  Each product
+    is monic, so matching it against prod (x - exponent) gives the kappas in
+    turn from the coefficients of x^(d-2), x^(d-3), ..., provided the
+    exponents sum to the s_i.
     """
     w = Fraction(weight)
     d = len(exponents)
@@ -310,9 +307,9 @@ def _indicial_kappas(weight, exponents) -> tuple[Fraction, ...]:
     if diff[d - 1] != 0:
         raise ValueError(f"exponents {exponents} do not sum to {sum(shifts)} as weight {w} needs")
     kappas = []
-    for j, (_, scale) in zip(reversed(range(d - 1)), _FORMS):
-        ratio = diff[j]  # kappa_t / scale_t, the leading coefficient of its term
-        kappas.append(scale * ratio)
+    for j, w in zip(reversed(range(d - 1)), _FORMS):
+        ratio = diff[j]  # kappa_t e_t, the leading coefficient of its term
+        kappas.append(ratio / eisenstein(w, 1).coeffs[0])
         for i, c in enumerate(_roots_polynomial(shifts[:j])):
             diff[i] -= ratio * c
     return tuple(kappas)
@@ -332,18 +329,6 @@ def mlde_equation(k: int, lam: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     return weight, _indicial_kappas(weight, leading_exponents(k, lam))
 
 
-def _integer_eisenstein(weight: int, scale: int, order: int) -> list[int]:
-    """The coefficients of ``scale * eisenstein(weight, order)``, which must
-    be integers."""
-    out = []
-    for c in eisenstein(weight, order).coeffs:
-        c = scale * c
-        if c.denominator != 1:
-            raise InternalInconsistencyError(f"{scale} * eis_{weight} is not integral")
-        out.append(c.numerator)
-    return out
-
-
 def _theta_form(weight: Fraction, kappas, order: int) -> tuple[int, list[list[int]]]:
     """The monic equation of order d = len(kappas)+1 acting at ``weight``,
     written as sum_j a_j(q) theta^j with theta = q d/dq: (den, A) with
@@ -351,19 +336,20 @@ def _theta_form(weight: Fraction, kappas, order: int) -> tuple[int, list[list[in
     A[d] = [den, 0, 0, ...].
 
     Built from D_v (sum_j a_j theta^j) = sum_j (theta a_j + v eis_2 a_j)
-    theta^j + a_j theta^(j+1), the integer series 12 eis_2 = -1 +
-    24 sum sigma_1(n) q^n and the integral scale * eis_w of ``_FORMS``.
-    Every product is an integer convolution, and each step multiplies the
-    shared denominator by the denominator of v/12 or of a kappa's ratio.
+    theta^j + a_j theta^(j+1), with each eis_w scaled to integers over its
+    own denominator (12 eis_2 = -1 + 24 sum sigma_1(n) q^n, 720 eis_4 = E_4,
+    30240 eis_6 = -E_6).  Every product is an integer convolution, and each
+    step multiplies the shared denominator by the denominator of v/12 or of
+    a kappa's ratio.
     """
     d = len(kappas) + 1
-    e2 = _integer_eisenstein(2, 12, order)
+    e2_den, e2 = _integers(eisenstein(2, order).coeffs)
     # powers[i] = (den, A) of D^i, starting from the identity
     powers = [(1, [[1] + [0] * (order - 1)])]
     for i in range(d):
         den, ops = powers[-1]
         v = weight + 2 * i
-        s = 12 * v.denominator  # v eis_2 = v.numerator * e2 / s
+        s = e2_den * v.denominator  # v eis_2 = v.numerator * e2 / s
         nxt = [[0] * order for _ in range(len(ops) + 1)]
         for j, a in enumerate(ops):
             e2a = _convolve(e2, a, order)
@@ -374,11 +360,11 @@ def _theta_form(weight: Fraction, kappas, order: int) -> tuple[int, list[list[in
             nxt[j + 1] = [z + s * x for z, x in zip(nxt[j + 1], a)]
         powers.append((den * s, nxt))
     den, op = powers[d]
-    # + kappa_t eis_w D^(d-2-t) = (kappa_t / scale) E_w D^(d-2-t)
-    for t, (kappa, (w, scale)) in enumerate(zip(kappas, _FORMS)):
+    # + kappa_t eis_w D^(d-2-t), with eis_w = e / scale
+    for t, (kappa, w) in enumerate(zip(kappas, _FORMS)):
         low_den, low = powers[d - 2 - t]
+        scale, e = _integers(eisenstein(w, order).coeffs)
         ratio = Fraction(kappa) * den / (scale * low_den)
-        e = _integer_eisenstein(w, scale, order)
         op = [[ratio.denominator * x for x in a] for a in op]
         den *= ratio.denominator
         for j, a in enumerate(low):
@@ -468,7 +454,7 @@ def _apply_mlde(f: QExpansion, weight: Fraction, kappas) -> QExpansion:
     for i in range(d):
         ds.append(modular_derivative(ds[-1], weight + 2 * i))
     res = ds[d]
-    for t, (kappa, (w, _)) in enumerate(zip(kappas, _FORMS)):
+    for t, (kappa, w) in enumerate(zip(kappas, _FORMS)):
         res = res + kappa * (eisenstein(w, f.order) * ds[d - 2 - t]).truncate(valid)
     return res
 

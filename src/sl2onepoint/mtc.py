@@ -67,6 +67,7 @@ from operator import mul
 from .errors import PrecisionLossError, RelationViolationError
 from .qseries import fraction_to_str
 from .sl2data import (
+    _check_label,
     _check_level,
     central_charge,
     conformal_weight,
@@ -112,13 +113,6 @@ def _as_twice(x) -> int:
     if d.denominator != 1:
         raise ValueError(f"{x} is not a half-integer")
     return int(d)
-
-
-def _admissible(k: int, a: int, b: int, c: int) -> bool:
-    """The fusion rule N_{ab}^c = 1 at level k, which is also the
-    admissibility of the spin triad with doubled labels (a, b, c):
-    triangle inequalities, even sum, and sum <= 2k."""
-    return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b and a + b + c <= 2 * k
 
 
 class _QNumbers:
@@ -190,11 +184,11 @@ def _six_j2(k: int, a2: int, b2: int, e2: int, d2: int, c2: int, f2: int) -> flo
 
 def six_j(k: int, a, b, e, d, c, f) -> float:
     """Quantum 6j-symbol {a b e; d c f} for half-integer spins at level k.
-    An inadmissible triad raises ``ValueError``."""
-    _check_level(k)
+    A spin triad whose doubled labels break the fusion rule raises
+    ``ValueError``."""
     a2, b2, e2, d2, c2, f2 = (_as_twice(x) for x in (a, b, e, d, c, f))
     for triad in ((a2, b2, e2), (a2, c2, f2), (c2, e2, d2), (d2, b2, f2)):
-        if not _admissible(k, *triad):
+        if not fusion_coefficient(k, *triad):
             raise ValueError(f"inadmissible spin triad {tuple(x / 2 for x in triad)} at level {k}")
     return _six_j2(k, a2, b2, e2, d2, c2, f2)
 
@@ -272,7 +266,7 @@ class GenModularPair:
     p_label: int
     basis: tuple[int, ...]
     s_matrix: Matrix
-    t_matrix: Matrix
+    t_diagonal: tuple[complex, ...]
     relation_residuals: dict[str, float]
     stages: dict[str, float] = field(default_factory=dict)
 
@@ -285,7 +279,7 @@ class GenModularPair:
             "p": self.p_label,
             "basis": list(self.basis),
             "s_matrix": [[cpx(z) for z in row] for row in self.s_matrix],
-            "t_diagonal": [cpx(row[a]) for a, row in enumerate(self.t_matrix)],
+            "t_diagonal": [cpx(z) for z in self.t_diagonal],
             "relation_residuals": {key: float(v) for key, v in self.relation_residuals.items()},
             "stages": dict(self.stages),
         }
@@ -300,11 +294,6 @@ def _max_abs_diff(a: Matrix, b: Matrix) -> float:
     """The largest entrywise |a - b|, NaN if any difference is NaN."""
     diffs = [abs(x - y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)]
     return math.nan if any(map(math.isnan, diffs)) else max(diffs)
-
-
-def _diagonal(entries) -> Matrix:
-    n = len(entries)
-    return tuple(tuple(entries[a] if a == b else 0j for b in range(n)) for a in range(n))
 
 
 def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> GenModularPair:
@@ -348,7 +337,7 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     s2 = _matmul(s, s)
     res_braid = _max_abs_diff(st3, s2)
     s4 = _matmul(s2, s2)
-    res_dehn = _max_abs_diff(s4, _diagonal([1 / theta[p]] * dim))
+    res_dehn = _max_abs_diff(s4, [[(a == b) / theta[p] for b in range(dim)] for a in range(dim)])
     residuals = {"st_cubed_vs_s_squared": res_braid, "s_fourth_vs_inverse_twist": res_dehn}
     # phrased so that a NaN residual fails too
     if not (res_braid <= tolerance and res_dehn <= tolerance):
@@ -368,7 +357,7 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
         p_label=p,
         basis=basis,
         s_matrix=s,
-        t_matrix=_diagonal(t_diag),
+        t_diagonal=t_diag,
         relation_residuals=residuals,
         stages=stages,
     )
@@ -387,7 +376,7 @@ def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERA
         raise ValueError(f"refusing subset enumeration for basis size {dim} > 20")
     if dim == 1:
         return "irreducible"
-    tdiag = [row[a] for a, row in enumerate(pair.t_matrix)]
+    tdiag = pair.t_diagonal
     for a in range(dim):
         for b in range(a + 1, dim):
             if abs(tdiag[a] - tdiag[b]) <= tolerance:
@@ -424,8 +413,8 @@ def compare_with_analytic(
     nu_t = _e(multiplier(sig.multiplier_weight, "T"))
     nu_s = _e(multiplier(sig.multiplier_weight, "S"))
     t_resid = {}
-    for a, (mu, r) in enumerate(zip(pair.basis, sig.t_exponents)):
-        t_resid[mu] = float(abs(pair.t_matrix[a][a] / nu_t - _e(r)))
+    for mu, t, r in zip(pair.basis, pair.t_diagonal, sig.t_exponents):
+        t_resid[mu] = float(abs(t / nu_t - _e(r)))
     s_over_nu = [[z / nu_s for z in row] for row in pair.s_matrix]
     return {
         "level": k,
@@ -460,9 +449,7 @@ def verlinde_fusion(k: int, lam: int, mu: int, nu: int) -> float:
     """Fusion number from the character S-matrix:
     sum_m S_{lam,m} S_{mu,m} conj(S_{nu,m}) / S_{0,m}; the matrix is
     real, so the conjugation is the identity."""
-    _check_level(k)
     for label in (lam, mu, nu):
-        if not 0 <= label <= k:
-            raise ValueError(f"label {label} out of range 0..{k}")
+        _check_label(k, label)
     s = f_r_g_matrices(k).s_char
     return float(sum(s[lam][m] * s[mu][m] * s[nu][m] / s[0][m] for m in range(k + 1)))

@@ -9,8 +9,8 @@ values.  The leading exponent may be fractional, but all exponents of a
 single series live in the coset ``lam + Z``; binary operations insist on
 compatible cosets.  The ``order`` field records how many coefficients are
 trustworthy; operations shrink it conservatively and never extrapolate.
-The O(N^2) loops of products and rational powers run on Python ints
-over shared denominators; only the N results become Fractions.
+The O(N^2) loops of products, rational powers and quotients run on
+Python ints over shared denominators; only the N results become Fractions.
 
 Alongside the ring operations this module provides the standard modular
 constructors (Bernoulli numbers, Eisenstein series, Dedekind eta powers,
@@ -132,16 +132,7 @@ class QExpansion:
             return True
         if (self.leading_exponent - other.leading_exponent).denominator != 1:
             return False
-        lam = min(self.leading_exponent, other.leading_exponent)
-        sa = int(self.leading_exponent - lam)
-        sb = int(other.leading_exponent - lam)
-        n = min(sa + self.order, sb + other.order)
-        for i in range(n):
-            ca = self.coeffs[i - sa] if 0 <= i - sa < self.order else Fraction(0)
-            cb = other.coeffs[i - sb] if 0 <= i - sb < other.order else Fraction(0)
-            if ca != cb:
-                return False
-        return True
+        return (self - other).is_zero()
 
     # -- ring operations ----------------------------------------------
 
@@ -299,6 +290,13 @@ def _convolve(xs, ys, n: int) -> list[int]:
     return acc
 
 
+def _integers(coeffs) -> tuple[int, list[int]]:
+    """(den, nums) with coeffs[i] = nums[i]/den and den the lcm of the
+    denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 def series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
     """Cauchy product; exponents add, validity is the minimum of the inputs.
 
@@ -307,34 +305,26 @@ def series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
     Fraction's gcd.
     """
     n = min(a.order, b.order)
-    da = math.lcm(*(c.denominator for c in a.coeffs[:n]))
-    db = math.lcm(*(c.denominator for c in b.coeffs[:n]))
-    acc = _convolve(
-        [c.numerator * (da // c.denominator) for c in a.coeffs[:n]],
-        [c.numerator * (db // c.denominator) for c in b.coeffs[:n]],
-        n,
-    )
+    da, xs = _integers(a.coeffs[:n])
+    db, ys = _integers(b.coeffs[:n])
     den = da * db
+    acc = _convolve(xs, ys, n)
     return QExpansion(a.leading_exponent + b.leading_exponent, [Fraction(x, den) for x in acc], n)
 
 
 def series_div(a: QExpansion, b: QExpansion) -> QExpansion:
-    """Long division; b must have a non-zero initial coefficient."""
+    """a/b = a * (b/b0)**-1 / b0 by Miller's reciprocal; b must have a
+    non-zero initial coefficient b0."""
     if b.order == 0 or b.coeffs[0] == 0:
         raise ZeroDivisionError(
             "series division needs a divisor with non-zero initial coefficient; "
             "canonicalise the divisor first"
         )
     n = min(a.order, b.order)
-    inv0 = 1 / b.coeffs[0]
-    coeffs: list[Fraction] = []
-    for i in range(n):
-        acc = a.coeffs[i]
-        for m in range(1, i + 1):
-            if b.coeffs[m] != 0:
-                acc -= b.coeffs[m] * coeffs[i - m]
-        coeffs.append(acc * inv0)
-    return QExpansion(a.leading_exponent - b.leading_exponent, coeffs, n)
+    b0 = b.coeffs[0]
+    unit = QExpansion(0, [c / b0 for c in b.coeffs[: max(n, 1)]])  # never order 0
+    quotient = series_mul(a, series_pow_rational(unit, -1)) / b0
+    return QExpansion(a.leading_exponent - b.leading_exponent, quotient.coeffs, n)
 
 
 def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
@@ -372,14 +362,10 @@ def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
     # Miller recurrence: a*b' = alpha*a'*b with b = a**alpha, times Q*d*den
     n = a.order
     p, q = alpha.numerator, alpha.denominator
-    d = math.lcm(*(c.denominator for c in a.coeffs))
+    d, nums = _integers(a.coeffs)
     qd = q * d
     # term i contributes ((P+Q) i - Q m) A_i b_{m-i} = (u - m v) b_{m-i}
-    terms = []
-    for i, c in enumerate(a.coeffs):
-        if i and c:
-            coeff = c.numerator * (d // c.denominator)
-            terms.append((i, (p + q) * i * coeff, q * coeff))
+    terms = [(i, (p + q) * i * x, q * x) for i, x in enumerate(nums) if i and x]
     den = 1 if qd == 1 else math.factorial(n - 1) * qd ** (n - 1)
     b = [den] + [0] * (n - 1)
     for m in range(1, n):
@@ -474,14 +460,15 @@ def eta_power(r, order: int) -> QExpansion:
 def j_inverse(order: int) -> QExpansion:
     """1728/j as a q-series with leading term 1728*q.
 
-    Built as 1728*eta^24/(720*eis_4)^3, with the discriminant cross-checked
-    against ((720*eis_4)^3 - (-30240*eis_6)^2)/1728 term by term.
+    Built as 1728*eta^24/E_4^3, with the discriminant cross-checked
+    against (E_4^3 - E_6^2)/1728 term by term; E_w = eis_w made monic is
+    integral (720*eis_4 and -30240*eis_6).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     delta_eta = eta_power(24, order)
-    e4 = 720 * eisenstein(4, order + 1)
-    e6 = -30240 * eisenstein(6, order + 1)
+    e4 = eisenstein(4, order + 1).monic()
+    e6 = eisenstein(6, order + 1).monic()
     e4cubed = e4**3
     diff = (e4cubed - e6**2) / 1728
     if diff.coeffs[0] != 0:

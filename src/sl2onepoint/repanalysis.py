@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .errors import UnsupportedDimensionError
 from .qseries import fraction_to_str
-from .sl2data import RepSignature, rho_t, weight_lower_bound
+from .sl2data import RepSignature, rep_dimension, rho_t, weight_lower_bound
 
 __all__ = [
     "AdmissibleSet",
@@ -120,7 +120,7 @@ def hp_coefficient(d: int, n: int) -> int:
 def graded_dimension(k: int, lam: int, n: int) -> int:
     """Closed-form graded dimension of the space of forms obtained from
     grade-n insertions, for dimensions 1-3 (k at least 2/3/4 resp.)."""
-    d = k - lam + 1
+    d = rep_dimension(k, lam)
     if d not in (1, 2, 3):
         raise UnsupportedDimensionError(f"closed forms cover dimensions 1-3, got {d}")
     if k < d + 1:
@@ -196,11 +196,7 @@ def congruence_classify(k: int, lam: int) -> CongruenceVerdict:
     (non-congruence iff the T-order does not divide 2^8 3^4 5^2 7^2),
     then the prime-power rule (non-congruence conditional on
     irreducibility).  Anything unmatched is undetermined."""
-    if lam % 2 != 0:
-        raise ValueError(f"lambda must be even, got {lam}")
-    if not 0 <= lam <= k:
-        raise ValueError(f"need 0 <= lambda <= k, got lambda={lam}, k={k}")
-    d = k - lam + 1
+    d = rep_dimension(k, lam)
     if d == 1:
         return CongruenceVerdict(CONGRUENCE, None, "thm-dim1")
     if d == 2:

@@ -22,6 +22,7 @@ __all__ = [
     "central_charge",
     "conformal_weight",
     "fusion_coefficient",
+    "rep_dimension",
     "xi_set",
     "leading_exponents",
     "rho_t",
@@ -122,30 +123,33 @@ def xi_set(k: int, lam: int) -> list[int]:
     return list(range(lam // 2, k - lam // 2 + 1))
 
 
-def _check_even(lam: int) -> None:
+def rep_dimension(k: int, lam: int) -> int:
+    """Dimension d = k - lam + 1 of the representation attached to
+    insertions from the simple module with finite weight ``lam``.  A label
+    outside 0..k, or an odd one (no self-couplings), raises ``ValueError``."""
+    _check_label(k, lam)
     if lam % 2 != 0:
         raise ValueError(f"finite weight lambda must be even, got {lam}")
+    return k - lam + 1
 
 
 def leading_exponents(k: int, lam: int) -> list[Fraction]:
     """h_mu - c/24 = (2 mu^2 + 4 mu - k)/(8(k+2)) for mu in the label set."""
-    _check_label(k, lam)
-    _check_even(lam)
+    rep_dimension(k, lam)
     c = central_charge(k)
     return [conformal_weight(k, mu) - c / 24 for mu in xi_set(k, lam)]
 
 
 def rho_t(k: int, lam: int) -> RepSignature:
     """Exact exponents r_mu = h_mu - c/24 - h_lam/12 of the diagonal T-action."""
-    _check_label(k, lam)
-    _check_even(lam)
+    d = rep_dimension(k, lam)
     h_lam = conformal_weight(k, lam)
     shift = h_lam / 12
     exps = tuple(x - shift for x in leading_exponents(k, lam))
     return RepSignature(
         level=k,
         lam=lam,
-        dimension=k - lam + 1,
+        dimension=d,
         t_exponents=exps,
         multiplier_weight=h_lam,
     )
@@ -173,11 +177,9 @@ def holomorphy_classify(k: int, lam: int) -> str:
     refined to whether one-point functions exhaust the holomorphic space
     (sharp k-ranges), and higher dimensions have no refinement.
     """
-    _check_label(k, lam)
-    _check_even(lam)
+    d = rep_dimension(k, lam)
     if lam * lam + 4 * lam - 2 * k < 0:
         return WEAKLY_ONLY
-    d = k - lam + 1
     if d not in _EQUALITY_RANGES:
         raise UnsupportedDimensionError(
             f"equality refinement only known for dimensions 1-3, got {d}"
@@ -205,8 +207,6 @@ def form_weight(k: int, lam: int) -> Fraction:
 
 def saturation_check(k: int, lam: int) -> bool:
     """Exact equality weight_lower_bound(leading exponents) = form_weight."""
-    _check_label(k, lam)
-    _check_even(lam)
     return weight_lower_bound(leading_exponents(k, lam)) == form_weight(k, lam)
 
 
@@ -217,8 +217,7 @@ def leading_trace_sum(k: int, lam: int, mu: int) -> Fraction:
     sum_{i=0}^{mu-lam/2} ((mu-i)!/(i! mu!)) *
         ((lam/2+i)! (mu-lam/2)!) / ((lam/2)! (mu-lam/2-i)!)
     """
-    _check_label(k, lam)
-    _check_even(lam)
+    rep_dimension(k, lam)
     if mu not in xi_set(k, lam):
         raise ValueError(f"label {mu} admits no self-coupling with lambda={lam} at level {k}")
     half = lam // 2

@@ -5,8 +5,10 @@ recurrence, the theta-form of the monic equations and their coefficient
 recurrence on Python ints over shared denominators.  These are the same
 recurrences with every running sum held as a reduced ``Fraction``:
 slower, but with no common denominator, no exact division and no Horner
-rearrangement of the denominators to get wrong.  Tests compare the
-library against them with ``==``.
+rearrangement of the denominators to get wrong.  Series division, which
+the library runs as a product with Miller's reciprocal, is checked
+against plain long division.  Tests compare the library against them
+with ``==``.
 """
 
 import math
@@ -31,6 +33,22 @@ def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
             acc += ((alpha + 1) * i - m) * c * b[m - i]
         b[m] = acc / m
     return QExpansion(0, b, n)
+
+
+def series_div(a: QExpansion, b: QExpansion) -> QExpansion:
+    """a/b by long division, for b with a non-zero initial coefficient:
+    each quotient coefficient from the ones before it."""
+    assert b.order > 0 and b.coeffs[0] != 0
+    n = min(a.order, b.order)
+    inv0 = 1 / b.coeffs[0]
+    coeffs: list[Fraction] = []
+    for i in range(n):
+        acc = a.coeffs[i]
+        for m in range(1, i + 1):
+            if b.coeffs[m] != 0:
+                acc -= b.coeffs[m] * coeffs[i - m]
+        coeffs.append(acc * inv0)
+    return QExpansion(a.leading_exponent - b.leading_exponent, coeffs, n)
 
 
 def theta_form(weight, kappas, order: int) -> list[QExpansion]:

@@ -111,6 +111,8 @@ def test_six_j_rejects_inadmissible():
         six_j(2, F(1, 2), F(1, 2), 1, 0, 0, 0)  # (a,c,f) fails
     with pytest.raises(ValueError):
         six_j(1, 1, 1, 1, 1, 1, 1)  # a+b+e > k
+    with pytest.raises(ValueError, match="out of range"):
+        six_j(2, F(-1, 2), F(1, 2), 0, 0, 0, 0)  # a negative label
 
 
 def test_six_j_collapse_pattern():
@@ -479,9 +481,9 @@ def test_one_dimensional_t_value():
     # T^(k) = e(k/16)
     for k in (2, 4, 6, 10):
         pair = gen_modular_pair(k, k)
-        assert np.asarray(pair.t_matrix).shape == (1, 1)
+        assert len(pair.t_diagonal) == 1
         want = np.exp(2j * np.pi * k / 16)
-        assert abs(pair.t_matrix[0][0] - want) < TOL
+        assert abs(pair.t_diagonal[0] - want) < TOL
 
 
 def test_s_k_report_matches_multiplier_value():
@@ -512,7 +514,7 @@ def test_level5_p2_published_matrix():
     pair = gen_modular_pair(5, 2)
     assert pair.basis == (1, 2, 3, 4)
     # diagonal T = e(1/56), e(11/56), e(25/56), e(43/56)
-    for entry, frac in zip(np.diag(np.asarray(pair.t_matrix)), (F(1, 56), F(11, 56), F(25, 56), F(43, 56))):
+    for entry, frac in zip(pair.t_diagonal, (F(1, 56), F(11, 56), F(25, 56), F(43, 56))):
         assert abs(entry - np.exp(2j * np.pi * float(frac))) < TOL
     a = -0.16 - 0.33j
     b = -0.26 - 0.55j
@@ -624,7 +626,7 @@ def test_probe_inconclusive_on_t_collision():
         p_label=0,
         basis=(0, 1),
         s_matrix=_diag([1.0 + 0j, 1.0 + 0j]),
-        t_matrix=_diag([1.0 + 0j, 1.0 + 0j]),
+        t_diagonal=(1.0 + 0j, 1.0 + 0j),
         relation_residuals={},
     )
     assert irreducibility_probe(fake) == "inconclusive"
@@ -636,7 +638,7 @@ def test_probe_detects_zero_coupling():
         p_label=0,
         basis=(0, 1),
         s_matrix=_diag([1.0 + 0j, -1.0 + 0j]),  # block diagonal: invariant axes
-        t_matrix=_diag([1.0 + 0j, 1j]),
+        t_diagonal=(1.0 + 0j, 1j),
         relation_residuals={},
     )
     assert irreducibility_probe(fake) == "inconclusive"
@@ -649,7 +651,7 @@ def test_probe_refuses_large_basis():
         p_label=0,
         basis=tuple(range(n)),
         s_matrix=_diag([1.0 + 0j] * n),
-        t_matrix=_diag([complex(np.exp(2j * np.pi * a / n)) for a in range(n)]),
+        t_diagonal=tuple(complex(np.exp(2j * np.pi * a / n)) for a in range(n)),
         relation_residuals={},
     )
     with pytest.raises(ValueError):
@@ -666,12 +668,12 @@ def test_probe_refuses_non_finite_s(bad):
         p_label=2,
         basis=(1, 2),
         s_matrix=s,
-        t_matrix=_diag([1.0 + 0j, 1j]),
+        t_diagonal=(1.0 + 0j, 1j),
         relation_residuals={},
     )
     with pytest.raises(ValueError, match="non-finite"):
         irreducibility_probe(fake)
-    finite = GenModularPair(3, 2, (1, 2), ((0.5 + 0j, 0.5 + 0j), s[1]), fake.t_matrix, {})
+    finite = GenModularPair(3, 2, (1, 2), ((0.5 + 0j, 0.5 + 0j), s[1]), fake.t_diagonal, {})
     assert irreducibility_probe(finite) == "irreducible"
 
 

@@ -347,6 +347,38 @@ def test_series_div_rejects_zero_lead():
         series_div(num, den)
 
 
+_leads = st.sampled_from([F(0), F(1, 3), F(-2), F(5, 4)])
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_coeffs, min_size=0, max_size=14),
+    _coeffs.filter(lambda x: x != 0),
+    st.lists(_coeffs, min_size=0, max_size=14),
+    _leads,
+    _leads,
+)
+def test_series_div_equals_fraction_oracle(a_coeffs, b0, b_tail, a_lead, b_lead):
+    # Miller's reciprocal on ints against Fraction long division: any
+    # non-zero b0, shifted leading exponents, unequal orders
+    a = QExpansion(a_lead, a_coeffs)
+    b = QExpansion(b_lead, [b0] + b_tail)
+    got = series_div(a, b)
+    assert got == fraction_oracle.series_div(a, b)
+    assert got.order == min(a.order, b.order)
+
+
+def test_j_inverse_equals_oracle_quotient():
+    # 1728 eta^24 / E_4^3 by Fraction long division, with the integral
+    # E_4 = 1 + 240 sum sigma_3(n) q^n from brute-force divisor sums
+    big = 120
+    e4 = QExpansion(0, [F(1)] + [F(240 * sigma_oracle(n, 3)) for n in range(1, big)])
+    want = fraction_oracle.series_div(1728 * eta_power(24, big), e4**3)
+    for n in range(1, big + 1):
+        assert j_inverse(n) == want.truncate(n), n
+
+
 # -- modular derivative ----------------------------------------------------
 
 

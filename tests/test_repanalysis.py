@@ -162,6 +162,14 @@ def test_graded_dimension_guards():
         graded_dimension(2, 0, 4)  # dim 3 needs k >= 4
 
 
+def test_graded_dimension_rejects_bad_labels():
+    # an odd lambda has no self-couplings; lambda > k and a negative level
+    # are no labels: invalid input, not an unsupported dimension
+    for args in ((5, 3, 4), (1, 3, 0), (-1, 0, 0)):
+        with pytest.raises(ValueError):
+            graded_dimension(*args)
+
+
 # -- T-order ----------------------------------------------------------------------
 
 

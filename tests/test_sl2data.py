@@ -19,6 +19,7 @@ from sl2onepoint.sl2data import (
     leading_exponents,
     leading_trace_sum,
     multiplier,
+    rep_dimension,
     rho_t,
     saturation_check,
     xi_set,
@@ -118,6 +119,16 @@ def test_leading_exponents_formula_and_monotone():
 def test_leading_exponents_rejects_odd():
     with pytest.raises(ValueError):
         leading_exponents(5, 3)
+
+
+def test_rep_dimension_is_the_one_label_gate():
+    assert [rep_dimension(6, lam) for lam in (0, 2, 4, 6)] == [7, 5, 3, 1]
+    for k in range(9):
+        for lam in range(0, k + 1, 2):
+            assert rho_t(k, lam).dimension == rep_dimension(k, lam) == len(xi_set(k, lam))
+    for k, lam in ((5, 3), (1, 3), (-1, 0), (4, -2)):
+        with pytest.raises(ValueError):
+            rep_dimension(k, lam)
 
 
 # -- T-action ---------------------------------------------------------------
