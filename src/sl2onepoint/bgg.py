@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qseries import fraction_to_str
-from .sl2data import _check_label, rep_dimension
+from .sl2data import _check_label, _conformal_weight, rep_dimension
 
 __all__ = ["ZQCharacter", "simple_character", "trivial_multiplicity"]
 
@@ -106,24 +106,18 @@ def _resolution_weight(lam: int, k: int, i: int) -> int:
     return -lam - 2 + ((i + 1) // 2) * 2 * (k + 2)
 
 
-def _h(k: int, w: int) -> Fraction:
-    """h_w = w(w+2)/(4(k+2)) for any integer w; the resolution runs
-    through weights far above the level."""
-    return Fraction(w * (w + 2), 4 * (k + 2))
-
-
 def simple_character(k: int, lam: int, qorder: int) -> ZQCharacter:
     """Character rows of L(k, lam) through q-grade qorder - 1."""
     _check_label(k, lam)
     if qorder < 1:
         raise ValueError("qorder must be >= 1")
     inv = [dict(row) for row in _denominator_inverse(qorder)]
-    h_lam = _h(k, lam)
+    h_lam = _conformal_weight(k, lam)
     rows: list[Row] = [{} for _ in range(qorder)]
     i = 0
     while True:
         w = _resolution_weight(lam, k, i)
-        gap = _h(k, w) - h_lam
+        gap = _conformal_weight(k, w) - h_lam
         if gap.denominator != 1:
             raise ArithmeticError("non-integer conformal gap in the resolution")
         n0 = int(gap)

@@ -104,10 +104,7 @@ def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
     except UnsupportedDimensionError:
         holomorphy = None  # no sharp refinement above dimension 3
     verdict = repanalysis.congruence_classify(k, lam)
-    try:
-        irred = repanalysis.irreducibility_subproduct_test(sig)
-    except ValueError as exc:
-        irred = f"refused: {exc}"
+    irred = repanalysis.irreducibility_subproduct_test(sig)
     payload = {
         "level": k,
         "lambda": lam,

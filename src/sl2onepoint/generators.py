@@ -10,7 +10,8 @@ indicial roots are the components' leading exponents, which fix the
 kappas in closed form.  Written as sum_j a_j(q) theta^j with
 theta = q d/dq, the equation yields each component one coefficient at a
 time (``mlde_solutions``), in O(N^2) exact operations for N coefficients,
-all of them on Python ints over shared denominators.
+all of them on Python ints: each component is held over the lcm of its
+reduced denominators so far, never over the product of the step divisors.
 No two exponents differ by an integer, so each component is the unique
 solution with leading coefficient 1; that normalisation, which an
 intertwiner rescaling always permits, keeps the pipeline in exact
@@ -20,7 +21,8 @@ The hypergeometric construction eta^E * q^c * v^c * pFq(1728/j) per
 component (Franc-Mason style), with the minimal-exponent normal form
 {0, 1/4} resp. {0, (k+1)/(4(k+2)), 1/2} fixing all parameters, is kept
 as ``hypergeometric_generator``.  It costs O(N^3) and serves as the
-independent oracle for the recurrence.  It drops the irrational
+independent oracle for the recurrence; each power of 1728/j is cut to the
+terms that reach the truncated sum.  It drops the irrational
 constants 1728^a coming from powers of J by the same normalisation.
 
 The module also verifies the equations on the components, and checks the
@@ -128,7 +130,8 @@ def hypergeom_series(spec: HypergeomSpec, arg: QExpansion, order: int) -> QExpan
     total = one(order)
     power = one(min(arg.order, order))
     for n in range(1, nterms):
-        power = power * arg
+        # arg^n starts at q^(n step): only its first order - n step terms reach the sum
+        power = (power * arg).truncate(order - n * step)
         total = total + coeffs[n] * power
     return total.truncate(order)
 
@@ -329,11 +332,11 @@ def mlde_equation(k: int, lam: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     return weight, _indicial_kappas(weight, leading_exponents(k, lam))
 
 
-def _theta_form(weight: Fraction, kappas, order: int) -> tuple[int, list[list[int]]]:
+def _theta_form(weight: Fraction, kappas, order: int) -> list[list[int]]:
     """The monic equation of order d = len(kappas)+1 acting at ``weight``,
-    written as sum_j a_j(q) theta^j with theta = q d/dq: (den, A) with
-    a_j = A[j]/den, ``den`` the least common denominator of all a_j and
-    A[d] = [den, 0, 0, ...].
+    written as sum_j a_j(q) theta^j with theta = q d/dq: the integer lists
+    A with a_j = A[j]/den, where A[d] = [den, 0, 0, ...] and ``den`` is the
+    least common denominator of all a_j.
 
     Built from D_v (sum_j a_j theta^j) = sum_j (theta a_j + v eis_2 a_j)
     theta^j + a_j theta^(j+1), with each eis_w scaled to integers over its
@@ -369,8 +372,8 @@ def _theta_form(weight: Fraction, kappas, order: int) -> tuple[int, list[list[in
         den *= ratio.denominator
         for j, a in enumerate(low):
             op[j] = [x + ratio.numerator * y for x, y in zip(op[j], _convolve(e, a, order))]
-    g = math.gcd(den, *(x for a in op for x in a))
-    return den // g, [[x // g for x in a] for a in op]
+    g = math.gcd(*(x for a in op for x in a))
+    return [[x // g for x in a] for a in op]
 
 
 def mlde_solutions(weight, exponents, order: int) -> list[QExpansion]:
@@ -385,62 +388,51 @@ def mlde_solutions(weight, exponents, order: int) -> list[QExpansion]:
         c_n = -sum_{m<n} sum_j a_j[n-m] (x+m)^j c_m / P(x+n),
 
     O(N^2) operations for N coefficients, all on ints.  With a_j = A_j/den
-    and x = p/r, the inner polynomial is b/(den r^(top-1)) with integer
-    b = sum_j A_j[n-m] r^(top-1-j) (p+mr)^j.  Writing P(x+n) = u_n/v_n in
-    lowest terms and q_n = den r^(top-1) u_n, the solution is held as
-    c_n = C_n/Q_n with Q_n = q_1 ... q_n and C_n = -v_n S_n, where
-    S_n = sum_{m<n} b C_m q_{m+1} ... q_{n-1} is summed by Horner in the q_i.
-    Only the N results become Fractions.  Raises DegenerateMldeError when
-    P(x+n) = 0 for some n >= 1 (two exponents differ by an integer, so the
-    solution is not unique or does not exist as a power series).
+    and x = p/r, one Horner table cols[s] = (A_j[s] r^(top-j)) for j = top
+    down to 0 gives both polynomials on integers: cols[n-m] at p+mr is
+    b = den r^top sum_j a_j[n-m] (x+m)^j, and cols[0] at p+nr is
+    den r^top P(x+n), so den r^top cancels.  The solution is held as
+    integers nums[m] over lcd, the lcm of the reduced denominators so far,
+    and c_n = -sum_m b nums[m] / (lcd den r^top P(x+n)); when lcd grows,
+    nums is rescaled.  Raises DegenerateMldeError when P(x+n) = 0 for some
+    n >= 1 (two exponents differ by an integer, so the solution is not
+    unique or does not exist as a power series).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     weight = Fraction(weight)
     exponents = [Fraction(x) for x in exponents]
-    kappas = _indicial_kappas(weight, exponents)
-    den, ops = _theta_form(weight, kappas, order)
-    # a_top = 1, so a shift s >= 1 sees only a_0 .. a_{top-1}
+    ops = _theta_form(weight, _indicial_kappas(weight, exponents), order)
     top = len(ops) - 1
-    constants = [a[0] for a in ops]
 
-    def indicial(p: int, r: int) -> Fraction:
-        """P(p/r), by Horner on ints."""
+    def horner(col, y: int) -> int:
         value = 0
-        for j in range(top, -1, -1):
-            value = value * p + constants[j] * r ** (top - j)
-        return Fraction(value, den * r**top)
+        for c in col:
+            value = value * y + c
+        return value
 
     out = []
     for x in exponents:
         p, r = x.numerator, x.denominator
-        if indicial(p, r) != 0:
+        cols = list(zip(*([c * r ** (top - j) for c in ops[j]] for j in reversed(range(top + 1)))))
+        if horner(cols[0], p) != 0:
             raise InternalInconsistencyError(f"{x} is not a root of the indicial polynomial")
-        # cols[s] = the A_j[s] r^(top-1-j) from j = top-1 down, for Horner in p+mr
-        cols = list(zip(*([c * r ** (top - 1 - j) for c in ops[j]] for j in reversed(range(top)))))
-        scale = den * r ** (top - 1)
-        nums = [1]  # C_n
-        steps = [1]  # q_n
+        cs = [Fraction(1)]
+        nums, lcd = [1], 1  # c_m = nums[m] / lcd
         for n in range(1, order):
-            pn = indicial(p + n * r, r)
+            pn = horner(cols[0], p + n * r)
             if pn == 0:
                 raise DegenerateMldeError(
                     f"exponents {x} and {x + n} differ by an integer: resonant equation"
                 )
-            acc = 0
-            for m in range(n):
-                y, s = p + m * r, n - m
-                b = 0
-                for c in cols[s]:
-                    b = b * y + c
-                acc = acc * steps[m] + b * nums[m]
-            nums.append(-pn.denominator * acc)
-            steps.append(scale * pn.numerator)
-        cs = []
-        denom = 1  # Q_n
-        for cn, qn in zip(nums, steps):
-            denom *= qn
-            cs.append(Fraction(cn, denom))
+            acc = sum(horner(cols[n - m], p + m * r) * c for m, c in enumerate(nums))
+            cn = Fraction(-acc, lcd * pn)
+            grow = cn.denominator // math.gcd(lcd, cn.denominator)
+            if grow > 1:
+                nums = [c * grow for c in nums]
+                lcd *= grow
+            nums.append(cn.numerator * (lcd // cn.denominator))
+            cs.append(cn)
         out.append(QExpansion(x, cs, order))
     return out
 

@@ -73,6 +73,7 @@ from .sl2data import (
     conformal_weight,
     fusion_coefficient,
     multiplier,
+    rep_dimension,
     rho_t,
     xi_set,
 )
@@ -300,15 +301,10 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     """Build (S^(p), T^(p)) from the categorical data and certify the
     relations (S T)^3 = S^2 and S^4 = theta_p^{-1} Id.  A residual above
     ``tolerance``, or one that is NaN, raises ``RelationViolationError``."""
-    _check_level(k)
-    if p % 2 != 0 or not 0 <= p <= k:
-        raise ValueError(f"p must be an even label in 0..{k}, got {p}")
+    dim = rep_dimension(k, p)
     data = f_r_g_matrices(k)
     theta, qdim = data.theta, data.qdim
     basis = tuple(i for i in data.labels if fusion_coefficient(k, p, i, i) == 1)
-    if not basis:
-        raise ValueError(f"label {p} has no self-couplings at level {k}")
-    dim = len(basis)
 
     # S^(p)_ij by the one-punctured-torus formula of the module docstring
     start = time.perf_counter()

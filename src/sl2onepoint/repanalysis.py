@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import UnsupportedDimensionError
 from .qseries import fraction_to_str
@@ -148,18 +147,21 @@ def t_order(k: int, lam: int) -> int:
 def irreducibility_subproduct_test(sig: RepSignature) -> str:
     """Sufficient irreducibility criterion: if no non-empty proper subset
     of T-exponents sums to a multiple of 1/12, the representation is
-    irreducible.  Inconclusive otherwise (the criterion is one-sided)."""
-    d = sig.dimension
-    if d > 20:
-        raise ValueError(f"refusing subset enumeration for dimension {d} > 20")
-    if d == 1:
-        return IRREDUCIBLE
-    exps = sig.t_exponents
-    for size in range(1, d):
-        for subset in combinations(exps, size):
-            if (12 * sum(subset)).denominator == 1:
-                return INCONCLUSIVE
-    return IRREDUCIBLE
+    irreducible.  Inconclusive otherwise (the criterion is one-sided).
+
+    Subset sums of the 12 r_i are decided by their residues modulo the
+    common denominator m, in O(d m) steps.  When all d residues sum to 0,
+    a qualifying proper subset or its complement omits the last exponent,
+    so only subsets of the first d - 1 are searched.
+    """
+    m = math.lcm(*((12 * r).denominator for r in sig.t_exponents))
+    residues = [int(12 * r * m) % m for r in sig.t_exponents]
+    if sum(residues) % m == 0:
+        residues.pop()
+    sums: set[int] = set()
+    for a in residues:
+        sums |= {(s + a) % m for s in sums} | {a}
+    return INCONCLUSIVE if 0 in sums else IRREDUCIBLE
 
 
 def prime_power_parameters(k: int) -> tuple[int, int] | None:
@@ -208,11 +210,7 @@ def congruence_classify(k: int, lam: int) -> CongruenceVerdict:
             return CongruenceVerdict(NONCONGRUENCE, None, "thm-dim3-order")
         return CongruenceVerdict(UNDETERMINED, None, "thm-dim3-order-divides")
     if prime_power_rule_applies(k, lam):
-        try:
-            certificate = irreducibility_subproduct_test(rho_t(k, lam))
-        except ValueError:
-            certificate = INCONCLUSIVE  # dimension too large to enumerate
-        if certificate == IRREDUCIBLE:
+        if irreducibility_subproduct_test(rho_t(k, lam)) == IRREDUCIBLE:
             return CongruenceVerdict(NONCONGRUENCE, None, "thm-prime-power")
         return CongruenceVerdict(UNDETERMINED, None, "thm-prime-power-conditional")
     return CongruenceVerdict(UNDETERMINED, None, "no-rule")

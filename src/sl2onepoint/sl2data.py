@@ -54,7 +54,13 @@ def central_charge(k: int) -> Fraction:
 def conformal_weight(k: int, mu: int) -> Fraction:
     """Conformal weight h_mu = mu(mu+2)/(4(k+2)) of the simple module mu."""
     _check_label(k, mu)
-    return Fraction(mu * (mu + 2), 4 * (k + 2))
+    return _conformal_weight(k, mu)
+
+
+def _conformal_weight(k: int, w: int) -> Fraction:
+    """h_w = w(w+2)/(4(k+2)) for any integer w, unchecked: the BGG
+    resolution runs through weights far above the level."""
+    return Fraction(w * (w + 2), 4 * (k + 2))
 
 
 def _check_level(k: int) -> None:

@@ -252,10 +252,32 @@ _RECURRENCE_CASES = [(k, k - 1) for k in range(3, 14, 2)] + [(k, k - 2) for k in
 @pytest.mark.parametrize("order", [1, 120])
 @pytest.mark.parametrize("k, lam", _RECURRENCE_CASES)
 def test_integer_recurrence_equals_fraction_oracle(k, lam, order):
-    # the library holds c_n = C_n/Q_n on ints; the oracle sums in Fraction,
-    # with its kappas from mlde_oracle rather than the library
+    # the library holds c_n as ints over the lcm of their reduced
+    # denominators; the oracle sums in Fraction, with its kappas from
+    # mlde_oracle rather than the library
     weight = conformal_weight(k, lam) + F(lam, 2)
     exponents = leading_exponents(k, lam)
+    want = fraction_oracle.mlde_solutions(
+        weight, exponents, indicial_kappas(weight, exponents), order
+    )
+    assert mlde_solutions(weight, exponents, order) == want
+
+
+def _non_resonant(exponents):
+    return all((a - b).denominator != 1 for i, a in enumerate(exponents) for b in exponents[:i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(-2, 2, max_denominator=30), min_size=2, max_size=3).filter(
+        _non_resonant
+    ),
+    st.integers(1, 30),
+)
+def test_integer_recurrence_equals_fraction_oracle_for_any_exponents(exponents, order):
+    # the weight that the exponents' sum fixes: 12 sum/d - (d - 1)
+    d = len(exponents)
+    weight = 12 * sum(exponents) / d - (d - 1)
     want = fraction_oracle.mlde_solutions(
         weight, exponents, indicial_kappas(weight, exponents), order
     )
@@ -265,7 +287,8 @@ def test_integer_recurrence_equals_fraction_oracle(k, lam, order):
 @pytest.mark.parametrize("k, lam", [(3, 2), (13, 12), (2, 0), (12, 10)])
 def test_integer_theta_form_equals_fraction_oracle(k, lam):
     weight, kappas = mlde_equation(k, lam)
-    den, ops = _theta_form(weight, kappas, 40)
+    ops = _theta_form(weight, kappas, 40)
+    den = ops[-1][0]
     want = fraction_oracle.theta_form(weight, kappas, 40)
     assert [[F(x, den) for x in a] for a in ops] == [list(a.coeffs) for a in want]
     # one least common denominator, and a monic top coefficient

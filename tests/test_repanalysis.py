@@ -2,6 +2,7 @@
 congruence rule engine."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -207,9 +208,26 @@ def test_subproduct_sweeps():
         assert irreducibility_subproduct_test(rho_t(k, k - 2)) == IRREDUCIBLE
 
 
-def test_subproduct_refuses_large_dimension():
-    with pytest.raises(ValueError):
-        irreducibility_subproduct_test(rho_t(24, 2))
+def subproduct_by_enumeration(sig):
+    """The subproduct criterion by enumerating every non-empty proper subset."""
+    exps = sig.t_exponents
+    for size in range(1, len(exps)):
+        for subset in combinations(exps, size):
+            if (12 * sum(subset)).denominator == 1:
+                return INCONCLUSIVE
+    return IRREDUCIBLE
+
+
+def test_subproduct_residues_equal_enumeration():
+    cases = [(k, lam) for k in range(60) for lam in range(0, k + 1, 2) if k - lam < 14]
+    assert len(cases) == 378
+    for k, lam in cases:
+        sig = rho_t(k, lam)
+        assert irreducibility_subproduct_test(sig) == subproduct_by_enumeration(sig), (k, lam)
+
+
+def test_subproduct_decides_large_dimension():
+    assert irreducibility_subproduct_test(rho_t(24, 2)) == INCONCLUSIVE  # dimension 23
 
 
 # -- congruence rule engine ------------------------------------------------------------
@@ -279,8 +297,8 @@ def test_congruence_undetermined_cases():
     verdict = congruence_classify(10, 2)  # k+2 = 12 not a prime power
     assert verdict.status == UNDETERMINED
     assert verdict.basis == "no-rule"
-    # dimension beyond the subproduct enumeration guard stays undetermined
-    # instead of raising (k+2 = 25 = 5^2, rule applies, dim 22)
+    # k+2 = 25 = 5^2, the rule applies, and the subproduct test is
+    # inconclusive in dimension 22
     verdict = congruence_classify(23, 2)
     assert verdict.status == UNDETERMINED
     assert verdict.basis == "thm-prime-power-conditional"
