@@ -12,17 +12,17 @@ with residuals stored on the object and a loud error when they exceed
 tolerance or are not numbers at all (a convention bug or lost precision,
 never a user error).  These residuals are the only precision guard.
 
-Per-level tables, each built once and cached by level: rescaled quantum
-integers and factorials (``_qnumbers``), the twists, quantum dimensions
-and character S-matrix (``f_r_g_matrices``, one frozen ``MtcLevelData``),
-and the half-twists e(h_i/2) (``_half_twists``).  The quantum integers
-are tabulated as sin(pi n/(k+2)) = [n] sin(pi/(k+2)), so the factorials
+Per-level state lives in one table, the frozen ``MtcLevelData`` that
+``f_r_g_matrices`` builds once and caches by level: the twists, quantum
+dimensions and character S-matrix, the rescaled quantum integers and
+factorials, and the half-twists e(h_i/2).  The quantum integers are
+tabulated as sin(pi n/(k+2)) = [n] sin(pi/(k+2)), so the factorials
 stay in (0, 1] at every level, where the unscaled [k+1]! overflows a
 double from k = 202 on.  The 6j formula is homogeneous of degree 0 in
 the quantum integers, so the rescaling cancels in every symbol.  A
 braiding phase R^{(rs)t} is the product (-1)^(r+s-t) e(h_r/2) e(h_s/2) /
 e(h_t/2) of table entries, with no rational arithmetic or exponential
-per call.
+per call.  ``_six_j2`` and ``_r_phase`` take the table, not the level.
 
 The modular pair.  The categorical definition sums, over the admissible
 r, theta_r/(theta_i theta_j) G^{(iij)j}_{0r} F^{(iij)j}_{r0}
@@ -61,7 +61,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from operator import mul
 
 from .errors import PrecisionLossError, RelationViolationError
@@ -116,28 +115,11 @@ def _as_twice(x) -> int:
     return int(d)
 
 
-class _QNumbers:
-    """Per-level tables of the rescaled quantum integers
-    sin(pi n/(k+2)) = [n] sin(pi/(k+2)), n = 0..k+2, and of their running
-    products, the rescaled factorials [n]! sin(pi/(k+2))^n, n = 0..k+1,
-    all in (0, 1].  The 6j formula is homogeneous of degree 0 in the
-    quantum integers, so it takes these in place of [n] and [n]!."""
-
-    def __init__(self, k: int):
-        self.qint = tuple(math.sin(math.pi * n / (k + 2)) for n in range(k + 3))
-        fact = [1.0]
-        for n in range(1, k + 2):
-            fact.append(fact[-1] * self.qint[n])
-        self.qfact = tuple(fact)
-
-
-@lru_cache(maxsize=None)
-def _qnumbers(k: int) -> _QNumbers:
-    return _QNumbers(k)
-
-
-def _six_j2(k: int, a2: int, b2: int, e2: int, d2: int, c2: int, f2: int) -> float:
-    """Unitary quantum 6j-symbol {a b e; d c f} from doubled labels whose
+def _six_j2(
+    data: MtcLevelData, a2: int, b2: int, e2: int, d2: int, c2: int, f2: int
+) -> float:
+    """Unitary quantum 6j-symbol {a b e; d c f} at the level of ``data``,
+    from the rescaled tables there and doubled labels whose
     four triads are admissible (not checked here), by the
     Kirillov-Reshetikhin formula (Kirillov & Reshetikhin, "Representations
     of the algebra U_q(sl(2)), q-orthogonal polynomials and invariants of
@@ -150,8 +132,7 @@ def _six_j2(k: int, a2: int, b2: int, e2: int, d2: int, c2: int, f2: int) -> flo
     ``PrecisionLossError``: such a symbol is not representable in double
     precision, and returning NaN or a zero would pass it on silently.
     """
-    q = _qnumbers(k)
-    fact = q.qfact
+    k, qint, fact = data.level, data.qint, data.qfact
     # triad sums, halved
     t1, t2 = (a2 + b2 + e2) // 2, (a2 + c2 + f2) // 2
     t3, t4 = (b2 + d2 + f2) // 2, (c2 + d2 + e2) // 2
@@ -159,7 +140,7 @@ def _six_j2(k: int, a2: int, b2: int, e2: int, d2: int, c2: int, f2: int) -> flo
     s1, s2, s3 = (a2 + b2 + c2 + d2) // 2, (a2 + d2 + e2 + f2) // 2, (b2 + c2 + e2 + f2) // 2
     try:
         # sqrt([2e+1][2f+1]) times the four triangle coefficients, all positive
-        pref = math.sqrt(q.qint[e2 + 1] * q.qint[f2 + 1])
+        pref = math.sqrt(qint[e2 + 1] * qint[f2 + 1])
         pref *= math.sqrt(fact[t1 - a2] * fact[t1 - b2] * fact[t1 - e2] / fact[t1 + 1])
         pref *= math.sqrt(fact[t2 - a2] * fact[t2 - c2] * fact[t2 - f2] / fact[t2 + 1])
         pref *= math.sqrt(fact[t4 - c2] * fact[t4 - e2] * fact[t4 - d2] / fact[t4 + 1])
@@ -191,14 +172,17 @@ def six_j(k: int, a, b, e, d, c, f) -> float:
     for triad in ((a2, b2, e2), (a2, c2, f2), (c2, e2, d2), (d2, b2, f2)):
         if not fusion_coefficient(k, *triad):
             raise ValueError(f"inadmissible spin triad {tuple(x / 2 for x in triad)} at level {k}")
-    return _six_j2(k, a2, b2, e2, d2, c2, f2)
+    return _six_j2(f_r_g_matrices(k), a2, b2, e2, d2, c2, f2)
 
 
 @dataclass(frozen=True)
 class MtcLevelData:
     """The level-k constants: labels, twists, zeta = e(c/24), character
-    S-matrix, quantum dimensions and the global dimension root.  Frozen,
-    because ``f_r_g_matrices`` shares one cached instance per level."""
+    S-matrix, quantum dimensions and the global dimension root; the
+    rescaled quantum integers sin(pi n/(k+2)), n = 0..k+2, and their
+    running products, the rescaled factorials, n = 0..k+1, all in (0, 1];
+    and the half-twists e(h_i/2).  Frozen, because ``f_r_g_matrices``
+    shares one cached instance per level."""
 
     level: int
     labels: tuple[int, ...]
@@ -207,25 +191,23 @@ class MtcLevelData:
     s_char: tuple[tuple[float, ...], ...]
     qdim: tuple[float, ...]
     global_dim_root: float
+    qint: tuple[float, ...]
+    qfact: tuple[float, ...]
+    half_twist: tuple[complex, ...]
 
 
-@lru_cache(maxsize=None)
-def _half_twists(k: int) -> tuple[complex, ...]:
-    """e(h_i/2) for every label i at level k."""
-    return tuple(_e(conformal_weight(k, i) / 2) for i in range(k + 1))
-
-
-def _r_phase(k: int, r: int, s: int, t: int) -> complex:
+def _r_phase(data: MtcLevelData, r: int, s: int, t: int) -> complex:
     """R^{(rs)t} = (-1)^(r+s-t) e((h_r + h_s - h_t)/2)."""
-    half = _half_twists(k)
+    half = data.half_twist
     return ((-1.0) ** (r + s - t)) * half[r] * half[s] / half[t]
 
 
 @lru_cache(maxsize=None)
 def f_r_g_matrices(k: int) -> MtcLevelData:
-    """The level-k category constants, O(k^2) work.  The modular pairs
-    take the 6j-symbols and braiding phases they need directly
-    (``_six_j2``, ``_r_phase``); no recoupling tensor is ever built."""
+    """The level-k table, O(k^2) work, and the only per-level state of
+    this module.  The modular pairs take the 6j-symbols and braiding
+    phases they need directly from it (``_six_j2``, ``_r_phase``); no
+    recoupling tensor is ever built."""
     _check_level(k)
     n = k + 2
     labels = tuple(range(k + 1))
@@ -233,6 +215,10 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
         tuple(math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) * (j + 1) / n) for j in labels)
         for i in labels
     )
+    qint = tuple(math.sin(math.pi * m / n) for m in range(k + 3))
+    qfact = [1.0]
+    for m in range(1, k + 2):
+        qfact.append(qfact[-1] * qint[m])
     return MtcLevelData(
         level=k,
         labels=labels,
@@ -241,6 +227,9 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
         s_char=s_char,
         qdim=tuple(row[0] / s_char[0][0] for row in s_char),
         global_dim_root=1.0 / s_char[0][0],
+        qint=qint,
+        qfact=tuple(qfact),
+        half_twist=tuple(_e(conformal_weight(k, i) / 2) for i in labels),
     )
 
 
@@ -311,17 +300,17 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     evaluations = 0
     rows = []
     for i in basis:
-        r_ii0 = _r_phase(k, i, i, 0)
+        r_ii0 = _r_phase(data, i, i, 0)
         row = []
         for j in basis:
-            r_ii0_0jj = r_ii0 * _r_phase(k, 0, j, j)
+            r_ii0_0jj = r_ii0 * _r_phase(data, 0, j, j)
             acc = 0j
             # the r with N_ij^r = 1, ascending
             for r in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2):
-                phi = _r_phase(k, i, j, r) * _r_phase(k, i, r, j) / r_ii0_0jj
-                acc += qdim[r] * theta[r] * phi * _six_j2(k, p, i, i, r, j, j)
+                phi = _r_phase(data, i, j, r) * _r_phase(data, i, r, j) / r_ii0_0jj
+                acc += qdim[r] * theta[r] * phi * _six_j2(data, p, i, i, r, j, j)
                 evaluations += 1
-            outer = _r_phase(k, p, j, j) / (_r_phase(k, p, i, i) * theta[i] * theta[j])
+            outer = _r_phase(data, p, j, j) / (_r_phase(data, p, i, i) * theta[i] * theta[j])
             row.append(outer * acc / data.global_dim_root)
         rows.append(tuple(row))
     s = tuple(rows)
@@ -363,11 +352,15 @@ def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERA
     """Numerical irreducibility certificate: with distinct T-eigenvalues,
     any invariant subspace is spanned by basis vectors, and is ruled out
     if every proper non-empty subset couples to its complement through a
-    non-negligible S-entry.  A pair whose S is not finite everywhere is
-    refused with ``ValueError``."""
+    non-negligible S-entry, that is, if the edges i -> o with
+    |S_oi| > ``tolerance`` make the basis strongly connected.  Two sweeps
+    from basis vector 0, one along the edges and one against them, decide
+    that in O(d^2).  A pair whose S is not finite everywhere is refused
+    with ``ValueError``."""
     if not all(cmath.isfinite(z) for row in pair.s_matrix for z in row):
         raise ValueError("refusing a pair whose S-matrix has non-finite entries")
     dim = len(pair.basis)
+    # no longer needed, but the benchmark's mtc references pin this message (ROADMAP item 2)
     if dim > 20:
         raise ValueError(f"refusing subset enumeration for basis size {dim} > 20")
     if dim == 1:
@@ -377,16 +370,18 @@ def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERA
         for b in range(a + 1, dim):
             if abs(tdiag[a] - tdiag[b]) <= tolerance:
                 return "inconclusive"
-    indices = range(dim)
-    for size in range(1, dim):
-        for subset in combinations(indices, size):
-            inside = set(subset)
-            outside = [m for m in indices if m not in inside]
-            coupled = any(
-                abs(pair.s_matrix[o][i]) > tolerance for i in inside for o in outside
-            )
-            if not coupled:
-                return "inconclusive"
+    s = pair.s_matrix
+    # along the edges i -> o, then against them
+    for coupled in (lambda i, o: s[o][i], lambda o, i: s[o][i]):
+        reached, stack = {0}, [0]
+        while stack:
+            a = stack.pop()
+            for b in range(dim):
+                if b not in reached and abs(coupled(a, b)) > tolerance:
+                    reached.add(b)
+                    stack.append(b)
+        if len(reached) < dim:
+            return "inconclusive"
     return "irreducible"
 
 

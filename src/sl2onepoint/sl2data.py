@@ -135,7 +135,7 @@ def rep_dimension(k: int, lam: int) -> int:
     outside 0..k, or an odd one (no self-couplings), raises ``ValueError``."""
     _check_label(k, lam)
     if lam % 2 != 0:
-        raise ValueError(f"finite weight lambda must be even, got {lam}")
+        raise ValueError(f"label {lam} must be even: an odd label has no self-couplings")
     return k - lam + 1
 
 

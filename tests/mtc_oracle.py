@@ -1,5 +1,6 @@
-"""The scalar routes of the categorical layer, kept as oracles, and the
-full recoupling tensors that only the coherence tests read.
+"""The scalar routes of the categorical layer, kept as oracles, the
+full recoupling tensors that only the coherence tests read, and the
+subset enumeration behind the irreducibility probe.
 
 Test fixture only.  ``_six_j_2`` evaluates one quantum 6j-symbol by a
 Python loop over z with its own admissibility check and its own tables
@@ -19,10 +20,15 @@ the tree r(st) with inner edge p to the tree (rs)t with inner edge q,
 both mapping to u; g_tensor has the inverse index convention (p couples
 (r,s), q couples (s,t)); r_tensor[(r,s,t)] is the braiding phase on the
 coupling r (x) s -> t.
+
+``irreducibility_by_subsets`` walks every proper non-empty subset of a
+pair's basis, O(2^d d^2), where ``mtc.irreducibility_probe`` decides the
+same question by two reachability sweeps.
 """
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -118,8 +124,9 @@ def _f_entry(k: int, r: int, s: int, t: int, u: int, p: int, q: int) -> float:
 
 def _g_entry(k: int, i: int, j: int, kt: int, l: int, p: int, q: int) -> complex:
     """G^{(ijk)l}_{pq} = R^{(jk)q} R^{(iq)l} / (R^{(ij)p} R^{(pk)l}) * F^{(kji)l}_{pq}."""
-    num = mtc._r_phase(k, j, kt, q) * mtc._r_phase(k, i, q, l)
-    den = mtc._r_phase(k, i, j, p) * mtc._r_phase(k, p, kt, l)
+    data = mtc.f_r_g_matrices(k)
+    num = mtc._r_phase(data, j, kt, q) * mtc._r_phase(data, i, q, l)
+    den = mtc._r_phase(data, i, j, p) * mtc._r_phase(data, p, kt, l)
     return num / den * _f_entry(k, kt, j, i, l, p, q)
 
 
@@ -152,8 +159,9 @@ def s_matrix_loop(k: int, p: int) -> np.ndarray:
 def r_tensor(k: int) -> dict:
     """R^{(rs)t} = ``mtc._r_phase`` on every admissible triple."""
     labels = range(k + 1)
+    data = mtc.f_r_g_matrices(k)
     return {
-        (r, s, t): mtc._r_phase(k, r, s, t)
+        (r, s, t): mtc._r_phase(data, r, s, t)
         for r in labels
         for s in labels
         for t in labels
@@ -178,7 +186,8 @@ def f_tensor(k: int) -> dict:
         for q in labels
         if _triad_ok_2(k, r, s, q) and _triad_ok_2(k, q, t, u)
     ]
-    return {(r, s, t, u, p, q): mtc._six_j2(k, t, s, p, r, u, q) for r, s, t, u, p, q in keys}
+    data = mtc.f_r_g_matrices(k)
+    return {(r, s, t, u, p, q): mtc._six_j2(data, t, s, p, r, u, q) for r, s, t, u, p, q in keys}
 
 
 @lru_cache(maxsize=None)
@@ -190,3 +199,22 @@ def g_tensor(k: int) -> dict:
         (i, j, kt, l, p, q): r[(j, kt, q)] * r[(i, q, l)] / (r[(i, j, p)] * r[(p, kt, l)]) * value
         for (kt, j, i, l, p, q), value in f.items()
     }
+
+
+def irreducibility_by_subsets(
+    pair: mtc.GenModularPair, tolerance: float = mtc.DEFAULT_TOLERANCE
+) -> str:
+    """The probe's verdict by enumeration: "inconclusive" if two
+    T-eigenvalues collide or some proper non-empty subset of the basis has
+    no S-entry above ``tolerance`` into its complement, else "irreducible"."""
+    dim = len(pair.basis)
+    tdiag = pair.t_diagonal
+    if any(abs(tdiag[a] - tdiag[b]) <= tolerance for a in range(dim) for b in range(a + 1, dim)):
+        return "inconclusive"
+    indices = range(dim)
+    for size in range(1, dim):
+        for subset in combinations(indices, size):
+            outside = [o for o in indices if o not in subset]
+            if not any(abs(pair.s_matrix[o][i]) > tolerance for i in subset for o in outside):
+                return "inconclusive"
+    return "irreducible"

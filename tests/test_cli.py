@@ -210,8 +210,20 @@ def test_mtc_json_reports_stages(capsys):
 
 
 def test_mtc_rejects_odd_p(capsys):
-    code, _, err = run(capsys, "mtc", "--level", "5", "--p", "3")
+    code, out, err = run(capsys, "mtc", "--level", "5", "--p", "3")
     assert code == EXIT_INVALID
+    # one gate serves --p and --lambda, so its message names the label, not the option
+    assert out == ""
+    assert "invalid input: label 3 must be even: an odd label has no self-couplings" in err
+    assert "Traceback" not in err
+
+
+def test_expand_rejects_odd_lambda(capsys):
+    code, out, err = run(capsys, "expand", "-k", "5", "-l", "3")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "invalid input: label 3 must be even: an odd label has no self-couplings" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "1e400"])

@@ -11,6 +11,7 @@ the two differ by a sign that cancels in every modular-pair quantity
 (see the G-ratio: its sign exponents sum to zero).
 """
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -19,6 +20,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2onepoint.errors import PrecisionLossError, RelationViolationError
 from sl2onepoint.mtc import (
@@ -36,7 +39,14 @@ from sl2onepoint.mtc import (
 from sl2onepoint.sl2data import conformal_weight, fusion_coefficient, rho_t, xi_set
 
 from mtc_oracle import _qnumbers as oracle_qnumbers
-from mtc_oracle import _six_j_2, f_tensor, g_tensor, r_tensor, s_matrix_loop
+from mtc_oracle import (
+    _six_j_2,
+    f_tensor,
+    g_tensor,
+    irreducibility_by_subsets,
+    r_tensor,
+    s_matrix_loop,
+)
 
 TOL = 1e-9
 
@@ -208,8 +218,6 @@ def test_six_j_kernel_equals_scalar_oracle_at_level_48():
 
 
 def test_six_j_kernel_rejects_one_bad_element():
-    from sl2onepoint.mtc import _qnumbers
-
     k = 4
     for tup in list(_admissible_sixj_tuples(k))[:20]:
         assert math.isfinite(_six_j_doubled(k, tup))
@@ -222,7 +230,7 @@ def test_six_j_kernel_rejects_one_bad_element():
     scale = math.sin(math.pi / (k + 2))
     for n in (0, 1, 5):
         want = oracle_qnumbers(k).qfact[n] * scale**n
-        assert abs(_qnumbers(k).qfact[n] - want) <= 1e-14 * want
+        assert abs(f_r_g_matrices(k).qfact[n] - want) <= 1e-14 * want
 
 
 def test_six_j_refuses_underflow():
@@ -297,19 +305,18 @@ def test_r_fixture_value():
 def test_r_phase_equals_exact_phase_sum():
     """The half-twist product against the phase taken from the exact sum
     h_r + h_s - h_t, for every admissible triple at k <= 48."""
-    import cmath
-
     from sl2onepoint.mtc import _r_phase
 
     worst = 0.0
     for k in range(0, 49):
+        data = f_r_g_matrices(k)
         h = [conformal_weight(k, i) for i in range(k + 1)]
         for r, s, t in itertools.product(range(k + 1), repeat=3):
             if (r + s + t) % 2 or not abs(r - s) <= t <= min(r + s, 2 * k - r - s):
                 continue
             exact = h[r] + h[s] - h[t]
             want = (-1) ** (r + s - t) * cmath.exp(1j * math.pi * float(exact))
-            worst = max(worst, abs(_r_phase(k, r, s, t) - want))
+            worst = max(worst, abs(_r_phase(data, r, s, t) - want))
     assert worst < 1e-13
 
 
@@ -675,6 +682,51 @@ def test_probe_refuses_non_finite_s(bad):
         irreducibility_probe(fake)
     finite = GenModularPair(3, 2, (1, 2), ((0.5 + 0j, 0.5 + 0j), s[1]), fake.t_diagonal, {})
     assert irreducibility_probe(finite) == "irreducible"
+
+
+def test_probe_equals_subset_enumeration_on_every_small_pair():
+    cases = [
+        (k, p) for k in range(21) for p in range(0, k + 1, 2) if k - p + 1 <= 14
+    ]
+    assert len(cases) == 105
+    for k, p in cases:
+        pair = gen_modular_pair(k, p)
+        assert irreducibility_probe(pair) == irreducibility_by_subsets(pair), (k, p)
+
+
+# an S-entry that couples, one below the tolerance, and none
+_COUPLINGS = (0.3 - 0.4j, TOL / 2 + 0j, 0j)
+
+
+@st.composite
+def _synthetic_pairs(draw):
+    """Pairs of basis size d <= 7 with distinct T-eigenvalues and S-entries
+    drawn one by one, so an edge may run one way only."""
+    dim = draw(st.integers(1, 7))
+    entries = draw(
+        st.lists(st.sampled_from(_COUPLINGS), min_size=dim * dim, max_size=dim * dim)
+    )
+    return GenModularPair(
+        level=1,
+        p_label=0,
+        basis=tuple(range(dim)),
+        s_matrix=tuple(tuple(entries[o * dim : (o + 1) * dim]) for o in range(dim)),
+        t_diagonal=tuple(cmath.exp(2j * math.pi * a / dim) for a in range(dim)),
+        relation_residuals={},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_synthetic_pairs())
+def test_probe_equals_subset_enumeration_on_synthetic_pairs(pair):
+    assert irreducibility_probe(pair) == irreducibility_by_subsets(pair)
+
+
+def test_probe_certifies_basis_size_twenty():
+    # 2^20 subsets for the enumeration; two sweeps for the probe
+    pair = gen_modular_pair(21, 2)
+    assert len(pair.basis) == 20
+    assert irreducibility_probe(pair) == "irreducible"
 
 
 # -- categorical vs analytic -----------------------------------------------------------
