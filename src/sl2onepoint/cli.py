@@ -12,11 +12,15 @@ below double-precision error), or whose value a double cannot hold (a
 6j-symbol whose factorial products underflow), also exits 1, with the
 message on stderr.
 
-The categorical layer (``mtc``) is imported inside the two functions
-that use it, ``cmd_mtc`` and ``_suite_mtc``.  It needs only the standard
-library, but compiling and running the module adds to the start of
-every process (about 3 ms from a bytecode cache, 10 ms without one),
-which ``expand`` and ``classify`` would pay for nothing.
+Each subcommand imports the layers it uses, inside the function that
+uses them: ``generators`` in ``cmd_expand`` and the ``tables`` and
+``mlde`` suites, ``repanalysis`` in ``cmd_classify`` and the ``dims``
+suite, ``bgg`` in the ``bgg`` suite, and the categorical layer (``mtc``)
+in ``cmd_mtc`` and the ``mtc`` suite.  Compiling and running a module
+adds to the start of every process (``mtc`` alone takes about 3 ms from
+a bytecode cache, 10 ms without one), which the other subcommands would
+pay for nothing.  Only ``sl2data`` and ``qseries``, which every layer
+imports, load with this module.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from . import bgg, generators, repanalysis, sl2data
+from . import sl2data
 from .errors import (
     DegenerateMldeError,
     InternalInconsistencyError,
@@ -64,6 +68,9 @@ class RunConfig:
 
 
 def _emit(payload: dict, config: RunConfig, table_lines) -> None:
+    """Print the payload as JSON, or the table lines.  ``table_lines`` is
+    iterated only for table output, so a generator formats nothing that
+    JSON output would throw away."""
     if config.output_format == "json":
         print(json.dumps(payload))
     else:
@@ -75,12 +82,17 @@ def _emit(payload: dict, config: RunConfig, table_lines) -> None:
 
 
 def cmd_expand(k: int, lam: int, config: RunConfig) -> int:
+    from . import generators
+
     start = time.perf_counter()
     gen = generators.cyclic_generator(k, lam, config.order)
     generator_s = time.perf_counter() - start
-    lines = [f"cyclic generator  level={k}  lambda={lam}  weight={fraction_to_str(gen.form_weight)}"]
-    for mu, series in gen.components:
-        lines.append(f"  mu={mu}: {series.pretty()}")
+
+    def lines():
+        yield f"cyclic generator  level={k}  lambda={lam}  weight={fraction_to_str(gen.form_weight)}"
+        for mu, series in gen.components:
+            yield f"  mu={mu}: {series.pretty()}"
+
     payload = gen.to_json()
     # the largest numerator or denominator of any coefficient, in bits
     bits = max(
@@ -89,7 +101,7 @@ def cmd_expand(k: int, lam: int, config: RunConfig) -> int:
         for c in series.coeffs
     )
     payload["stages"] = {"generator_s": generator_s, "coeff_bits_max": bits}
-    _emit(payload, config, lines)
+    _emit(payload, config, lines())
     return EXIT_OK
 
 
@@ -97,6 +109,8 @@ def cmd_expand(k: int, lam: int, config: RunConfig) -> int:
 
 
 def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
+    from . import repanalysis
+
     sig = sl2data.rho_t(k, lam)
     exponents = sl2data.leading_exponents(k, lam)
     try:
@@ -153,14 +167,17 @@ def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
     if p == k:
         # the 1x1 case, where competing printed values exist; report all
         payload["s_value_report"] = mtc.s_k_report(pair)
-    lines = [f"modular pair  level={k}  p={p}  basis={list(pair.basis)}"]
-    for key, value in pair.relation_residuals.items():
-        lines.append(f"  {key}: {value:.3e}")
-    lines.append(f"  irreducibility probe: {probe}")
-    lines.append("  S matrix:")
-    for row in pair.s_matrix:
-        lines.append("    " + "  ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in row))
-    _emit(payload, config, lines)
+
+    def lines():
+        yield f"modular pair  level={k}  p={p}  basis={list(pair.basis)}"
+        for key, value in pair.relation_residuals.items():
+            yield f"  {key}: {value:.3e}"
+        yield f"  irreducibility probe: {probe}"
+        yield "  S matrix:"
+        for row in pair.s_matrix:
+            yield "    " + "  ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in row)
+
+    _emit(payload, config, lines())
     return EXIT_OK
 
 
@@ -179,6 +196,8 @@ def _fixture_note(entry) -> str:
 
 
 def _suite_tables(config: RunConfig):
+    from . import generators
+
     checks = []
     for which in ("table1", "table2"):
         report = generators.table_fixture_check(which)
@@ -198,6 +217,8 @@ def _suite_tables(config: RunConfig):
 def _suite_mlde(config: RunConfig):
     """Each generator solves its equation, and equals the hypergeometric
     construction it is built to replace."""
+    from . import generators
+
     checks = []
     for name, levels, shift, order in (
         ("second-order", range(3, 14, 2), 1, 12),
@@ -216,6 +237,8 @@ def _suite_mlde(config: RunConfig):
 
 
 def _suite_bgg(config: RunConfig):
+    from . import bgg
+
     checks = []
     for k in range(2, 13):
         for lam in range(2, k + 1, 2):
@@ -227,6 +250,8 @@ def _suite_bgg(config: RunConfig):
 
 
 def _suite_dims(config: RunConfig):
+    from . import repanalysis
+
     checks = []
     for k in range(0, 21):
         for lam in range(0, k + 1, 2):

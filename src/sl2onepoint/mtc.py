@@ -22,7 +22,7 @@ double from k = 202 on.  The 6j formula is homogeneous of degree 0 in
 the quantum integers, so the rescaling cancels in every symbol.  A
 braiding phase R^{(rs)t} is the product (-1)^(r+s-t) e(h_r/2) e(h_s/2) /
 e(h_t/2) of table entries, with no rational arithmetic or exponential
-per call.  ``_six_j2`` and ``_r_phase`` take the table, not the level.
+per call.  The 6j kernels and ``_r_phase`` take the table, not the level.
 
 The modular pair.  The categorical definition sums, over the admissible
 r, theta_r/(theta_i theta_j) G^{(iij)j}_{0r} F^{(iij)j}_{r0}
@@ -37,15 +37,20 @@ formula
                * sum_r N_ij^r d_r theta_r phi_ijr {p/2 i/2 i/2; r/2 j/2 j/2},
 
 one 6j-symbol per term, each with at most p/2 + 1 terms of its own
-alternating sum.  phi_ijr = R^{(ij)r} R^{(ir)j} / (R^{(ii)0} R^{(0j)j})
-is identically 1, yet it stays in the sum, its numerator taken from
-``_r_phase`` on every term and its denominator once per (i, j), like the
-phases outside the sum: a pair is certified by its relations, and that
-check must see whatever ``_r_phase`` gives.  Nothing is cached across
-pairs for the same reason.  The four matrix products of the
-certification are plain Python too, O(d^3) in the basis size d.
-``tests/mtc_oracle.py`` keeps the three-symbol sum, term by term, as the
-oracle.
+alternating sum.  That symbol collapses: two of its triads coincide, and
+``_self_coupling_six_j`` evaluates it with no square root, from a factor
+A_i per basis label (``_coupling_norm``) and table entries.  It is
+symmetric in i and j (its tetrahedral symmetry), so each unordered pair
+{i, j} evaluates it once per r, for both S_ij and S_ji; ``_six_j2``, the
+general kernel behind ``six_j``, is its oracle.  phi_ijr = R^{(ij)r}
+R^{(ir)j} / (R^{(ii)0} R^{(0j)j}) is identically 1, yet it stays in the
+sum, its numerator taken from ``_r_phase`` on every term of S_ij and of
+S_ji and its denominator once per entry, like the phases outside the
+sum: a pair is certified by its relations, and that check must see
+whatever ``_r_phase`` gives.  Nothing is cached across pairs for the
+same reason.  The four matrix products of the certification are plain
+Python too, O(d^3) in the basis size d.  ``tests/mtc_oracle.py`` keeps
+the three-symbol sum, term by term, as the oracle.
 
 Label conventions: integer labels 0..k; 6j-symbols take the spin (half
 label) values.  All self-couplings here are multiplicity-free, so no
@@ -156,11 +161,64 @@ def _six_j2(
     except ZeroDivisionError:
         value = math.nan
     if not math.isfinite(value):
-        spins = [str(Fraction(x, 2)) for x in (a2, b2, e2, d2, c2, f2)]
-        raise PrecisionLossError(
-            f"6j-symbol {{{' '.join(spins[:3])}; {' '.join(spins[3:])}}} at level {k} "
-            "is not representable in double precision: its factorial products underflow"
-        )
+        raise _precision_loss(k, a2, b2, e2, d2, c2, f2)
+    return value
+
+
+def _precision_loss(k: int, *doubled: int) -> PrecisionLossError:
+    """The error for the 6j-symbol {a b e; d c f} at level k, given by its
+    doubled labels, whose value a double cannot hold."""
+    spins = [str(Fraction(x, 2)) for x in doubled]
+    return PrecisionLossError(
+        f"6j-symbol {{{' '.join(spins[:3])}; {' '.join(spins[3:])}}} at level {k} "
+        "is not representable in double precision: its factorial products underflow"
+    )
+
+
+def _coupling_norm(data: MtcLevelData, p: int, i: int) -> float:
+    """A_i = [p/2]! sqrt([i+1] [i-p/2]! / [i+p/2+1]!) for a label i with
+    Hom(p (x) i, i) != 0, from the rescaled tables of ``data``: the part
+    of the prefactor of {p/2 i/2 i/2; r/2 j/2 j/2} that depends on i
+    alone.  NaN when the factorial table underflows, so that the first
+    symbol using it raises."""
+    fact = data.qfact
+    try:
+        return math.sqrt(data.qint[i + 1] * fact[i - p // 2] / fact[i + p // 2 + 1]) * fact[p // 2]
+    except ZeroDivisionError:
+        return math.nan
+
+
+def _self_coupling_six_j(
+    data: MtcLevelData, p: int, i: int, j: int, r: int, norm_i: float, norm_j: float
+) -> float:
+    """{p/2 i/2 i/2; r/2 j/2 j/2}, the one 6j-symbol of the modular pair,
+    for admissible integer labels, with ``norm_i`` and ``norm_j`` the
+    ``_coupling_norm`` of i and j.
+
+    The Kirillov-Reshetikhin formula of ``_six_j2`` collapses here: the
+    triad sums are i + p/2, j + p/2 and twice t = (i+j+r)/2, the
+    quadrilateral sums twice t + p/2 and once i + j, and the prefactor is
+    A_i A_j [t-i]! [t-j]! [t-r]! / [t+1]!, with no square root.  Every
+    product is formed so that swapping i and j gives the same float: the
+    tetrahedral symmetry holds exactly.  Underflow raises
+    ``PrecisionLossError`` as in ``_six_j2``."""
+    k, fact = data.level, data.qfact
+    t1, t2, t = i + p // 2, j + p // 2, (i + j + r) // 2
+    s, s3 = t + p // 2, i + j
+    try:
+        pref = norm_i * norm_j * (fact[t - i] * fact[t - j]) * fact[t - r] / fact[t + 1]
+        total = 0.0
+        for z in range(max(t1, t2, t), min(s, s3, k) + 1):
+            term = fact[z + 1] / (
+                fact[z - t1] * fact[z - t2] * fact[z - t] * fact[z - t]
+                * fact[s - z] * fact[s - z] * fact[s3 - z]
+            )
+            total += -term if z % 2 else term
+        value = -pref * total if (p - i - j - r) // 2 % 2 else pref * total
+    except ZeroDivisionError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise _precision_loss(k, p, i, i, r, j, j)
     return value
 
 
@@ -249,8 +307,9 @@ class GenModularPair:
     """The action of the once-punctured-torus mapping class group on the
     self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}.
     ``stages`` records what building it cost: the number of 6j-symbols
-    evaluated, the assembly and certification times in seconds, and the
-    headroom of the worst residual below the tolerance in decimal digits."""
+    evaluated (one per unordered {i, j} and r, shared by S_ij and S_ji),
+    the assembly and certification times in seconds, and the headroom of
+    the worst residual below the tolerance in decimal digits."""
 
     level: int
     p_label: int
@@ -295,25 +354,32 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     theta, qdim = data.theta, data.qdim
     basis = tuple(i for i in data.labels if fusion_coefficient(k, p, i, i) == 1)
 
-    # S^(p)_ij by the one-punctured-torus formula of the module docstring
+    # S^(p)_ij by the one-punctured-torus formula of the module docstring;
+    # the symbol is symmetric in i and j, so each unordered pair evaluates
+    # it once for both S_ij and S_ji
     start = time.perf_counter()
     evaluations = 0
-    rows = []
-    for i in basis:
-        r_ii0 = _r_phase(data, i, i, 0)
-        row = []
-        for j in basis:
-            r_ii0_0jj = r_ii0 * _r_phase(data, 0, j, j)
-            acc = 0j
+    norm = [_coupling_norm(data, p, i) for i in basis]
+    rows = [[0j] * dim for _ in basis]
+    for a, i in enumerate(basis):
+        for b in range(a, dim):
+            j = basis[b]
+            den_ij = _r_phase(data, i, i, 0) * _r_phase(data, 0, j, j)
+            den_ji = _r_phase(data, j, j, 0) * _r_phase(data, 0, i, i)
+            acc_ij = acc_ji = 0j
             # the r with N_ij^r = 1, ascending
             for r in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2):
-                phi = _r_phase(data, i, j, r) * _r_phase(data, i, r, j) / r_ii0_0jj
-                acc += qdim[r] * theta[r] * phi * _six_j2(data, p, i, i, r, j, j)
+                six_j_ijr = _self_coupling_six_j(data, p, i, j, r, norm[a], norm[b])
                 evaluations += 1
-            outer = _r_phase(data, p, j, j) / (_r_phase(data, p, i, i) * theta[i] * theta[j])
-            row.append(outer * acc / data.global_dim_root)
-        rows.append(tuple(row))
-    s = tuple(rows)
+                weight = qdim[r] * theta[r]
+                acc_ij += weight * (_r_phase(data, i, j, r) * _r_phase(data, i, r, j) / den_ij) * six_j_ijr
+                acc_ji += weight * (_r_phase(data, j, i, r) * _r_phase(data, j, r, i) / den_ji) * six_j_ijr
+            # on the diagonal both are the same entry, with the same value
+            outer_ij = _r_phase(data, p, j, j) / (_r_phase(data, p, i, i) * theta[i] * theta[j])
+            outer_ji = _r_phase(data, p, i, i) / (_r_phase(data, p, j, j) * theta[j] * theta[i])
+            rows[a][b] = outer_ij * acc_ij / data.global_dim_root
+            rows[b][a] = outer_ji * acc_ji / data.global_dim_root
+    s = tuple(map(tuple, rows))
     t_diag = tuple(theta[i] / data.zeta for i in basis)
     assembled = time.perf_counter()
 

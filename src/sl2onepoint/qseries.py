@@ -71,7 +71,8 @@ class QExpansion:
 
     def __init__(self, leading_exponent, coeffs, order: int | None = None):
         object.__setattr__(self, "leading_exponent", _frac(leading_exponent))
-        cs = tuple(_frac(c) for c in coeffs)
+        # a Fraction is immutable and kept as it is; _frac converts the rest and refuses floats
+        cs = tuple(c if type(c) is Fraction else _frac(c) for c in coeffs)
         if order is None:
             order = len(cs)
         if order < 0:

@@ -265,7 +265,7 @@ def test_verify_mtc_suite_reports_residuals_above_a_tight_tolerance(capsys):
     payload = json.loads(out)
     assert payload["total"] == 92
     notes = {f["check"]: f["note"] for f in payload["failures"]}
-    assert float(notes["braid relations k=1 p=0"].removeprefix("residual ")) > 1e-15
+    assert float(notes["braid relations k=9 p=0"].removeprefix("residual ")) > 1e-15
 
 
 def test_no_subcommand_loads_numpy():
@@ -296,6 +296,38 @@ def test_no_subcommand_loads_numpy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_subcommands_load_only_their_layers():
+    """Each subcommand imports the layers it uses and no others: ``expand``
+    loads neither ``bgg``, ``repanalysis`` nor ``mtc``, and ``mtc`` loads
+    none of ``generators``, ``bgg`` or ``repanalysis``, each checked in a
+    fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import sl2onepoint
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, unloaded in (
+        (["expand", "-k", "3", "-l", "2", "-n", "5"], ("bgg", "repanalysis", "mtc")),
+        (["mtc", "-k", "5", "--p", "2"], ("generators", "bgg", "repanalysis")),
+    ):
+        script = "\n".join(
+            [
+                "import sys",
+                "from sl2onepoint.cli import main",
+                f"assert main({argv!r}) == 0",
+                f"loaded = [m for m in {unloaded!r} if 'sl2onepoint.' + m in sys.modules]",
+                "assert not loaded, loaded",
+            ]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, (argv, result.stderr)
 
 
 def test_verify_mlde_suite(capsys):

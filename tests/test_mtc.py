@@ -26,6 +26,9 @@ from hypothesis import strategies as st
 from sl2onepoint.errors import PrecisionLossError, RelationViolationError
 from sl2onepoint.mtc import (
     GenModularPair,
+    _coupling_norm,
+    _self_coupling_six_j,
+    _six_j2,
     adjoint_members,
     compare_with_analytic,
     f_r_g_matrices,
@@ -253,6 +256,58 @@ def test_six_j_refuses_underflow():
     # from k = 1085 on the factorial table itself holds zeros
     with pytest.raises(PrecisionLossError, match="at level 1200"):
         six_j(1200, 362, 362, 362, 362, 362, 362)
+
+
+def _pair_symbols(k, p):
+    """(i, j, r) of every symbol {p/2 i/2 i/2; r/2 j/2 j/2} that the pair
+    (S^(p), T^(p)) at level k sums over."""
+    basis = xi_set(k, p)
+    return [(i, j, r) for i in basis for j in basis for r in range(k + 1) if _adm(k, i, j, r)]
+
+
+def _check_self_coupling_six_j(k, p, symbols):
+    """The collapsed kernel against the general one, and exactly
+    symmetric in i and j."""
+    data = f_r_g_matrices(k)
+    for i, j, r in symbols:
+        got = _self_coupling_six_j(data, p, i, j, r, _coupling_norm(data, p, i), _coupling_norm(data, p, j))
+        assert abs(got - _six_j2(data, p, i, i, r, j, j)) < 1e-13, (k, p, i, j, r)
+        swapped = _self_coupling_six_j(data, p, j, i, r, _coupling_norm(data, p, j), _coupling_norm(data, p, i))
+        assert got == swapped, (k, p, i, j, r)
+
+
+def test_self_coupling_six_j_equals_general_kernel():
+    """Every symbol of every pair with k <= 24."""
+    for k in range(0, 25):
+        for p in range(0, k + 1, 2):
+            _check_self_coupling_six_j(k, p, _pair_symbols(k, p))
+
+
+def test_self_coupling_six_j_equals_general_kernel_at_levels_48_and_100():
+    """1000 seeded symbols of the pairs at each level."""
+    for k in (48, 100):
+        rng = random.Random(k)
+        for _ in range(1000):
+            p = rng.randrange(0, k + 1, 2)
+            i, j = rng.choices(xi_set(k, p), k=2)
+            r = rng.choice([r for r in range(k + 1) if _adm(k, i, j, r)])
+            _check_self_coupling_six_j(k, p, [(i, j, r)])
+
+
+def test_self_coupling_six_j_refuses_underflow_like_the_general_kernel():
+    # the symbol that stops mtc -k 600 --p 590: both kernels refuse it in
+    # the same words
+    data = f_r_g_matrices(600)
+    norm = _coupling_norm(data, 590, 295)
+    collapsed = pytest.raises(PrecisionLossError, _self_coupling_six_j, data, 590, 295, 295, 250, norm, norm)
+    general = pytest.raises(PrecisionLossError, _six_j2, data, 590, 295, 295, 250, 295, 295)
+    assert "6j-symbol {295 295/2 295/2; 125 295/2 295/2} at level 600" in str(collapsed.value)
+    assert str(collapsed.value) == str(general.value)
+    # where the factorial table itself holds zeros, the norm is NaN and the
+    # first symbol that uses it raises
+    assert math.isnan(_coupling_norm(f_r_g_matrices(1200), 1198, 599))
+    with pytest.raises(PrecisionLossError, match="at level 1200"):
+        gen_modular_pair(1200, 1198)
 
 
 # -- recoupling tensors ------------------------------------------------------------
@@ -602,12 +657,15 @@ def test_pair_json_payload():
 
 
 def test_pair_stages_count_one_six_j_per_term():
-    # the basis (1, 2, 3, 4) at k = 5 couples through 36 admissible (i, j, r)
+    # the basis (1, 2, 3, 4) at k = 5 couples through 36 admissible (i, j, r);
+    # the symbol is symmetric in i and j, so 23 of them are evaluated
     pair = gen_modular_pair(5, 2)
     triples = [
         (i, j, r) for i in pair.basis for j in pair.basis for r in range(6) if _adm(5, i, j, r)
     ]
-    assert pair.stages["six_j_evaluations"] == len(triples) == 36
+    assert len(triples) == 36
+    unordered = [(i, j, r) for i, j, r in triples if i <= j]
+    assert pair.stages["six_j_evaluations"] == len(unordered) == 23
     assert pair.stages["assembly_s"] >= 0 and pair.stages["certification_s"] >= 0
     worst = max(pair.relation_residuals.values())
     assert abs(pair.stages["headroom_digits"] - math.log10(TOL / worst)) < 1e-12

@@ -467,5 +467,16 @@ def test_float_refused():
         QExpansion(0.5, [F(1)])
 
 
+def test_float_coefficient_refused():
+    # Fraction coefficients pass through as they are; every other type is
+    # converted, so a float is still refused wherever it stands
+    for coeffs in ([0.5], [F(1), 0.5], [1, F(1, 2), 0.25]):
+        with pytest.raises(TypeError):
+            QExpansion(F(0), coeffs)
+    f = QExpansion(F(0), [1, F(1, 2), True])
+    assert f.coeffs == (F(1), F(1, 2), F(1))
+    assert all(type(c) is F for c in f.coeffs)
+
+
 def test_internal_inconsistency_type():
     assert issubclass(InternalInconsistencyError, ArithmeticError)
