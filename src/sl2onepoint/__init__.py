@@ -17,8 +17,8 @@ Subpackages:
 - :mod:`sl2onepoint.repanalysis` -- admissible sets, graded dimensions,
   T-orders, irreducibility and congruence classification.
 - :mod:`sl2onepoint.mtc` -- numerical modular-tensor-category data:
-  quantum 6j-symbols, braiding phases and the generalised modular pairs
-  acting on self-coupling spaces.
+  quantum 6j-symbols and the generalised modular pairs acting on
+  self-coupling spaces.
 - :mod:`sl2onepoint.cli` -- the ``sl2onepoint`` command line tool.
 """
 

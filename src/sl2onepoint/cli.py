@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 check (a modular pair off its braid relations, say at a tolerance
 below double-precision error), or whose value a double cannot hold (a
 6j-symbol whose factorial products underflow), also exits 1, with the
-message on stderr.
+message on stderr.  So does a command whose reader closes the pipe
+before all of its output is written (``| head``): stdout then points at
+the null device, so that neither the interrupted write nor the
+interpreter's final flush prints a traceback.
 
 Each subcommand imports the layers it uses, inside the function that
 uses them: ``generators`` in ``cmd_expand`` and the ``tables`` and
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -67,12 +71,13 @@ class RunConfig:
             raise ValueError(f"unknown format {self.output_format!r}")
 
 
-def _emit(payload: dict, config: RunConfig, table_lines) -> None:
-    """Print the payload as JSON, or the table lines.  ``table_lines`` is
-    iterated only for table output, so a generator formats nothing that
-    JSON output would throw away."""
+def _emit(payload, config: RunConfig, table_lines) -> None:
+    """Print the JSON payload or the table lines.  ``payload`` is a
+    function returning the payload's dict, called only for JSON output,
+    and ``table_lines`` is iterated only for table output, so neither
+    format builds what the other would throw away."""
     if config.output_format == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload()))
     else:
         for line in table_lines:
             print(line)
@@ -93,14 +98,17 @@ def cmd_expand(k: int, lam: int, config: RunConfig) -> int:
         for mu, series in gen.components:
             yield f"  mu={mu}: {series.pretty()}"
 
-    payload = gen.to_json()
-    # the largest numerator or denominator of any coefficient, in bits
-    bits = max(
-        max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-        for _, series in gen.components
-        for c in series.coeffs
-    )
-    payload["stages"] = {"generator_s": generator_s, "coeff_bits_max": bits}
+    def payload():
+        out = gen.to_json()
+        # the largest numerator or denominator of any coefficient, in bits
+        bits = max(
+            max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+            for _, series in gen.components
+            for c in series.coeffs
+        )
+        out["stages"] = {"generator_s": generator_s, "coeff_bits_max": bits}
+        return out
+
     _emit(payload, config, lines())
     return EXIT_OK
 
@@ -146,7 +154,7 @@ def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
     if verdict.status == repanalysis.UNDETERMINED and sig.dimension >= 4:
         lines.append("  hint: run `sl2onepoint mtc` for the categorical irreducibility probe")
         payload["hint"] = "mtc"
-    _emit(payload, config, lines)
+    _emit(lambda: payload, config, lines)
     return EXIT_OK
 
 
@@ -161,12 +169,18 @@ def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
         probe = mtc.irreducibility_probe(pair, tolerance=config.tolerance)
     except ValueError as exc:
         probe = f"refused: {exc}"
-    payload = pair.to_json()
-    payload["irreducibility_probe"] = probe
-    payload["analytic_comparison"] = mtc.compare_with_analytic(k, p, config.tolerance, pair=pair)
-    if p == k:
-        # the 1x1 case, where competing printed values exist; report all
-        payload["s_value_report"] = mtc.s_k_report(pair)
+    # built for both formats: its check of the basis against the label set
+    # guards table output too
+    analytic = mtc.compare_with_analytic(k, p, config.tolerance, pair=pair)
+
+    def payload():
+        out = pair.to_json()
+        out["irreducibility_probe"] = probe
+        out["analytic_comparison"] = analytic
+        if p == k:
+            # the 1x1 case, where competing printed values exist; report all
+            out["s_value_report"] = mtc.s_k_report(pair)
+        return out
 
     def lines():
         yield f"modular pair  level={k}  p={p}  basis={list(pair.basis)}"
@@ -345,7 +359,7 @@ def cmd_verify(suite: str, config: RunConfig) -> int:
     lines = [f"suite {suite}: {len(checks) - len(failures)}/{len(checks)} checks passed"]
     for name, note in failures:
         lines.append(f"  FAIL {name}" + (f": {note}" if note else ""))
-    _emit(payload, config, lines)
+    _emit(lambda: payload, config, lines)
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
@@ -393,12 +407,21 @@ def main(argv=None) -> int:
             **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
         )
         if args.command == "expand":
-            return cmd_expand(args.level, args.lam, config)
-        if args.command == "classify":
-            return cmd_classify(args.level, args.lam, config)
-        if args.command == "mtc":
-            return cmd_mtc(args.level, args.p, config)
-        return cmd_verify(args.suite, config)
+            code = cmd_expand(args.level, args.lam, config)
+        elif args.command == "classify":
+            code = cmd_classify(args.level, args.lam, config)
+        elif args.command == "mtc":
+            code = cmd_mtc(args.level, args.p, config)
+        else:
+            code = cmd_verify(args.suite, config)
+        # a reader that closed the pipe shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe of the ``signal`` module's documentation: with stdout on
+        # the null device, the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFY_FAILED
     except UnsupportedDimensionError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

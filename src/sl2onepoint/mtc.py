@@ -14,43 +14,43 @@ never a user error).  These residuals are the only precision guard.
 
 Per-level state lives in one table, the frozen ``MtcLevelData`` that
 ``f_r_g_matrices`` builds once and caches by level: the twists, quantum
-dimensions and character S-matrix, the rescaled quantum integers and
-factorials, and the half-twists e(h_i/2).  The quantum integers are
-tabulated as sin(pi n/(k+2)) = [n] sin(pi/(k+2)), so the factorials
-stay in (0, 1] at every level, where the unscaled [k+1]! overflows a
-double from k = 202 on.  The 6j formula is homogeneous of degree 0 in
-the quantum integers, so the rescaling cancels in every symbol.  A
-braiding phase R^{(rs)t} is the product (-1)^(r+s-t) e(h_r/2) e(h_s/2) /
-e(h_t/2) of table entries, with no rational arithmetic or exponential
-per call.  The 6j kernels and ``_r_phase`` take the table, not the level.
+dimensions and character S-matrix, and the rescaled quantum integers and
+factorials.  The quantum integers are tabulated as sin(pi n/(k+2)) =
+[n] sin(pi/(k+2)), so the factorials stay in (0, 1] at every level,
+where the unscaled [k+1]! overflows a double from k = 202 on.  The 6j
+formula is homogeneous of degree 0 in the quantum integers, so the
+rescaling cancels in every symbol.  The 6j kernels take the table, not
+the level.
 
 The modular pair.  The categorical definition sums, over the admissible
 r, theta_r/(theta_i theta_j) G^{(iij)j}_{0r} F^{(iij)j}_{r0}
 G^{(pir)j}_{ij}, with G^{(ijk)l}_{pq} = R^{(jk)q} R^{(iq)l} /
-(R^{(ij)p} R^{(pk)l}) F^{(kji)l}_{pq} and F^{(rst)u}_{pq} =
-{t s p; r u q}.  Two of its three 6j-symbols carry a zero label and are
-equal, so their product is d_r/(d_i d_j); the phases of the last G
-reduce to R^{(pj)j}/R^{(pi)i}.  What is left is the one-punctured-torus
-formula
+(R^{(ij)p} R^{(pk)l}) F^{(kji)l}_{pq}, F^{(rst)u}_{pq} =
+{t s p; r u q} and the braiding phase R^{(rs)t} = (-1)^(r+s-t)
+e((h_r + h_s - h_t)/2).  Two of its three 6j-symbols carry a zero label
+and are equal, so their product is d_r/(d_i d_j).  Every braiding phase
+cancels: those of the first G give phi_ijr = R^{(ij)r} R^{(ir)j} /
+(R^{(ii)0} R^{(0j)j}) = e(h_i)/e(h_i) = 1, and those of the last reduce
+to R^{(pj)j}/R^{(pi)i} = 1, since R^{(pi)i} = e(h_p/2) for every i when
+p is even.  The hexagon-compatible sign (-1)^((r+s-t)/2) cancels in the
+same way, so the pair depends on no braiding convention.  What is left
+is the one-punctured-torus formula
 
-    S^(p)_ij = (1/D) R^{(pj)j} / (R^{(pi)i} theta_i theta_j)
-               * sum_r N_ij^r d_r theta_r phi_ijr {p/2 i/2 i/2; r/2 j/2 j/2},
+    S^(p)_ij = (1/(D theta_i theta_j))
+               * sum_r N_ij^r d_r theta_r {p/2 i/2 i/2; r/2 j/2 j/2},
 
 one 6j-symbol per term, each with at most p/2 + 1 terms of its own
 alternating sum.  That symbol collapses: two of its triads coincide, and
 ``_self_coupling_six_j`` evaluates it with no square root, from a factor
 A_i per basis label (``_coupling_norm``) and table entries.  It is
-symmetric in i and j (its tetrahedral symmetry), so each unordered pair
-{i, j} evaluates it once per r, for both S_ij and S_ji; ``_six_j2``, the
-general kernel behind ``six_j``, is its oracle.  phi_ijr = R^{(ij)r}
-R^{(ir)j} / (R^{(ii)0} R^{(0j)j}) is identically 1, yet it stays in the
-sum, its numerator taken from ``_r_phase`` on every term of S_ij and of
-S_ji and its denominator once per entry, like the phases outside the
-sum: a pair is certified by its relations, and that check must see
-whatever ``_r_phase`` gives.  Nothing is cached across pairs for the
-same reason.  The four matrix products of the certification are plain
-Python too, O(d^3) in the basis size d.  ``tests/mtc_oracle.py`` keeps
-the three-symbol sum, term by term, as the oracle.
+symmetric in i and j (its tetrahedral symmetry), and so is every other
+factor, so each unordered pair {i, j} is summed once and S is exactly
+symmetric; ``_six_j2``, the general kernel behind ``six_j``, is the
+symbol's oracle.  ``tests/mtc_oracle.py`` keeps the three-symbol sum,
+term by term and with every braiding phase, as the oracle of S: it
+alone checks that the phases cancel.  Nothing is cached across pairs.
+The four matrix products of the certification are plain Python too,
+O(d^3) in the basis size d.
 
 Label conventions: integer labels 0..k; 6j-symbols take the spin (half
 label) values.  All self-couplings here are multiplicity-free, so no
@@ -238,9 +238,10 @@ class MtcLevelData:
     """The level-k constants: labels, twists, zeta = e(c/24), character
     S-matrix, quantum dimensions and the global dimension root; the
     rescaled quantum integers sin(pi n/(k+2)), n = 0..k+2, and their
-    running products, the rescaled factorials, n = 0..k+1, all in (0, 1];
-    and the half-twists e(h_i/2).  Frozen, because ``f_r_g_matrices``
-    shares one cached instance per level."""
+    running products, the rescaled factorials, n = 0..k+1, all in (0, 1].
+    It holds no braiding phase: none survives in the modular pairs.
+    Frozen, because ``f_r_g_matrices`` shares one cached instance per
+    level."""
 
     level: int
     labels: tuple[int, ...]
@@ -251,21 +252,14 @@ class MtcLevelData:
     global_dim_root: float
     qint: tuple[float, ...]
     qfact: tuple[float, ...]
-    half_twist: tuple[complex, ...]
-
-
-def _r_phase(data: MtcLevelData, r: int, s: int, t: int) -> complex:
-    """R^{(rs)t} = (-1)^(r+s-t) e((h_r + h_s - h_t)/2)."""
-    half = data.half_twist
-    return ((-1.0) ** (r + s - t)) * half[r] * half[s] / half[t]
 
 
 @lru_cache(maxsize=None)
 def f_r_g_matrices(k: int) -> MtcLevelData:
     """The level-k table, O(k^2) work, and the only per-level state of
-    this module.  The modular pairs take the 6j-symbols and braiding
-    phases they need directly from it (``_six_j2``, ``_r_phase``); no
-    recoupling tensor is ever built."""
+    this module.  The 6j-symbols are evaluated directly from it
+    (``_six_j2``, ``_self_coupling_six_j``), and the modular pairs need
+    no braiding phase; no F, R or G tensor is ever built."""
     _check_level(k)
     n = k + 2
     labels = tuple(range(k + 1))
@@ -287,7 +281,6 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
         global_dim_root=1.0 / s_char[0][0],
         qint=qint,
         qfact=tuple(qfact),
-        half_twist=tuple(_e(conformal_weight(k, i) / 2) for i in labels),
     )
 
 
@@ -306,8 +299,9 @@ def adjoint_members(k: int) -> list[int]:
 class GenModularPair:
     """The action of the once-punctured-torus mapping class group on the
     self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}.
-    ``stages`` records what building it cost: the number of 6j-symbols
-    evaluated (one per unordered {i, j} and r, shared by S_ij and S_ji),
+    S is symmetric, each unordered {i, j} summed once with no braiding
+    phase.  ``stages`` records what building it cost: the number of
+    6j-symbols evaluated (one per unordered {i, j} and r),
     the assembly and certification times in seconds, and the headroom of
     the worst residual below the tolerance in decimal digits."""
 
@@ -355,8 +349,7 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     basis = tuple(i for i in data.labels if fusion_coefficient(k, p, i, i) == 1)
 
     # S^(p)_ij by the one-punctured-torus formula of the module docstring;
-    # the symbol is symmetric in i and j, so each unordered pair evaluates
-    # it once for both S_ij and S_ji
+    # it is symmetric in i and j, so each unordered pair is summed once
     start = time.perf_counter()
     evaluations = 0
     norm = [_coupling_norm(data, p, i) for i in basis]
@@ -364,21 +357,12 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     for a, i in enumerate(basis):
         for b in range(a, dim):
             j = basis[b]
-            den_ij = _r_phase(data, i, i, 0) * _r_phase(data, 0, j, j)
-            den_ji = _r_phase(data, j, j, 0) * _r_phase(data, 0, i, i)
-            acc_ij = acc_ji = 0j
+            acc = 0j
             # the r with N_ij^r = 1, ascending
             for r in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2):
-                six_j_ijr = _self_coupling_six_j(data, p, i, j, r, norm[a], norm[b])
+                acc += qdim[r] * theta[r] * _self_coupling_six_j(data, p, i, j, r, norm[a], norm[b])
                 evaluations += 1
-                weight = qdim[r] * theta[r]
-                acc_ij += weight * (_r_phase(data, i, j, r) * _r_phase(data, i, r, j) / den_ij) * six_j_ijr
-                acc_ji += weight * (_r_phase(data, j, i, r) * _r_phase(data, j, r, i) / den_ji) * six_j_ijr
-            # on the diagonal both are the same entry, with the same value
-            outer_ij = _r_phase(data, p, j, j) / (_r_phase(data, p, i, i) * theta[i] * theta[j])
-            outer_ji = _r_phase(data, p, i, i) / (_r_phase(data, p, j, j) * theta[j] * theta[i])
-            rows[a][b] = outer_ij * acc_ij / data.global_dim_root
-            rows[b][a] = outer_ji * acc_ji / data.global_dim_root
+            rows[a][b] = rows[b][a] = acc / (data.global_dim_root * theta[i] * theta[j])
     s = tuple(map(tuple, rows))
     t_diag = tuple(theta[i] / data.zeta for i in basis)
     assembled = time.perf_counter()

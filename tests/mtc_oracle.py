@@ -4,16 +4,20 @@ subset enumeration behind the irreducibility probe.
 
 Test fixture only.  ``_six_j_2`` evaluates one quantum 6j-symbol by a
 Python loop over z with its own admissibility check and its own tables
-of unscaled quantum integers [n] and factorials [n]!; ``s_matrix_loop``
-assembles S^(p) one (i, j, r) term at a time from it and from
-``mtc._r_phase``, as the categorical definition reads: three 6j-symbols
-per term, two of them inside G-entries.  The library evaluates one
-6j-symbol per term instead (the one-punctured-torus formula of
-``mtc.gen_modular_pair``, on the rescaled tables of ``mtc._six_j2``),
-and the tests compare it against these.
+of unscaled quantum integers [n] and factorials [n]!.  ``r_phase`` is
+the braiding phase R^{(rs)t} = (-1)^(r+s-t) e((h_r + h_s - h_t)/2),
+taken from the exact sum of the conformal weights; the library holds no
+braiding phase, since all of them cancel from its modular pairs.
+``s_matrix_loop`` assembles S^(p) one (i, j, r) term at a time from
+these two, as the categorical definition reads: three 6j-symbols per
+term, two of them inside G-entries, and every braiding phase.  The
+library evaluates one 6j-symbol per term and no phase instead (the
+one-punctured-torus formula of ``mtc.gen_modular_pair``, on the
+rescaled tables of ``mtc._six_j2``), and the tests compare it against
+these.
 
-``f_tensor``, ``r_tensor`` and ``g_tensor`` tabulate the library's F, R
-and G on every admissible index tuple of a level, a count that grows like
+``f_tensor``, ``r_tensor`` and ``g_tensor`` tabulate F (the library's
+6j-symbols), R (``r_phase``) and G on every admissible index tuple of a level, a count that grows like
 the sixth power of the level, so they serve the coherence tests at
 k <= 8 only.  f_tensor[(r,s,t,u,p,q)] is the recoupling coefficient from
 the tree r(st) with inner edge p to the tree (rs)t with inner edge q,
@@ -33,7 +37,7 @@ from itertools import combinations
 import numpy as np
 
 from sl2onepoint import mtc
-from sl2onepoint.sl2data import fusion_coefficient
+from sl2onepoint.sl2data import conformal_weight, fusion_coefficient
 
 
 def _triad_ok_2(k: int, a2: int, b2: int, c2: int) -> bool:
@@ -122,11 +126,18 @@ def _f_entry(k: int, r: int, s: int, t: int, u: int, p: int, q: int) -> float:
     return _six_j_2(k, t, s, p, r, u, q)
 
 
+@lru_cache(maxsize=None)
+def r_phase(k: int, r: int, s: int, t: int) -> complex:
+    """R^{(rs)t} = (-1)^(r+s-t) e((h_r + h_s - h_t)/2), the exponent
+    reduced mod 1 in exact arithmetic before it becomes a float."""
+    exact = (conformal_weight(k, r) + conformal_weight(k, s) - conformal_weight(k, t)) / 2
+    return (-1) ** (r + s - t) * mtc._e(exact % 1)
+
+
 def _g_entry(k: int, i: int, j: int, kt: int, l: int, p: int, q: int) -> complex:
     """G^{(ijk)l}_{pq} = R^{(jk)q} R^{(iq)l} / (R^{(ij)p} R^{(pk)l}) * F^{(kji)l}_{pq}."""
-    data = mtc.f_r_g_matrices(k)
-    num = mtc._r_phase(data, j, kt, q) * mtc._r_phase(data, i, q, l)
-    den = mtc._r_phase(data, i, j, p) * mtc._r_phase(data, p, kt, l)
+    num = r_phase(k, j, kt, q) * r_phase(k, i, q, l)
+    den = r_phase(k, i, j, p) * r_phase(k, p, kt, l)
     return num / den * _f_entry(k, kt, j, i, l, p, q)
 
 
@@ -157,11 +168,10 @@ def s_matrix_loop(k: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def r_tensor(k: int) -> dict:
-    """R^{(rs)t} = ``mtc._r_phase`` on every admissible triple."""
+    """R^{(rs)t} = ``r_phase`` on every admissible triple."""
     labels = range(k + 1)
-    data = mtc.f_r_g_matrices(k)
     return {
-        (r, s, t): mtc._r_phase(data, r, s, t)
+        (r, s, t): r_phase(k, r, s, t)
         for r in labels
         for s in labels
         for t in labels

@@ -149,12 +149,13 @@ def test_mtc_nan_relation_residual_exits_1(capsys, monkeypatch):
 
     import sl2onepoint.mtc as mtc_module
 
-    true_phase = mtc_module._r_phase
+    true_six_j = mtc_module._self_coupling_six_j
 
-    def nan_phase(k, r, s, t):
-        return true_phase(k, r, s, t) * (math.nan if (r, s, t) == (1, 1, 2) else 1.0)
+    def nan_six_j(data, p, i, j, r, norm_i, norm_j):
+        value = true_six_j(data, p, i, j, r, norm_i, norm_j)
+        return value * (math.nan if (i, j, r) == (1, 1, 2) else 1.0)
 
-    monkeypatch.setattr(mtc_module, "_r_phase", nan_phase)
+    monkeypatch.setattr(mtc_module, "_self_coupling_six_j", nan_six_j)
     code, out, err = run(capsys, "mtc", "--level", "3", "--p", "2", "--format", "json")
     assert code == EXIT_VERIFY_FAILED
     assert out == ""
@@ -328,6 +329,43 @@ def test_subcommands_load_only_their_layers():
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, (argv, result.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mtc", "-k", "48", "--p", "2", "--format", "json"),
+        ("expand", "-k", "3", "-l", "2", "-n", "400", "--format", "json"),
+    ],
+)
+def test_closed_pipe_exits_1_without_traceback(argv):
+    """A reader that closes the pipe early, as ``| head -c 10`` does, ends
+    the command with exit 1 and an empty stderr.  Both outputs are larger
+    than a pipe holds (about 355 KB for the pair at k = 48), so the write
+    is still blocked when the pipe closes."""
+    import os
+    import subprocess
+    import sys
+
+    import sl2onepoint
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    entry = "import sys; from sl2onepoint.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", entry, *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err == ""
+    assert code == EXIT_VERIFY_FAILED
 
 
 def test_verify_mlde_suite(capsys):

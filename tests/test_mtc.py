@@ -5,10 +5,13 @@ High-precision oracle: the 6j formula re-evaluated in 50-digit mpmath
 arithmetic with the unscaled quantum integers, up to k = 300.  Coherence
 oracles, on the tensors of ``mtc_oracle``: F-matrix unitarity (6j
 orthogonality), the pentagon identity, and both hexagon identities.  The
-hexagon needs the braiding with the halved sign (-1)^{(r+s-t)/2}; the
-shipped R keeps the trivial-sign convention of its defining formula, and
-the two differ by a sign that cancels in every modular-pair quantity
-(see the G-ratio: its sign exponents sum to zero).
+braiding R lives in ``mtc_oracle`` only: the library's modular pairs
+contain no braiding phase, because every one of them cancels from the
+one-punctured-torus sum.  The hexagon needs the braiding with the halved
+sign (-1)^{(r+s-t)/2}; the oracle's R keeps the trivial-sign convention
+of its defining formula, and the phases cancel in both conventions, as
+a test below checks.  The three-symbol oracle S keeps every phase, so it
+alone checks the cancellation in the library's S.
 """
 
 import cmath
@@ -357,22 +360,32 @@ def test_r_fixture_value():
         assert abs(r_tensor(k)[(1, 1, 0)] - want) < 1e-14
 
 
-def test_r_phase_equals_exact_phase_sum():
-    """The half-twist product against the phase taken from the exact sum
-    h_r + h_s - h_t, for every admissible triple at k <= 48."""
-    from sl2onepoint.mtc import _r_phase
+def test_braiding_phases_cancel_from_the_pair():
+    """The phases the one-punctured-torus sum drops, in the trivial-sign
+    convention of the oracle's R and in the hexagon-compatible one:
+    phi_ijr = R^{(ij)r} R^{(ir)j} / (R^{(ii)0} R^{(0j)j}) is 1, and
+    R^{(pi)i} does not depend on i (e(h_p/2), times (-1)^(p/2) in the
+    hexagon convention), for every admissible triple with k <= 24."""
+    for k in range(0, 25):
+        r = r_tensor(k)
+        for hexagon in (False, True):
 
-    worst = 0.0
-    for k in range(0, 49):
-        data = f_r_g_matrices(k)
-        h = [conformal_weight(k, i) for i in range(k + 1)]
-        for r, s, t in itertools.product(range(k + 1), repeat=3):
-            if (r + s + t) % 2 or not abs(r - s) <= t <= min(r + s, 2 * k - r - s):
-                continue
-            exact = h[r] + h[s] - h[t]
-            want = (-1) ** (r + s - t) * cmath.exp(1j * math.pi * float(exact))
-            worst = max(worst, abs(_r_phase(data, r, s, t) - want))
-    assert worst < 1e-13
+            def rho(x, y, t):
+                return ((-1.0) ** ((x + y - t) // 2) if hexagon else 1.0) * r[(x, y, t)]
+
+            checked = 0
+            for i, j, t in r:
+                phi = rho(i, j, t) * rho(i, t, j) / (rho(i, i, 0) * rho(0, j, j))
+                assert abs(phi - 1) < 1e-14, (k, hexagon, i, j, t)
+                checked += 1
+            assert checked == len(r)
+            for p in range(0, k + 1, 2):
+                want = ((-1.0) ** (p // 2) if hexagon else 1.0) * cmath.exp(
+                    1j * math.pi * float(conformal_weight(k, p))
+                )
+                for i in range(k + 1):
+                    if (p, i, i) in r:
+                        assert abs(rho(p, i, i) - want) < 1e-14, (k, hexagon, p, i)
 
 
 def test_g_entry_equals_tabulated_recoupling():
@@ -539,6 +552,16 @@ def test_pair_s_matrix_equals_per_triple_loop():
         assert np.max(np.abs(got - want)) < 1e-12, (k, p)
 
 
+def test_pair_s_matrix_is_exactly_symmetric():
+    """Each unordered {i, j} is summed once, so S equals its transpose
+    float for float."""
+    cases = [(k, p) for k in range(0, 25) for p in range(0, k + 1, 2)]
+    cases += [(48, 2), (48, 4), (48, 6)]
+    for k, p in cases:
+        s = gen_modular_pair(k, p).s_matrix
+        assert s == tuple(zip(*s)), (k, p)
+
+
 def test_one_dimensional_t_value():
     # T^(k) = e(k/16)
     for k in (2, 4, 6, 10):
@@ -608,16 +631,17 @@ def test_gen_modular_pair_guards():
 
 
 def test_relation_violation_surfaces_loudly(monkeypatch):
-    # poison the braiding phase: the pair construction must refuse to
+    # poison one 6j-symbol of the sum: the pair construction must refuse to
     # return silently wrong data
     import sl2onepoint.mtc as mtc_module
 
-    true_phase = mtc_module._r_phase
+    true_six_j = mtc_module._self_coupling_six_j
 
-    def wrong_phase(k, r, s, t):
-        return true_phase(k, r, s, t) * (1.05 if (r, s, t) == (1, 1, 2) else 1.0)
+    def wrong_six_j(data, p, i, j, r, norm_i, norm_j):
+        value = true_six_j(data, p, i, j, r, norm_i, norm_j)
+        return value * (1.05 if (i, j, r) == (1, 1, 2) else 1.0)
 
-    monkeypatch.setattr(mtc_module, "_r_phase", wrong_phase)
+    monkeypatch.setattr(mtc_module, "_self_coupling_six_j", wrong_six_j)
     with pytest.raises(RelationViolationError):
         gen_modular_pair(3, 2)
 
@@ -627,12 +651,13 @@ def test_nan_residual_is_refused(monkeypatch):
     # still refuse it
     import sl2onepoint.mtc as mtc_module
 
-    true_phase = mtc_module._r_phase
+    true_six_j = mtc_module._self_coupling_six_j
 
-    def nan_phase(k, r, s, t):
-        return true_phase(k, r, s, t) * (math.nan if (r, s, t) == (1, 1, 2) else 1.0)
+    def nan_six_j(data, p, i, j, r, norm_i, norm_j):
+        value = true_six_j(data, p, i, j, r, norm_i, norm_j)
+        return value * (math.nan if (i, j, r) == (1, 1, 2) else 1.0)
 
-    monkeypatch.setattr(mtc_module, "_r_phase", nan_phase)
+    monkeypatch.setattr(mtc_module, "_self_coupling_six_j", nan_six_j)
     with pytest.raises(RelationViolationError, match="nan"):
         gen_modular_pair(3, 2)
 
