@@ -19,11 +19,9 @@ integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .qseries import fraction_to_str
 from .sl2data import _check_label, _conformal_weight, rep_dimension
 
 __all__ = ["ZQCharacter", "simple_character", "trivial_multiplicity"]
@@ -40,8 +38,7 @@ def _zconv(a: Row, b: Row) -> Row:
     return {e: c for e, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class ZQCharacter:
+class ZQCharacter(NamedTuple):
     """Rows of a two-variable character, one sparse z-row per q-grade."""
 
     level: int
@@ -74,7 +71,7 @@ class ZQCharacter:
             "weight": self.weight,
             "qorder": self.qorder,
             "rows": [
-                [[e, fraction_to_str(Fraction(c))] for e, c in sorted(row.items())]
+                [[e, str(c)] for e, c in sorted(row.items())]
                 for row in self.rows
             ],
         }

@@ -20,10 +20,13 @@ uses them: ``generators`` in ``cmd_expand`` and the ``tables`` and
 ``mlde`` suites, ``repanalysis`` in ``cmd_classify`` and the ``dims``
 suite, ``bgg`` in the ``bgg`` suite, and the categorical layer (``mtc``)
 in ``cmd_mtc`` and the ``mtc`` suite.  Compiling and running a module
-adds to the start of every process (``mtc`` alone takes about 3 ms from
-a bytecode cache, 10 ms without one), which the other subcommands would
-pay for nothing.  Only ``sl2data`` and ``qseries``, which every layer
-imports, load with this module.
+adds to the start of every process (``mtc`` alone takes about 2 ms from
+a bytecode cache, 7 ms without one), which the other subcommands would
+pay for nothing.  Only ``sl2data``, which every layer imports, loads
+with this module; the series ring ``qseries`` loads with ``generators``
+alone, so ``classify`` and ``mtc`` never compile it.  The records are
+named tuples, so no subcommand loads ``dataclasses`` (and ``inspect``
+with it), which took about 10 ms of every start.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from . import sl2data
@@ -45,7 +48,6 @@ from .errors import (
     RelationViolationError,
     UnsupportedDimensionError,
 )
-from .qseries import QExpansion, euler_product, fraction_to_str
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -55,20 +57,23 @@ EXIT_UNSUPPORTED = 3
 SUITES = ("tables", "mlde", "bgg", "dims", "mtc", "all")
 
 
-@dataclass
-class RunConfig:
-    order: int = 12
-    tolerance: float = 1e-9
-    output_format: str = "table"
+class RunConfig(namedtuple("RunConfig", "order tolerance output_format")):
+    """The options shared by the subcommands, checked on construction."""
 
-    def __post_init__(self):
-        if self.order < 1:
+    __slots__ = ()
+
+    def __new__(cls, order: int = 12, tolerance: float = 1e-9, output_format: str = "table"):
+        if order < 1:
             raise ValueError("order must be >= 1")
         # phrased so that NaN fails too
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
-        if self.output_format not in ("json", "table"):
-            raise ValueError(f"unknown format {self.output_format!r}")
+        if not 0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+        if output_format not in ("json", "table"):
+            raise ValueError(f"unknown format {output_format!r}")
+        return super().__new__(cls, order, tolerance, output_format)
+
+    # ``_replace`` builds through ``_make``: check there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _emit(payload, config: RunConfig, table_lines) -> None:
@@ -94,7 +99,7 @@ def cmd_expand(k: int, lam: int, config: RunConfig) -> int:
     generator_s = time.perf_counter() - start
 
     def lines():
-        yield f"cyclic generator  level={k}  lambda={lam}  weight={fraction_to_str(gen.form_weight)}"
+        yield f"cyclic generator  level={k}  lambda={lam}  weight={gen.form_weight}"
         for mu, series in gen.components:
             yield f"  mu={mu}: {series.pretty()}"
 
@@ -131,7 +136,7 @@ def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
         "level": k,
         "lambda": lam,
         "dimension": sig.dimension,
-        "leading_exponents": [fraction_to_str(x) for x in exponents],
+        "leading_exponents": [str(x) for x in exponents],
         "rho_t": sig.to_json(),
         "t_order": repanalysis.t_order(k, lam),
         "irreducibility": irred,
@@ -141,8 +146,8 @@ def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
     }
     lines = [
         f"level={k} lambda={lam}: dimension {sig.dimension}",
-        "  leading exponents: " + ", ".join(fraction_to_str(x) for x in exponents),
-        "  T-exponents: " + ", ".join(fraction_to_str(x) for x in sig.t_exponents),
+        "  leading exponents: " + ", ".join(map(str, exponents)),
+        "  T-exponents: " + ", ".join(map(str, sig.t_exponents)),
         f"  order of T-action: {payload['t_order']}",
         f"  irreducibility (subproduct test): {irred}",
         f"  congruence: {verdict.status}"
@@ -203,7 +208,7 @@ def _fixture_note(entry) -> str:
     differential equation leaves on the published series."""
     if any(entry.published_residual):
         return (
-            f"published series leaves q^1 residual {fraction_to_str(entry.published_residual[1])} "
+            f"published series leaves q^1 residual {entry.published_residual[1]} "
             "under the level's differential equation"
         )
     return "published series solves the level's differential equation, yet differs"
@@ -211,6 +216,7 @@ def _fixture_note(entry) -> str:
 
 def _suite_tables(config: RunConfig):
     from . import generators
+    from .qseries import QExpansion, euler_product
 
     checks = []
     for which in ("table1", "table2"):
@@ -374,19 +380,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, level=True, lam=False, order=False, tolerance=False):
-        """The options a subcommand reads, and no others."""
+        """The options a subcommand reads, and no others.  An option left
+        out stays off the namespace, so that ``RunConfig`` supplies its
+        default."""
         if level:
             p.add_argument("--level", "-k", type=int, required=True, help="level k >= 0")
         if lam:
             p.add_argument("--lambda", "-l", dest="lam", type=int, required=True,
                            help="finite weight lambda (even)")
         if order:
-            p.add_argument("--order", "-n", type=int, default=RunConfig.order,
+            p.add_argument("--order", "-n", type=int, default=argparse.SUPPRESS,
                            help="series truncation order")
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=RunConfig.tolerance)
+            p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
         p.add_argument("--format", dest="output_format", choices=("json", "table"),
-                       default=RunConfig.output_format)
+                       default=argparse.SUPPRESS)
 
     common(sub.add_parser("expand", help="q-expansions of the cyclic generator"),
            lam=True, order=True)
@@ -404,7 +412,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = RunConfig(
-            **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+            **{name: getattr(args, name) for name in RunConfig._fields if hasattr(args, name)}
         )
         if args.command == "expand":
             code = cmd_expand(args.level, args.lam, config)

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
+from typing import NamedTuple
 
 from .errors import DegenerateMldeError, InternalInconsistencyError, UnsupportedDimensionError
 from .qseries import (
@@ -45,7 +45,6 @@ from .qseries import (
     _integers,
     eisenstein,
     eta_power,
-    fraction_to_str,
     j_inverse,
     modular_derivative,
     monomial,
@@ -75,19 +74,21 @@ _FORMS = (4, 6)
 _MAX_ORDER = len(_FORMS) + 1  # an equation of order d uses d - 1 forms
 
 
-@dataclass(frozen=True)
-class HypergeomSpec:
-    """Parameters of a generalised hypergeometric series pFq."""
+class HypergeomSpec(namedtuple("HypergeomSpec", "upper lower")):
+    """Parameters of a generalised hypergeometric series pFq, held as
+    tuples of Fractions."""
 
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(Fraction(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(b) for b in self.lower))
-        for b in self.lower:
+    def __new__(cls, upper, lower):
+        upper, lower = tuple(map(Fraction, upper)), tuple(map(Fraction, lower))
+        for b in lower:
             if b.denominator == 1 and b <= 0:
                 raise ValueError(f"lower parameter {b} is a non-positive integer")
+        return super().__new__(cls, upper, lower)
+
+    # ``_replace`` builds through ``_make``: check there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def coefficients(self, count: int) -> list[Fraction]:
         """First ``count`` series coefficients from the rising-factorial
@@ -136,8 +137,7 @@ def hypergeom_series(spec: HypergeomSpec, arg: QExpansion, order: int) -> QExpan
     return total.truncate(order)
 
 
-@dataclass(frozen=True)
-class VvmfVector:
+class VvmfVector(NamedTuple):
     """A vector of trace-function expansions, one component per label mu
     in the self-coupling set of (level, weight_label)."""
 
@@ -160,7 +160,7 @@ class VvmfVector:
         return {
             "level": self.level,
             "weight_label": self.weight_label,
-            "form_weight": fraction_to_str(self.form_weight),
+            "form_weight": str(self.form_weight),
             "components": [
                 {"mu": mu, "series": series.to_json()} for mu, series in self.components
             ],
@@ -473,8 +473,7 @@ def mlde_residual(k: int, lam: int, order: int) -> list[QExpansion]:
 # -- published-table fixtures -----------------------------------------
 
 
-@dataclass(frozen=True)
-class FixtureEntry:
+class FixtureEntry(NamedTuple):
     level: int
     mu: int
     expected_exponent: Fraction
@@ -496,16 +495,15 @@ class FixtureEntry:
             "level": self.level,
             "mu": self.mu,
             "passed": self.passed,
-            "expected_exponent": fraction_to_str(self.expected_exponent),
-            "got_exponent": fraction_to_str(self.got_exponent),
-            "expected_coeffs": [fraction_to_str(c) for c in self.expected_coeffs],
-            "got_coeffs": [fraction_to_str(c) for c in self.got_coeffs],
-            "published_residual": [fraction_to_str(c) for c in self.published_residual],
+            "expected_exponent": str(self.expected_exponent),
+            "got_exponent": str(self.got_exponent),
+            "expected_coeffs": [str(c) for c in self.expected_coeffs],
+            "got_coeffs": [str(c) for c in self.got_coeffs],
+            "published_residual": [str(c) for c in self.published_residual],
         }
 
 
-@dataclass(frozen=True)
-class FixtureReport:
+class FixtureReport(NamedTuple):
     table: str
     entries: tuple[FixtureEntry, ...]
 
@@ -522,6 +520,8 @@ class FixtureReport:
 
 
 def _load_tables() -> dict:
+    from importlib import resources
+
     text = resources.files("sl2onepoint").joinpath("data/published_tables.json").read_text()
     return json.loads(text)
 

@@ -12,7 +12,7 @@ with residuals stored on the object and a loud error when they exceed
 tolerance or are not numbers at all (a convention bug or lost precision,
 never a user error).  These residuals are the only precision guard.
 
-Per-level state lives in one table, the frozen ``MtcLevelData`` that
+Per-level state lives in one table, the immutable ``MtcLevelData`` that
 ``f_r_g_matrices`` builds once and caches by level: the twists, quantum
 dimensions and character S-matrix, and the rescaled quantum integers and
 factorials.  The quantum integers are tabulated as sin(pi n/(k+2)) =
@@ -49,8 +49,13 @@ symmetric; ``_six_j2``, the general kernel behind ``six_j``, is the
 symbol's oracle.  ``tests/mtc_oracle.py`` keeps the three-symbol sum,
 term by term and with every braiding phase, as the oracle of S: it
 alone checks that the phases cancel.  Nothing is cached across pairs.
-The four matrix products of the certification are plain Python too,
-O(d^3) in the basis size d.
+The certification is plain Python too, O(d^3) in the basis size d.
+Since S is exactly symmetric, so are S^2, S^4, S T S and S T S T S =
+(S T)^3 T^-1, and each is half a product, the row products on and above
+the diagonal mirrored: 2 d^3 complex products in all, where the four full
+products (S T)(S T)(S T), S S and S^2 S^2 take 4 d^3.  S^2 and S^4 equal
+the full products float for float; the oracle keeps those in
+``tests/mtc_oracle.py``.
 
 Label conventions: integer labels 0..k; 6j-symbols take the spin (half
 label) values.  All self-couplings here are multiplicity-free, so no
@@ -63,13 +68,14 @@ import cmath
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import PrecisionLossError, RelationViolationError
-from .qseries import fraction_to_str
 from .sl2data import (
     _check_label,
     _check_level,
@@ -233,15 +239,14 @@ def six_j(k: int, a, b, e, d, c, f) -> float:
     return _six_j2(f_r_g_matrices(k), a2, b2, e2, d2, c2, f2)
 
 
-@dataclass(frozen=True)
-class MtcLevelData:
+class MtcLevelData(NamedTuple):
     """The level-k constants: labels, twists, zeta = e(c/24), character
     S-matrix, quantum dimensions and the global dimension root; the
     rescaled quantum integers sin(pi n/(k+2)), n = 0..k+2, and their
     running products, the rescaled factorials, n = 0..k+1, all in (0, 1].
     It holds no braiding phase: none survives in the modular pairs.
-    Frozen, because ``f_r_g_matrices`` shares one cached instance per
-    level."""
+    A named tuple, so it refuses assignment, because ``f_r_g_matrices``
+    shares one cached instance per level."""
 
     level: int
     labels: tuple[int, ...]
@@ -295,8 +300,7 @@ def adjoint_members(k: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class GenModularPair:
+class GenModularPair(NamedTuple):
     """The action of the once-punctured-torus mapping class group on the
     self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}.
     S is symmetric, each unordered {i, j} summed once with no braiding
@@ -311,7 +315,8 @@ class GenModularPair:
     s_matrix: Matrix
     t_diagonal: tuple[complex, ...]
     relation_residuals: dict[str, float]
-    stages: dict[str, float] = field(default_factory=dict)
+    # read-only when not given, so that no two pairs share a mutable default
+    stages: Mapping[str, float] = MappingProxyType({})
 
     def to_json(self) -> dict:
         def cpx(z: complex) -> list[float]:
@@ -328,9 +333,17 @@ class GenModularPair:
         }
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    columns = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
+def _symmetric_product(a: Matrix, b: Matrix) -> list[list[complex]]:
+    """a b for an exactly symmetric b when the product is symmetric too:
+    the row products a_i . b_j on and above the diagonal, mirrored, d^3/2
+    complex products.  For a square of a symmetric matrix (a = b), every
+    entry is bit for bit that of the full product."""
+    dim = len(a)
+    rows = [[0j] * dim for _ in range(dim)]
+    for i, row in enumerate(a):
+        for j in range(i, dim):
+            rows[i][j] = rows[j][i] = sum(map(mul, row, b[j]))
+    return rows
 
 
 def _max_abs_diff(a: Matrix, b: Matrix) -> float:
@@ -367,11 +380,15 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     t_diag = tuple(theta[i] / data.zeta for i in basis)
     assembled = time.perf_counter()
 
-    st = tuple(tuple(x * y for x, y in zip(row, t_diag)) for row in s)
-    st3 = _matmul(_matmul(st, st), st)
-    s2 = _matmul(s, s)
-    res_braid = _max_abs_diff(st3, s2)
-    s4 = _matmul(s2, s2)
+    def times_t(a):
+        return [[x * t for x, t in zip(row, t_diag)] for row in a]
+
+    # S is exactly symmetric, and so are S^2, S^4, S T S and S T S T S, with
+    # (S T)^3 = (S T S T S) T: four half products, 2 d^3 complex products
+    s2 = _symmetric_product(s, s)
+    ststs = _symmetric_product(times_t(_symmetric_product(times_t(s), s)), s)
+    res_braid = _max_abs_diff(times_t(ststs), s2)
+    s4 = _symmetric_product(s2, s2)
     res_dehn = _max_abs_diff(s4, [[(a == b) / theta[p] for b in range(dim)] for a in range(dim)])
     residuals = {"st_cubed_vs_s_squared": res_braid, "s_fourth_vs_inverse_twist": res_dehn}
     # phrased so that a NaN residual fails too
@@ -464,8 +481,8 @@ def compare_with_analytic(
         "max_t_residual": max(t_resid.values()),
         "t_consistent": max(t_resid.values()) < tolerance,
         "s_over_nu": [[[z.real, z.imag] for z in row] for row in s_over_nu],
-        "nu_t_exponent": fraction_to_str(multiplier(sig.multiplier_weight, "T")),
-        "nu_s_exponent": fraction_to_str(multiplier(sig.multiplier_weight, "S")),
+        "nu_t_exponent": str(multiplier(sig.multiplier_weight, "T")),
+        "nu_s_exponent": str(multiplier(sig.multiplier_weight, "S")),
     }
 
 

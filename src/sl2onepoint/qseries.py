@@ -40,7 +40,6 @@ __all__ = [
     "series_div",
     "series_pow_rational",
     "modular_derivative",
-    "fraction_to_str",
 ]
 
 
@@ -49,13 +48,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("refusing float->Fraction conversion; pass an exact value")
     return Fraction(x)
-
-
-def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 class QExpansion:
@@ -222,7 +214,7 @@ class QExpansion:
             if c == 0:
                 continue
             if n == 0:
-                terms.append(fraction_to_str(c))
+                terms.append(str(c))
             else:
                 qpow = "q" if n == 1 else f"q^{n}"
                 if c == 1:
@@ -230,15 +222,15 @@ class QExpansion:
                 elif c == -1:
                     terms.append(f"- {qpow}")
                 elif c > 0:
-                    terms.append(f"+ {fraction_to_str(c)}*{qpow}")
+                    terms.append(f"+ {c}*{qpow}")
                 else:
-                    terms.append(f"- {fraction_to_str(-c)}*{qpow}")
+                    terms.append(f"- {-c}*{qpow}")
         body = " ".join(terms) if terms else "0"
         if body.startswith("+ "):
             body = body[2:]
         if self.leading_exponent == 0:
             return body
-        return f"q^({fraction_to_str(self.leading_exponent)}) * ({body})"
+        return f"q^({self.leading_exponent}) * ({body})"
 
     def __repr__(self):
         return f"QExpansion({self.pretty(max_terms=6)}, order={self.order})"
@@ -247,8 +239,8 @@ class QExpansion:
 
     def to_json(self) -> dict:
         return {
-            "leading_exponent": fraction_to_str(self.leading_exponent),
-            "coeffs": [fraction_to_str(c) for c in self.coeffs],
+            "leading_exponent": str(self.leading_exponent),
+            "coeffs": [str(c) for c in self.coeffs],
             "order": self.order,
         }
 

@@ -13,12 +13,12 @@ carrying the identifier of the last rule consulted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import UnsupportedDimensionError
-from .qseries import fraction_to_str
 from .sl2data import RepSignature, rep_dimension, rho_t, weight_lower_bound
 
 __all__ = [
@@ -50,26 +50,26 @@ INCONCLUSIVE = "inconclusive"
 NONCONGRUENCE_ORDER_BOUND = 2**8 * 3**4 * 5**2 * 7**2
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
+class AdmissibleSet(NamedTuple):
     """Exponents in [0,1) compatible with a (representation, multiplier)
     pair; the minimal admissible set is the unique such choice."""
 
     exponents: tuple[Fraction, ...]
 
     def to_json(self) -> dict:
-        return {"exponents": [fraction_to_str(x) for x in self.exponents]}
+        return {"exponents": [str(x) for x in self.exponents]}
 
 
-@dataclass(frozen=True)
-class CongruenceVerdict:
-    status: str
-    congruence_level: int | None
-    basis: str
+class CongruenceVerdict(namedtuple("CongruenceVerdict", "status congruence_level basis")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.congruence_level is not None and self.status != CONGRUENCE:
+    def __new__(cls, status: str, congruence_level: int | None, basis: str):
+        if congruence_level is not None and status != CONGRUENCE:
             raise ValueError("congruence_level only accompanies a congruence verdict")
+        return super().__new__(cls, status, congruence_level, basis)
+
+    # ``_replace`` builds through ``_make``: check there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def to_json(self) -> dict:
         return {

@@ -11,11 +11,10 @@ the distinguished insertion vector has a non-vanishing trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import UnsupportedDimensionError
-from .qseries import fraction_to_str
 
 __all__ = [
     "RepSignature",
@@ -74,8 +73,7 @@ def _check_label(k: int, mu: int) -> None:
         raise ValueError(f"label {mu} out of range 0..{k}")
 
 
-@dataclass(frozen=True)
-class RepSignature:
+class RepSignature(NamedTuple):
     """Diagonal T-data of the representation attached to insertions from
     the simple module with finite weight ``lam``."""
 
@@ -98,12 +96,12 @@ class RepSignature:
             "level": self.level,
             "lambda": self.lam,
             "dimension": self.dimension,
-            "t_exponents": [fraction_to_str(r) for r in self.t_exponents],
+            "t_exponents": [str(r) for r in self.t_exponents],
             "t_exponents_mod1": [
-                {"fraction": fraction_to_str(f), "offset": n}
+                {"fraction": str(f), "offset": n}
                 for f, n in self.t_exponents_mod1()
             ],
-            "multiplier_weight": fraction_to_str(self.multiplier_weight),
+            "multiplier_weight": str(self.multiplier_weight),
         }
 
 

@@ -1,6 +1,7 @@
 """Each library module's ``__all__`` is its public API: every listed name
 exists, and every public function or class the module defines is listed.
-Names a module re-exports from another may be listed too."""
+Names a module re-exports from another may be listed too.  Every record
+the layers return is immutable."""
 
 import importlib
 import inspect
@@ -24,3 +25,39 @@ def test_all_lists_exactly_the_public_definitions(name):
         and obj.__module__ == module.__name__
     ]
     assert [n for n in defined if n not in listed] == []
+
+
+def _records():
+    from sl2onepoint import bgg, generators, mtc, repanalysis, sl2data
+    from sl2onepoint.cli import RunConfig
+
+    sig = sl2data.rho_t(5, 2)
+    report = generators.table_fixture_check("table1")
+    return [
+        sig,
+        repanalysis.minimal_admissible_set(sig, 0),
+        repanalysis.congruence_classify(5, 4),
+        bgg.simple_character(3, 2, 3),
+        generators.cyclic_generator(3, 2, 5),
+        generators.HypergeomSpec((1,), (2,)),
+        report,
+        report.entries[0],
+        mtc.f_r_g_matrices(4),
+        mtc.gen_modular_pair(4, 2),
+        RunConfig(),
+    ]
+
+
+def test_every_record_refuses_assignment():
+    """Every record a layer returns is immutable and equal to its copy:
+    assigning to a field, or to a new attribute, raises ``AttributeError``."""
+    for record in _records():
+        name = type(record).__name__
+        for field in record._fields:
+            value = getattr(record, field)
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            assert getattr(record, field) is value, (name, field)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        assert type(record)(*record) == record, name

@@ -102,6 +102,8 @@ def test_hypergeom_rejects_bad_lower_parameter():
         HypergeomSpec((F(1),), (F(0),))
     with pytest.raises(ValueError):
         HypergeomSpec((F(1),), (F(-3),))
+    with pytest.raises(ValueError):
+        HypergeomSpec((F(1),), (F(2),))._replace(lower=(F(0),))
 
 
 def test_hypergeom_rejects_nonpositive_exponent():

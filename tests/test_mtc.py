@@ -15,7 +15,6 @@ alone checks the cancellation in the library's S.
 """
 
 import cmath
-import dataclasses
 import itertools
 import math
 import random
@@ -32,6 +31,7 @@ from sl2onepoint.mtc import (
     _coupling_norm,
     _self_coupling_six_j,
     _six_j2,
+    _symmetric_product,
     adjoint_members,
     compare_with_analytic,
     f_r_g_matrices,
@@ -47,6 +47,7 @@ from sl2onepoint.sl2data import conformal_weight, fusion_coefficient, rho_t, xi_
 from mtc_oracle import _qnumbers as oracle_qnumbers
 from mtc_oracle import (
     _six_j_2,
+    certification,
     f_tensor,
     g_tensor,
     irreducibility_by_subsets,
@@ -562,6 +563,26 @@ def test_pair_s_matrix_is_exactly_symmetric():
         assert s == tuple(zip(*s)), (k, p)
 
 
+def test_certification_equals_four_full_products():
+    """The certification's half products against the four full products of
+    the oracle: S^2 and S^4 float for float, so the Dehn residual exactly,
+    and the braid residual, whose products associate differently, within
+    1e-15."""
+    cases = [(k, p) for k in range(0, 25) for p in range(0, k + 1, 2)]
+    cases += [(48, 2), (48, 4), (48, 6), (100, 2)]
+    for k, p in cases:
+        pair = gen_modular_pair(k, p)
+        s = pair.s_matrix
+        s2, s4, want = certification(s, pair.t_diagonal, f_r_g_matrices(k).theta[p])
+        got_s2 = _symmetric_product(s, s)
+        assert got_s2 == [list(row) for row in s2], (k, p)
+        assert _symmetric_product(got_s2, got_s2) == [list(row) for row in s4], (k, p)
+        got = pair.relation_residuals
+        assert got["s_fourth_vs_inverse_twist"] == want["s_fourth_vs_inverse_twist"], (k, p)
+        braid = got["st_cubed_vs_s_squared"] - want["st_cubed_vs_s_squared"]
+        assert abs(braid) <= 1e-15, (k, p)
+
+
 def test_one_dimensional_t_value():
     # T^(k) = e(k/16)
     for k in (2, 4, 6, 10):
@@ -842,9 +863,15 @@ def test_s_k_report_refuses_a_pair_with_p_not_k():
 def test_cached_level_table_refuses_assignment():
     data = f_r_g_matrices(6)
     assert f_r_g_matrices(6) is data
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         data.zeta = 1.0
     assert data.zeta != 1.0
+    # a pair built without stages gets a read-only mapping, shared by no
+    # mutable default
+    pair = GenModularPair(1, 0, (0, 1), _diag([1j, 1j]), (1j, 1j), {})
+    assert pair.stages == {}
+    with pytest.raises(TypeError):
+        pair.stages["six_j_evaluations"] = 0
 
 
 def test_compare_fixture_values():

@@ -20,7 +20,6 @@ from sl2onepoint.qseries import (
     eisenstein,
     eta_power,
     euler_product,
-    fraction_to_str,
     j_inverse,
     modular_derivative,
     monomial,
@@ -458,8 +457,11 @@ def test_json_round_trip():
 
 
 def test_fraction_codec():
-    assert fraction_to_str(F(3, 1)) == "3"
-    assert fraction_to_str(F(-7, 12)) == "-7/12"
+    """JSON writes each Fraction as ``str`` does, an integer without a
+    denominator, and ``Fraction`` reads it back."""
+    f = QExpansion(F(3, 1), [F(3, 1), F(-7, 12)])
+    assert f.to_json()["leading_exponent"] == "3"
+    assert f.to_json()["coeffs"] == ["3", "-7/12"]
 
 
 def test_float_refused():

@@ -315,6 +315,8 @@ def test_congruence_rule_order_shields_dim_two():
 def test_verdict_invariants():
     with pytest.raises(ValueError):
         CongruenceVerdict(NONCONGRUENCE, 8, "bad")
+    with pytest.raises(ValueError):
+        CongruenceVerdict(NONCONGRUENCE, None, "bad")._replace(congruence_level=8)
     payload = congruence_classify(5, 4).to_json()
     assert payload == {"status": "congruence", "congruence_level": 8, "basis": "thm-dim2-level8"}
 
