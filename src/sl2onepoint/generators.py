@@ -11,7 +11,7 @@ kappas in closed form.  Written as sum_j a_j(q) theta^j with
 theta = q d/dq, the equation yields each component one coefficient at a
 time (``mlde_solutions``), in O(N^2) exact operations for N coefficients,
 all of them on Python ints: each component is held over the lcm of its
-reduced denominators so far, never over the product of the step divisors.
+reduced denominators, which is its canonical ``QExpansion.den``.
 No two exponents differ by an integer, so each component is the unique
 solution with leading coefficient 1; that normalisation, which an
 intertwiner rescaling always permits, keeps the pipeline in exact
@@ -21,9 +21,10 @@ The hypergeometric construction eta^E * q^c * v^c * pFq(1728/j) per
 component (Franc-Mason style), with the minimal-exponent normal form
 {0, 1/4} resp. {0, (k+1)/(4(k+2)), 1/2} fixing all parameters, is kept
 as ``hypergeometric_generator``.  It costs O(N^3) and serves as the
-independent oracle for the recurrence; each power of 1728/j is cut to the
-terms that reach the truncated sum.  It drops the irrational
-constants 1728^a coming from powers of J by the same normalisation.
+independent oracle for the recurrence; its powers of 1728/j, each cut to
+the terms that reach the truncated sum, and the sum are held as integers
+over one denominator.  It drops the irrational constants 1728^a coming
+from powers of J by the same normalisation.
 
 The module also verifies the equations on the components, and checks the
 computed expansions against the published five-coefficient tables
@@ -36,13 +37,14 @@ import json
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateMldeError, InternalInconsistencyError, UnsupportedDimensionError
 from .qseries import (
     QExpansion,
     _convolve,
-    _integers,
+    _from_ints,
     eisenstein,
     eta_power,
     j_inverse,
@@ -95,12 +97,12 @@ class HypergeomSpec(namedtuple("HypergeomSpec", "upper lower")):
         recurrence c_{n+1}/c_n = prod(a_i+n) / (prod(b_j+n) * (n+1))."""
         cs = [Fraction(1)]
         for n in range(count - 1):
-            c = cs[-1]
-            for a in self.upper:
-                c *= a + n
-            for b in self.lower:
-                c /= b + n
-            cs.append(c / (n + 1))
+            num, den = cs[-1].numerator, cs[-1].denominator * (n + 1)
+            for a in self.upper:  # times a + n
+                num, den = num * (a.numerator + n * a.denominator), den * a.denominator
+            for b in self.lower:  # over b + n
+                num, den = num * b.denominator, den * (b.numerator + n * b.denominator)
+            cs.append(Fraction(num, den))
         return cs
 
 
@@ -127,14 +129,19 @@ def hypergeom_series(spec: HypergeomSpec, arg: QExpansion, order: int) -> QExpan
         )
     step = int(arg.leading_exponent)
     nterms = (order - 1) // step + 1
-    coeffs = spec.coefficients(nterms)
-    total = one(order)
-    power = one(min(arg.order, order))
+    # c_n arg^n = r_n q^(n step) P_n with r_n = c_n / arg.den^n and integer
+    # P_n, so the sum is held as integers over the lcm of the r_n's denominators
+    ratios = [c / arg.den**n for n, c in enumerate(spec.coefficients(nterms))]
+    den = math.lcm(*(r.denominator for r in ratios))
+    total = [den] + [0] * (order - 1)
+    power = [1]
     for n in range(1, nterms):
         # arg^n starts at q^(n step): only its first order - n step terms reach the sum
-        power = (power * arg).truncate(order - n * step)
-        total = total + coeffs[n] * power
-    return total.truncate(order)
+        power = _convolve(power, arg.nums, order - n * step)
+        scale = ratios[n].numerator * (den // ratios[n].denominator)
+        for i, x in enumerate(power, n * step):
+            total[i] += scale * x
+    return _from_ints(Fraction(0), total, den)
 
 
 class VvmfVector(NamedTuple):
@@ -255,7 +262,7 @@ def hypergeometric_generator(k: int, lam: int, order: int) -> VvmfVector:
     eta_expo = 24 * mu_min + 2 * w
     eta_part = eta_power(eta_expo, order)
     jinv = j_inverse(order)
-    v_unit = QExpansion(0, tuple(c / 1728 for c in jinv.coeffs), order)
+    v_unit = _from_ints(Fraction(0), jinv.nums, jinv.den * 1728)
 
     components = []
     for i, (mu, lam_i) in enumerate(zip(mus, lambdas)):
@@ -273,7 +280,7 @@ def _check_component(comp: QExpansion, expected_exponent: Fraction) -> None:
         raise InternalInconsistencyError(
             f"component leading exponent {comp.leading_exponent} != expected {expected_exponent}"
         )
-    if comp.coeffs[0] != 1:
+    if comp.nums[0] != comp.den:
         raise InternalInconsistencyError("component is not normalised to leading coefficient 1")
 
 
@@ -346,16 +353,16 @@ def _theta_form(weight: Fraction, kappas, order: int) -> list[list[int]]:
     a kappa's ratio.
     """
     d = len(kappas) + 1
-    e2_den, e2 = _integers(eisenstein(2, order).coeffs)
+    e2 = eisenstein(2, order)
     # powers[i] = (den, A) of D^i, starting from the identity
     powers = [(1, [[1] + [0] * (order - 1)])]
     for i in range(d):
         den, ops = powers[-1]
         v = weight + 2 * i
-        s = e2_den * v.denominator  # v eis_2 = v.numerator * e2 / s
+        s = e2.den * v.denominator  # v eis_2 = v.numerator * e2.nums / s
         nxt = [[0] * order for _ in range(len(ops) + 1)]
         for j, a in enumerate(ops):
-            e2a = _convolve(e2, a, order)
+            e2a = _convolve(e2.nums, a, order)
             nxt[j] = [
                 z + s * n * x + v.numerator * y
                 for n, (z, x, y) in enumerate(zip(nxt[j], a, e2a))
@@ -363,15 +370,15 @@ def _theta_form(weight: Fraction, kappas, order: int) -> list[list[int]]:
             nxt[j + 1] = [z + s * x for z, x in zip(nxt[j + 1], a)]
         powers.append((den * s, nxt))
     den, op = powers[d]
-    # + kappa_t eis_w D^(d-2-t), with eis_w = e / scale
+    # + kappa_t eis_w D^(d-2-t), with eis_w = eis.nums / eis.den
     for t, (kappa, w) in enumerate(zip(kappas, _FORMS)):
         low_den, low = powers[d - 2 - t]
-        scale, e = _integers(eisenstein(w, order).coeffs)
-        ratio = Fraction(kappa) * den / (scale * low_den)
+        eis = eisenstein(w, order)
+        ratio = Fraction(kappa) * den / (eis.den * low_den)
         op = [[ratio.denominator * x for x in a] for a in op]
         den *= ratio.denominator
         for j, a in enumerate(low):
-            op[j] = [x + ratio.numerator * y for x, y in zip(op[j], _convolve(e, a, order))]
+            op[j] = [x + ratio.numerator * y for x, y in zip(op[j], _convolve(eis.nums, a, order))]
     g = math.gcd(*(x for a in op for x in a))
     return [[x // g for x in a] for a in op]
 
@@ -433,7 +440,8 @@ def mlde_solutions(weight, exponents, order: int) -> list[QExpansion]:
                 lcd *= grow
             nums.append(cn.numerator * (lcd // cn.denominator))
             cs.append(cn)
-        out.append(QExpansion(x, cs, order))
+        # over lcd, the lcm of the reduced denominators, nums are already canonical
+        out.append(_from_ints(x, nums, lcd, tuple(cs)))
     return out
 
 
@@ -519,11 +527,22 @@ class FixtureReport(NamedTuple):
         }
 
 
-def _load_tables() -> dict:
+@lru_cache(maxsize=None)
+def _published_tables() -> tuple:
+    """(table, level, ((mu, series), ...)) for each level of both tables,
+    sorted.  The file is parsed once per process; callers share only
+    immutable values."""
     from importlib import resources
 
-    text = resources.files("sl2onepoint").joinpath("data/published_tables.json").read_text()
-    return json.loads(text)
+    tables = json.loads(resources.files("sl2onepoint").joinpath("data/published_tables.json").read_text())
+    return tuple(
+        (which, int(k), tuple(sorted(
+            (int(mu), QExpansion(Fraction(f["exponent"]), [Fraction(c) for c in f["coeffs"]]))
+            for mu, f in comps.items()
+        )))
+        for which in ("table1", "table2")
+        for k, comps in sorted(tables[which].items(), key=lambda kv: int(kv[0]))
+    )
 
 
 def table_fixture_check(which: str) -> FixtureReport:
@@ -533,23 +552,17 @@ def table_fixture_check(which: str) -> FixtureReport:
     raised.  Each entry also carries the residual that the level's monic
     equation leaves on the published series: zero for a series that
     solves it, so a non-zero residual shows the published side at fault."""
-    tables = _load_tables()
-    if which not in ("table1", "table2"):
+    shift = {"table1": 1, "table2": 2}.get(which)
+    if shift is None:
         raise ValueError(f"unknown table {which!r}; expected 'table1' or 'table2'")
-    data = tables[which]
-    shift = {"table1": 1, "table2": 2}[which]
     entries = []
-    for k_str, comps in sorted(data.items(), key=lambda kv: int(kv[0])):
-        k = int(k_str)
+    for table, k, comps in _published_tables():
+        if table != which:
+            continue
         gen = cyclic_generator(k, k - shift, 5)
         weight, kappas = mlde_equation(k, k - shift)
-        for mu_str, fixture in sorted(comps.items(), key=lambda kv: int(kv[0])):
-            mu = int(mu_str)
+        for mu, published in comps:
             got = gen.component(mu)
-            published = QExpansion(
-                Fraction(fixture["exponent"]),
-                [Fraction(c) for c in fixture["coeffs"]],
-            )
             entries.append(
                 FixtureEntry(
                     level=k,

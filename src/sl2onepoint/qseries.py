@@ -4,13 +4,17 @@ Every modular object in this package is stored as a truncated expansion
 
     q**lam * (c[0] + c[1]*q + ... + c[order-1]*q**(order-1)),
 
-where ``lam`` and all ``c[n]`` are exact :class:`fractions.Fraction`
-values.  The leading exponent may be fractional, but all exponents of a
-single series live in the coset ``lam + Z``; binary operations insist on
-compatible cosets.  The ``order`` field records how many coefficients are
-trustworthy; operations shrink it conservatively and never extrapolate.
-The O(N^2) loops of products, rational powers and quotients run on
-Python ints over shared denominators; only the N results become Fractions.
+where ``lam`` is a :class:`fractions.Fraction` and every ``c[n]`` is an
+exact rational.  The leading exponent may be fractional, but all exponents
+of a single series live in the coset ``lam + Z``; binary operations insist
+on compatible cosets.  The ``order`` field records how many coefficients
+are trustworthy; operations shrink it conservatively and never extrapolate.
+
+A series holds c[n] = nums[n]/den with Python ints ``nums`` and ``den`` > 0
+in canonical form, gcd(den, *nums) = 1, which one ``math.gcd`` restores after
+each operation; every ring operation runs on these ints, and equal series
+have equal (lam, den, nums).  ``coeffs``, the reduced Fractions, are kept when
+a series is built from them and otherwise built once, on first use.
 
 Alongside the ring operations this module provides the standard modular
 constructors (Bernoulli numbers, Eisenstein series, Dedekind eta powers,
@@ -51,18 +55,19 @@ def _frac(x) -> Fraction:
 
 
 class QExpansion:
-    """A truncated series q^lam * sum_{n<order} coeffs[n] q^n.
+    """A truncated series q^lam * sum_{n<order} (nums[n]/den) q^n.
 
-    Instances are immutable; ``coeffs`` is a tuple of Fractions of length
-    exactly ``order``.  A series is exactly zero below its leading
-    exponent, so zero-extension downwards is always legitimate, while
-    coefficients at index >= order are unknown.
+    Instances are immutable.  ``nums`` is a tuple of ints of length exactly
+    ``order`` over the int ``den`` > 0, with gcd(den, *nums) = 1, and
+    ``coeffs`` is the same tuple as reduced Fractions.  A series is exactly
+    zero below its leading exponent, so zero-extension downwards is always
+    legitimate, while coefficients at index >= order are unknown.
     """
 
-    __slots__ = ("leading_exponent", "coeffs", "order")
+    __slots__ = ("leading_exponent", "order", "den", "nums", "_coeffs")
 
     def __init__(self, leading_exponent, coeffs, order: int | None = None):
-        object.__setattr__(self, "leading_exponent", _frac(leading_exponent))
+        lam = _frac(leading_exponent)
         # a Fraction is immutable and kept as it is; _frac converts the rest and refuses floats
         cs = tuple(c if type(c) is Fraction else _frac(c) for c in coeffs)
         if order is None:
@@ -71,16 +76,24 @@ class QExpansion:
             raise ValueError("order must be non-negative")
         if len(cs) != order:
             raise ValueError(f"got {len(cs)} coefficients for order {order}")
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "order", order)
+        # over the lcm of reduced denominators no prime divides den and every numerator
+        den = math.lcm(*(c.denominator for c in cs))
+        _init(self, lam, den, tuple(c.numerator * (den // c.denominator) for c in cs), cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("QExpansion is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions, built once on first use."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(Fraction(x, self.den) for x in self.nums))
+        return self._coeffs
+
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def coefficient(self, exponent) -> Fraction:
         """Coefficient of q^exponent; 0 below the leading exponent."""
@@ -95,29 +108,24 @@ class QExpansion:
         return self.coeffs[n]
 
     def canonical(self) -> "QExpansion":
-        """Strip leading zero coefficients, bumping the exponent."""
-        s = 0
-        while s < self.order and self.coeffs[s] == 0:
-            s += 1
+        """Strip leading zero coefficients, bumping the exponent; a series
+        that is zero within its window stays as it is."""
+        s = next((i for i, x in enumerate(self.nums) if x), 0)
         if s == 0:
             return self
-        if s == self.order:
-            # identically zero within the window; keep a single zero row
-            return QExpansion(self.leading_exponent, (Fraction(0),) * self.order, self.order)
-        return QExpansion(self.leading_exponent + s, self.coeffs[s:], self.order - s)
+        return _from_ints(self.leading_exponent + s, self.nums[s:], self.den)
 
     def monic(self) -> "QExpansion":
         """Canonical form rescaled to leading coefficient 1."""
         c = self.canonical()
         if c.is_zero():
             return c
-        lead = c.coeffs[0]
-        return QExpansion(c.leading_exponent, tuple(x / lead for x in c.coeffs), c.order)
+        return _from_ints(c.leading_exponent, c.nums, c.nums[0])
 
     def truncate(self, order: int) -> "QExpansion":
-        if order > self.order:
-            raise ValueError("cannot extend validity by truncation")
-        return QExpansion(self.leading_exponent, self.coeffs[:order], order)
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate a series of order {self.order} to order {order}")
+        return _from_ints(self.leading_exponent, self.nums[:order], self.den)
 
     def agrees_with(self, other: "QExpansion") -> bool:
         """Equality on the overlap of the validity windows."""
@@ -129,31 +137,25 @@ class QExpansion:
 
     # -- ring operations ----------------------------------------------
 
-    def _aligned(self, other: "QExpansion"):
-        if (self.leading_exponent - other.leading_exponent).denominator != 1:
+    def __add__(self, other):
+        if not isinstance(other, QExpansion):
+            return NotImplemented
+        shift = self.leading_exponent - other.leading_exponent
+        if shift.denominator != 1:
             raise ValueError(
                 "cannot combine series with leading exponents in different cosets: "
                 f"{self.leading_exponent} vs {other.leading_exponent}"
             )
+        # zeros below the later start; the window ends where either's knowledge does
+        xs = (0,) * int(shift) + self.nums
+        ys = (0,) * int(-shift) + other.nums
+        g = math.gcd(self.den, other.den)
+        ma, mb = other.den // g, self.den // g
         lam = min(self.leading_exponent, other.leading_exponent)
-        sa = int(self.leading_exponent - lam)
-        sb = int(other.leading_exponent - lam)
-        n = min(sa + self.order, sb + other.order)
-        return lam, sa, sb, n
-
-    def __add__(self, other):
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        lam, sa, sb, n = self._aligned(other)
-        coeffs = []
-        for i in range(n):
-            ca = self.coeffs[i - sa] if 0 <= i - sa < self.order else Fraction(0)
-            cb = other.coeffs[i - sb] if 0 <= i - sb < other.order else Fraction(0)
-            coeffs.append(ca + cb)
-        return QExpansion(lam, coeffs, n)
+        return _from_ints(lam, [x * ma + y * mb for x, y in zip(xs, ys)], self.den * ma)
 
     def __neg__(self):
-        return QExpansion(self.leading_exponent, tuple(-c for c in self.coeffs), self.order)
+        return _from_ints(self.leading_exponent, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, QExpansion):
@@ -163,10 +165,8 @@ class QExpansion:
     def __mul__(self, other):
         if isinstance(other, QExpansion):
             return series_mul(self, other)
-        scalar = _frac(other)
-        return QExpansion(
-            self.leading_exponent, tuple(scalar * c for c in self.coeffs), self.order
-        )
+        s = _frac(other)
+        return _from_ints(self.leading_exponent, [s.numerator * x for x in self.nums], self.den * s.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -174,12 +174,10 @@ class QExpansion:
     def __truediv__(self, other):
         if isinstance(other, QExpansion):
             return series_div(self, other)
-        scalar = _frac(other)
-        if scalar == 0:
+        s = _frac(other)
+        if s == 0:
             raise ZeroDivisionError("division of a series by zero")
-        return QExpansion(
-            self.leading_exponent, tuple(c / scalar for c in self.coeffs), self.order
-        )
+        return _from_ints(self.leading_exponent, [s.denominator * x for x in self.nums], self.den * s.numerator)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -195,15 +193,17 @@ class QExpansion:
             n >>= 1
         return result
 
+    # the form is canonical, so equal values have equal (lam, den, nums)
     def __eq__(self, other):
         return (
             isinstance(other, QExpansion)
             and self.leading_exponent == other.leading_exponent
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.leading_exponent, self.coeffs))
+        return hash((self.leading_exponent, self.den, self.nums))
 
     # -- presentation ---------------------------------------------------
 
@@ -253,8 +253,25 @@ class QExpansion:
         )
 
 
+def _init(s: QExpansion, lam: Fraction, den: int, nums: tuple, coeffs) -> QExpansion:
+    for name, value in zip(QExpansion.__slots__, (lam, len(nums), den, nums, coeffs)):
+        object.__setattr__(s, name, value)
+    return s
+
+
+def _from_ints(lam: Fraction, nums, den: int = 1, coeffs=None) -> QExpansion:
+    """The series q^lam * sum (nums[n]/den) q^n in canonical form: one gcd
+    cancels the common factor, and a negative ``den`` flips every sign.
+    ``coeffs``, if given, are its coefficients as reduced Fractions."""
+    g = math.gcd(den, *nums) * (-1 if den < 0 else 1)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return _init(object.__new__(QExpansion), lam, den, tuple(nums), coeffs)
+
+
 def zero(order: int, leading_exponent=0) -> QExpansion:
-    return QExpansion(leading_exponent, (Fraction(0),) * order, order)
+    return _from_ints(_frac(leading_exponent), (0,) * order)
 
 
 def one(order: int) -> QExpansion:
@@ -262,10 +279,7 @@ def one(order: int) -> QExpansion:
 
 
 def monomial(exponent, order: int) -> QExpansion:
-    coeffs = [Fraction(0)] * order
-    if order:
-        coeffs[0] = Fraction(1)
-    return QExpansion(exponent, coeffs, order)
+    return _from_ints(_frac(exponent), [1] + [0] * (order - 1) if order else [])
 
 
 def _convolve(xs, ys, n: int) -> list[int]:
@@ -283,41 +297,28 @@ def _convolve(xs, ys, n: int) -> list[int]:
     return acc
 
 
-def _integers(coeffs) -> tuple[int, list[int]]:
-    """(den, nums) with coeffs[i] = nums[i]/den and den the lcm of the
-    denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
 def series_mul(a: QExpansion, b: QExpansion) -> QExpansion:
     """Cauchy product; exponents add, validity is the minimum of the inputs.
-
-    Each factor is scaled to integers over the lcm of its denominators, so
-    the O(N^2) inner loop runs on ints and only the N results pay for a
-    Fraction's gcd.
-    """
+    The O(N^2) loop convolves the numerators, over the product of the
+    denominators."""
     n = min(a.order, b.order)
-    da, xs = _integers(a.coeffs[:n])
-    db, ys = _integers(b.coeffs[:n])
-    den = da * db
-    acc = _convolve(xs, ys, n)
-    return QExpansion(a.leading_exponent + b.leading_exponent, [Fraction(x, den) for x in acc], n)
+    return _from_ints(a.leading_exponent + b.leading_exponent, _convolve(a.nums, b.nums, n), a.den * b.den)
 
 
 def series_div(a: QExpansion, b: QExpansion) -> QExpansion:
     """a/b = a * (b/b0)**-1 / b0 by Miller's reciprocal; b must have a
     non-zero initial coefficient b0."""
-    if b.order == 0 or b.coeffs[0] == 0:
+    if b.order == 0 or b.nums[0] == 0:
         raise ZeroDivisionError(
             "series division needs a divisor with non-zero initial coefficient; "
             "canonicalise the divisor first"
         )
     n = min(a.order, b.order)
-    b0 = b.coeffs[0]
-    unit = QExpansion(0, [c / b0 for c in b.coeffs[: max(n, 1)]])  # never order 0
-    quotient = series_mul(a, series_pow_rational(unit, -1)) / b0
-    return QExpansion(a.leading_exponent - b.leading_exponent, quotient.coeffs, n)
+    b0 = b.nums[0]  # b's initial coefficient is b0 / b.den
+    unit = _from_ints(Fraction(0), b.nums[: max(n, 1)], b0)  # never order 0
+    quotient = series_mul(a, series_pow_rational(unit, -1))
+    lam = a.leading_exponent - b.leading_exponent
+    return _from_ints(lam, [b.den * x for x in quotient.nums], quotient.den * b0)
 
 
 def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
@@ -331,18 +332,17 @@ def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
 
     which skips the zero coefficients of ``a``: O(N * nonzeros) operations,
     so eta powers from the sparse Euler product are cheap.  The loop runs
-    on ints.  With alpha = P/Q and a_i = A_i/d over the lcm d of the
-    denominators, b_m = B_m/(m! (Qd)^m) with integer B_m, so every b_m is
-    held as an integer over the one denominator (N-1)! (Qd)^(N-1), and
-    each step ends in an exact division by m*Q*d.  When Q = d = 1 the b_m
-    are integers themselves (eta^r for integer r) and the denominator is 1.
-    Only the N results become Fractions.
+    on ints.  With alpha = P/Q and a_i = A_i/d, b_m = B_m/(m! (Qd)^m) with
+    integer B_m, so every b_m is held as an integer over the one
+    denominator (N-1)! (Qd)^(N-1), and each step ends in an exact division
+    by m*Q*d.  When Q = d = 1 the b_m are integers themselves (eta^r for
+    integer r) and the denominator is 1.
 
     Any other series takes only non-negative integer alpha, by binary
     powering.
     """
     alpha = _frac(alpha)
-    unit = a.order > 0 and a.leading_exponent == 0 and a.coeffs[0] == 1
+    unit = a.order > 0 and a.leading_exponent == 0 and a.nums[0] == a.den
     if not unit and alpha.denominator == 1 and alpha >= 0:
         return a ** int(alpha)
     if a.order == 0:
@@ -355,10 +355,9 @@ def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
     # Miller recurrence: a*b' = alpha*a'*b with b = a**alpha, times Q*d*den
     n = a.order
     p, q = alpha.numerator, alpha.denominator
-    d, nums = _integers(a.coeffs)
-    qd = q * d
+    qd = q * a.den
     # term i contributes ((P+Q) i - Q m) A_i b_{m-i} = (u - m v) b_{m-i}
-    terms = [(i, (p + q) * i * x, q * x) for i, x in enumerate(nums) if i and x]
+    terms = [(i, (p + q) * i * x, q * x) for i, x in enumerate(a.nums) if i and x]
     den = 1 if qd == 1 else math.factorial(n - 1) * qd ** (n - 1)
     b = [den] + [0] * (n - 1)
     for m in range(1, n):
@@ -368,7 +367,7 @@ def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
                 break
             acc += (u - m * v) * b[m - i]
         b[m] = acc // (m * qd)
-    return QExpansion(0, [Fraction(x, den) for x in b], n)
+    return _from_ints(Fraction(0), b, den)
 
 
 @lru_cache(maxsize=None)
@@ -410,11 +409,10 @@ def eisenstein(weight: int, order: int) -> QExpansion:
         raise ValueError(f"Eisenstein weight must be a positive even integer, got {weight}")
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [-bernoulli(weight) / math.factorial(weight)]
-    scale = Fraction(2, math.factorial(weight - 1))
-    for n in range(1, order):
-        coeffs.append(scale * _sigma(n, weight - 1))
-    return QExpansion(0, coeffs, order)
+    # -B/w! + (2/(w-1)!) sigma(n) q^n, over the denominator of B times w!
+    b = bernoulli(weight)
+    nums = [-b.numerator] + [2 * weight * b.denominator * _sigma(n, weight - 1) for n in range(1, order)]
+    return _from_ints(Fraction(0), nums, b.denominator * math.factorial(weight))
 
 
 @lru_cache(maxsize=None)
@@ -422,8 +420,7 @@ def euler_product(order: int) -> QExpansion:
     """prod_{n>=1} (1 - q^n) truncated, via the pentagonal number theorem."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [Fraction(0)] * order
-    coeffs[0] = Fraction(1)
+    coeffs = [1] + [0] * (order - 1)
     m = 1
     while True:
         p1 = m * (3 * m - 1) // 2
@@ -432,11 +429,11 @@ def euler_product(order: int) -> QExpansion:
             break
         sign = -1 if m % 2 else 1
         if p1 < order:
-            coeffs[p1] = Fraction(sign)
+            coeffs[p1] = sign
         if p2 < order:
-            coeffs[p2] = Fraction(sign)
+            coeffs[p2] = sign
         m += 1
-    return QExpansion(0, coeffs, order)
+    return _from_ints(Fraction(0), coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -446,7 +443,7 @@ def eta_power(r, order: int) -> QExpansion:
     if order < 1:
         raise ValueError("order must be >= 1")
     body = series_pow_rational(euler_product(order), r)
-    return QExpansion(Fraction(r, 24), body.coeffs, order)
+    return _from_ints(Fraction(r, 24), body.nums, body.den)
 
 
 @lru_cache(maxsize=None)
@@ -464,7 +461,7 @@ def j_inverse(order: int) -> QExpansion:
     e6 = eisenstein(6, order + 1).monic()
     e4cubed = e4**3
     diff = (e4cubed - e6**2) / 1728
-    if diff.coeffs[0] != 0:
+    if diff.nums[0] != 0:
         raise InternalInconsistencyError("E4^3 - E6^2 has a non-zero constant term")
     delta_eis = diff.canonical()
     if not delta_eta.agrees_with(delta_eis):
@@ -480,6 +477,8 @@ def modular_derivative(f: QExpansion, weight) -> QExpansion:
     if f.order < 2:
         raise ValueError("modular derivative needs at least 2 valid coefficients")
     lam = f.leading_exponent
-    qd = QExpansion(lam, tuple((lam + n) * c for n, c in enumerate(f.coeffs)), f.order)
+    p, r = lam.numerator, lam.denominator
+    # q d/dq sends q^(lam+n) to ((p + n r)/r) q^(lam+n)
+    qd = _from_ints(lam, [(p + n * r) * x for n, x in enumerate(f.nums)], f.den * r)
     result = qd + w * (eisenstein(2, f.order) * f)
     return result.truncate(f.order - 1)

@@ -1,20 +1,81 @@
 """The exact q-series kernels in plain ``Fraction`` arithmetic.
 
-Test fixture only.  The library runs the O(N^2) loops of Miller's power
-recurrence, the theta-form of the monic equations and their coefficient
-recurrence on Python ints over shared denominators.  These are the same
-recurrences with every running sum held as a reduced ``Fraction``:
+Test fixture only.  The library holds every series as ints over one
+canonical denominator, and runs its ring operations, Miller's power
+recurrence, the theta-form of the monic equations, their coefficient
+recurrence and the hypergeometric composition on those ints.  These are
+the same operations on tuples of reduced ``Fraction`` coefficients:
 slower, but with no common denominator, no exact division and no Horner
 rearrangement of the denominators to get wrong.  Series division, which
 the library runs as a product with Miller's reciprocal, is checked
-against plain long division.  Tests compare the library against them
-with ``==``.
+against plain long division.  Each oracle reads its inputs' ``coeffs``
+and builds its result with the public constructor; tests compare the
+library against them with ``==``.
 """
 
 import math
 from fractions import Fraction
 
 from sl2onepoint.qseries import QExpansion, eisenstein, one, zero
+
+
+def add(a: QExpansion, b: QExpansion) -> QExpansion:
+    """a + b term by term, on the overlap of the validity windows; the
+    leading exponents must differ by an integer."""
+    assert (a.leading_exponent - b.leading_exponent).denominator == 1
+    lam = min(a.leading_exponent, b.leading_exponent)
+    sa = int(a.leading_exponent - lam)
+    sb = int(b.leading_exponent - lam)
+    n = min(sa + a.order, sb + b.order)
+    coeffs = []
+    for i in range(n):
+        ca = a.coeffs[i - sa] if 0 <= i - sa < a.order else Fraction(0)
+        cb = b.coeffs[i - sb] if 0 <= i - sb < b.order else Fraction(0)
+        coeffs.append(ca + cb)
+    return QExpansion(lam, coeffs, n)
+
+
+def scale(a: QExpansion, scalar) -> QExpansion:
+    """scalar * a, coefficient by coefficient."""
+    scalar = Fraction(scalar)
+    return QExpansion(a.leading_exponent, tuple(scalar * c for c in a.coeffs), a.order)
+
+
+def cauchy(a: QExpansion, b: QExpansion) -> QExpansion:
+    """a * b, each coefficient a sum of Fraction products."""
+    n = min(a.order, b.order)
+    coeffs = [sum((a.coeffs[i] * b.coeffs[m - i] for i in range(m + 1)), Fraction(0)) for m in range(n)]
+    return QExpansion(a.leading_exponent + b.leading_exponent, coeffs, n)
+
+
+def modular_derivative(f: QExpansion, weight) -> QExpansion:
+    """(q d/dq) f + weight * eis_2 * f, valid to one order less than f."""
+    lam = f.leading_exponent
+    qd = QExpansion(lam, tuple((lam + n) * c for n, c in enumerate(f.coeffs)), f.order)
+    result = add(qd, scale(cauchy(eisenstein(2, f.order), f), weight))
+    return QExpansion(lam, result.coeffs[: f.order - 1], f.order - 1)
+
+
+def hypergeom_series(spec, arg: QExpansion, order: int) -> QExpansion:
+    """F(arg) = sum_n c_n arg^n for ``arg`` that vanishes at q = 0 and lives
+    in integer exponents, with c_{n+1}/c_n = prod(a_i+n) / (prod(b_j+n)
+    (n+1)), each power a Fraction Cauchy product of the one before."""
+    arg = QExpansion(arg.leading_exponent, arg.coeffs[:order], order)
+    total = one(order)
+    power = one(order)
+    c = Fraction(1)
+    for n in range(order):
+        for a in spec.upper:
+            c *= a + n
+        for b in spec.lower:
+            c /= b + n
+        c /= n + 1
+        power = cauchy(power, arg)
+        if power.leading_exponent >= order:
+            break
+        power = QExpansion(power.leading_exponent, power.coeffs[: order - int(power.leading_exponent)])
+        total = add(total, scale(power, c))
+    return total
 
 
 def series_pow_rational(a: QExpansion, alpha) -> QExpansion:

@@ -306,7 +306,8 @@ def test_subcommands_load_only_their_layers():
     out: for the import alone ``dataclasses``, ``inspect`` and ``qseries``;
     for ``expand`` ``dataclasses``, ``bgg``, ``repanalysis`` and ``mtc``;
     for ``classify`` ``qseries`` and ``generators``; and for ``mtc``
-    ``qseries``, ``generators``, ``bgg`` and ``repanalysis``."""
+    ``qseries``, ``generators``, ``bgg`` and ``repanalysis``.  None of
+    them loads the verification suites, ``suites``."""
     import os
     import subprocess
     import sys
@@ -317,15 +318,18 @@ def test_subcommands_load_only_their_layers():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     layer = "sl2onepoint.{}".format
     for argv, unloaded in (
-        (None, ("dataclasses", "inspect", layer("qseries"))),
+        (None, ("dataclasses", "inspect", layer("qseries"), layer("suites"))),
         (
             ["expand", "-k", "3", "-l", "2", "-n", "5"],
-            ("dataclasses", layer("bgg"), layer("repanalysis"), layer("mtc")),
+            ("dataclasses", layer("bgg"), layer("repanalysis"), layer("mtc"), layer("suites")),
         ),
-        (["classify", "-k", "5", "-l", "2"], (layer("qseries"), layer("generators"))),
+        (
+            ["classify", "-k", "5", "-l", "2"],
+            (layer("qseries"), layer("generators"), layer("suites")),
+        ),
         (
             ["mtc", "-k", "5", "--p", "2"],
-            (layer("qseries"), layer("generators"), layer("bgg"), layer("repanalysis")),
+            (layer("qseries"), layer("generators"), layer("bgg"), layer("repanalysis"), layer("suites")),
         ),
     ):
         script = "\n".join(
@@ -404,6 +408,13 @@ def test_verify_tables_notes_give_published_residuals(capsys):
     notes = {f["check"]: f["note"] for f in json.loads(out)["failures"]}
     assert "q^1 residual -50/3 " in notes["table2 k=4 mu=1"]
     assert all("q^1 residual" in note for note in notes.values())
+
+
+def test_verify_suite_choices_name_every_suite():
+    # ``--suite`` is parsed before the suites module loads; ``all`` runs them in order
+    from sl2onepoint import cli, suites
+
+    assert cli.SUITES == (*suites.SUITES, "all")
 
 
 def test_verify_bgg_suite_json(capsys):

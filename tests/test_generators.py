@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2onepoint import generators
 from sl2onepoint.errors import DegenerateMldeError, UnsupportedDimensionError
 from sl2onepoint.generators import (
     FixtureReport,
+    _component_factors,
     _indicial_kappas,
     _theta_form,
     HypergeomSpec,
@@ -88,6 +90,39 @@ def test_hypergeom_geometric_series():
     spec = HypergeomSpec((F(1), F(1)), (F(1),))
     out = hypergeom_series(spec, monomial(1, 6), 6)
     assert out.coeffs == (F(1),) * 6
+
+
+_hyper_params = st.fractions(-3, 3, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_hyper_params, min_size=1, max_size=3),
+    st.lists(_hyper_params.filter(lambda b: b.denominator != 1 or b > 0), min_size=1, max_size=2),
+    st.integers(1, 3),
+    st.fractions(-9, 9, max_denominator=12).filter(lambda x: x != 0),
+    st.lists(st.fractions(-9, 9, max_denominator=12), max_size=14),
+    st.integers(1, 14),
+)
+def test_hypergeom_series_equals_fraction_oracle(upper, lower, step, lead, tail, order):
+    # the library sums ints over one denominator; the oracle sums Fraction
+    # coefficients of Fraction Cauchy products, with arguments that have
+    # non-integer coefficients and gaps of one to three exponents
+    spec = HypergeomSpec(upper, lower)
+    arg = QExpansion(step, ([lead] + tail + [F(0)] * order)[:order])
+    got = hypergeom_series(spec, arg, order)
+    assert got == fraction_oracle.hypergeom_series(spec, arg, order)
+    assert got.order == order
+
+
+@pytest.mark.parametrize("k, lam", [(3, 2), (5, 4), (4, 2), (10, 8)])
+def test_hypergeom_of_j_inverse_equals_fraction_oracle(k, lam):
+    # the generator's own compositions F(1728/j), component by component
+    lambdas = minimal_exponents(k, lam)
+    for i, lam_i in enumerate(lambdas):
+        _, spec = _component_factors(lam_i, lambdas[:i] + lambdas[i + 1:])
+        want = fraction_oracle.hypergeom_series(spec, j_inverse(25), 25)
+        assert hypergeom_series(spec, j_inverse(25), 25) == want
 
 
 def test_hypergeom_first_coefficients():
@@ -460,9 +495,30 @@ def test_table2_known_discrepancy_pattern():
             assert _table2_construction(e.level, column, slip=False).coeffs == e.got_coeffs
 
 
-def test_table_fixture_rejects_unknown_table():
-    with pytest.raises(ValueError):
+def test_table_fixture_rejects_unknown_table(monkeypatch):
+    # before it reads the fixture file
+    def unread():
+        raise AssertionError("the fixture file was read for an unknown table")
+
+    monkeypatch.setattr(generators, "_published_tables", unread)
+    with pytest.raises(ValueError, match="unknown table 'table3'"):
         table_fixture_check("table3")
+
+
+def test_table_fixtures_are_parsed_once_and_shared_immutable(monkeypatch):
+    parsed = []
+    real = generators.json.loads
+    monkeypatch.setattr(generators.json, "loads", lambda text: parsed.append(1) or real(text))
+    generators._published_tables.cache_clear()
+    try:
+        reports = [table_fixture_check(which) for which in ("table1", "table2", "table1")]
+        assert len(parsed) == 1
+    finally:
+        generators._published_tables.cache_clear()
+    assert reports[0] == reports[2]
+    assert [len(r.entries) for r in reports] == [12, 12, 12]
+    # what every caller shares holds no dict or list: it hashes
+    hash(generators._published_tables())
 
 
 def test_fixture_report_serialises():

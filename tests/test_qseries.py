@@ -7,6 +7,7 @@ multiplying the factors (1 - q^n) one at a time, and the modular
 derivative against the classical weight-raising identities.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from sl2onepoint.qseries import (
     series_div,
     series_mul,
     series_pow_rational,
+    zero,
 )
 
 import fraction_oracle
@@ -200,14 +202,118 @@ def test_mul_commutative(a, b):
 @settings(max_examples=60, deadline=None)
 @given(qexpansions(max_order=8), qexpansions(max_order=8))
 def test_mul_matches_fraction_cauchy_product(a, b):
-    # series_mul convolves integers over common denominators; the oracle
-    # sums Fraction products term by term
-    n = min(a.order, b.order)
-    want = [sum((a.coeffs[i] * b.coeffs[m - i] for i in range(m + 1)), F(0)) for m in range(n)]
+    # series_mul convolves the numerators over the product of the
+    # denominators; the oracle sums Fraction products term by term
     prod = series_mul(a, b)
-    assert prod.leading_exponent == a.leading_exponent + b.leading_exponent
-    assert list(prod.coeffs) == want
-    assert prod.order == n
+    assert prod == fraction_oracle.cauchy(a, b)
+    assert prod.order == min(a.order, b.order)
+
+
+# -- the integer ring against the Fraction oracles -------------------------
+
+
+def _canonical(s):
+    """ints over a positive denominator with no common factor, and
+    ``coeffs`` the reduced Fractions they stand for."""
+    return (
+        s.den > 0
+        and math.gcd(s.den, *s.nums) == 1
+        and len(s.nums) == s.order
+        and all(type(x) is int for x in s.nums)
+        and s.coeffs == tuple(F(x, s.den) for x in s.nums)
+    )
+
+
+@st.composite
+def same_coset_series(draw, count=2, min_order=0, max_order=8):
+    """``count`` series in one coset (0, 1/3 or -5/24 + Z) at integer
+    shifts -2..2, of orders min_order..max_order; a third of them zero."""
+    base = draw(st.sampled_from([F(0), F(1, 3), F(-5, 24)]))
+    coeffs = st.one_of(
+        st.lists(small_fracs, min_size=min_order, max_size=max_order),
+        st.lists(small_fracs, min_size=min_order, max_size=max_order).map(lambda cs: [0] * len(cs)),
+    )
+    return [QExpansion(base + draw(st.integers(-2, 2)), draw(coeffs)) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_coset_series(), small_fracs)
+def test_ring_operations_equal_fraction_oracle(pair, scalar):
+    a, b = pair
+    results = [
+        (a + b, fraction_oracle.add(a, b)),
+        (b + a, fraction_oracle.add(a, b)),
+        (a - b, fraction_oracle.add(a, fraction_oracle.scale(b, -1))),
+        (-a, fraction_oracle.scale(a, -1)),
+        (a * scalar, fraction_oracle.scale(a, scalar)),
+        (scalar * a, fraction_oracle.scale(a, scalar)),
+        (series_mul(a, b), fraction_oracle.cauchy(a, b)),
+    ]
+    if scalar:
+        results.append((a / scalar, fraction_oracle.scale(a, 1 / scalar)))
+    for got, want in results:
+        assert got == want
+        assert got.leading_exponent == want.leading_exponent and got.order == want.order
+        assert _canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_coset_series(count=1), st.integers(0, 8))
+def test_truncate_canonical_monic_follow_the_fractions(series, cut):
+    (a,) = series
+    assert _canonical(a)
+    assert a.is_zero() == all(c == 0 for c in a.coeffs)
+    cut = min(cut, a.order)
+    assert a.truncate(cut).coeffs == a.coeffs[:cut] and _canonical(a.truncate(cut))
+    lead = next((n for n, c in enumerate(a.coeffs) if c), None)
+    c, m = a.canonical(), a.monic()
+    if lead is None:  # zero within the window: nothing to strip or rescale
+        assert c == m == a == zero(a.order, a.leading_exponent)
+    else:
+        assert c.leading_exponent == m.leading_exponent == a.leading_exponent + lead
+        assert c.coeffs == a.coeffs[lead:]
+        assert m.coeffs == tuple(x / a.coeffs[lead] for x in a.coeffs[lead:])
+        assert _canonical(c) and _canonical(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_coset_series(count=1, min_order=2), st.fractions(-6, 6, max_denominator=7))
+def test_modular_derivative_equals_fraction_oracle(series, weight):
+    (f,) = series
+    got = modular_derivative(f, weight)
+    assert got == fraction_oracle.modular_derivative(f, weight)
+    assert got.order == f.order - 1 and _canonical(got)
+
+
+def test_one_value_has_one_canonical_form():
+    # q^(1/3) (1/2 - 2/3 q + 0 q^2) by eight routes: one (den, nums), one hash
+    lam = F(1, 3)
+    direct = QExpansion(lam, [F(1, 2), F(-2, 3), F(0)])
+    other = QExpansion(lam - 1, [F(1, 5), F(1, 9), F(2, 9), F(7)])
+    routes = [
+        direct,
+        QExpansion(lam, [3, -4, 0]) / 6,
+        QExpansion(lam, [F(-3, 4), 1, 0]) * F(-2, 3),
+        QExpansion(lam, [F(1, 2), F(-2, 3), F(0), F(5, 7)]).truncate(3),
+        ((direct + other) - other).canonical(),
+        series_mul(direct, one(3)),
+        series_mul(monomial(lam, 3), QExpansion(0, [1, F(-4, 3), 0])) / 2,
+        series_div(direct * 7, QExpansion(0, [-7, 0, 0])) / -1,
+    ]
+    for s in routes:
+        assert (s.leading_exponent, s.order, s.den, s.nums) == (lam, 3, 6, (3, -4, 0))
+        assert s == direct and hash(s) == hash(direct)
+        assert s.coeffs == (F(1, 2), F(-2, 3), F(0))
+        assert all(type(c) is F and math.gcd(c.numerator, c.denominator) == 1 for c in s.coeffs)
+    # zero is ints 0 over 1, whatever the route
+    zeros = [direct - direct, direct * 0, zero(3, lam), QExpansion(lam, [F(0, 5)] * 3)]
+    for z in zeros:
+        assert (z.den, z.nums) == (1, (0, 0, 0)) and z == zeros[0] and hash(z) == hash(zeros[0])
+    # coefficients given as Fractions are kept as they are; others are built once
+    given = (F(1, 2), F(-2, 3), F(0))
+    assert all(x is y for x, y in zip(QExpansion(lam, given).coeffs, given))
+    built = routes[1]
+    assert built.coeffs is built.coeffs
 
 
 def test_mul_fixture_difference_of_squares():
