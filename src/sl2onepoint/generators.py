@@ -459,10 +459,11 @@ def _apply_mlde(f: QExpansion, weight: Fraction, kappas) -> QExpansion:
     return res
 
 
-def mlde_residual(k: int, lam: int, order: int) -> list[QExpansion]:
+def mlde_residual(k: int, lam: int, order: int, gen: VvmfVector | None = None) -> list[QExpansion]:
     """Residuals of the monic modular differential equation on the
     generator components; identically zero when the construction is
-    correct.
+    correct.  ``gen`` is ``cyclic_generator(k, lam, order)`` when the
+    caller already holds it; otherwise it is built here.
 
     The equation is ``mlde_equation(k, lam)``: its kappas come from the
     indicial roots in closed form, not from any component, so every
@@ -474,7 +475,8 @@ def mlde_residual(k: int, lam: int, order: int) -> list[QExpansion]:
     weight, kappas = mlde_equation(k, lam)
     if order < 4:
         raise ValueError("order must be >= 4")
-    gen = cyclic_generator(k, lam, order)
+    if gen is None:
+        gen = cyclic_generator(k, lam, order)
     return [_apply_mlde(comp, weight, kappas) for _, comp in gen.components]
 
 

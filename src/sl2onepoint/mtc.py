@@ -39,16 +39,35 @@ is the one-punctured-torus formula
     S^(p)_ij = (1/(D theta_i theta_j))
                * sum_r N_ij^r d_r theta_r {p/2 i/2 i/2; r/2 j/2 j/2},
 
-one 6j-symbol per term, each with at most p/2 + 1 terms of its own
-alternating sum.  That symbol collapses: two of its triads coincide, and
-``_self_coupling_six_j`` evaluates it with no square root, from a factor
-A_i per basis label (``_coupling_norm``) and table entries.  It is
-symmetric in i and j (its tetrahedral symmetry), and so is every other
-factor, so each unordered pair {i, j} is summed once and S is exactly
-symmetric; ``_six_j2``, the general kernel behind ``six_j``, is the
-symbol's oracle.  ``tests/mtc_oracle.py`` keeps the three-symbol sum,
-term by term and with every braiding phase, as the oracle of S: it
-alone checks that the phases cancel.  Nothing is cached across pairs.
+one 6j-symbol per term.  With h = p/2, sigma = i + j and t = (sigma +
+r)/2, the symbol's Kirillov-Reshetikhin sum runs over z = t + m, m =
+0..h, and its sign (-1)^(h-t) (-1)^z = (-1)^(h+m) no longer holds r.  In
+the q-falling factorials F_c[n] = [n]!/[n-c]! (0 for n < c), the binomial
+B_m = ([h]!/([m]! [h-m]!))^2 and a_i = sqrt([i+1] [i-h]!/[i+h+1]!), and
+term by term over the same (r, z),
+
+    S^(p)_ij = a_i a_j/(D theta_i theta_j) sum_{m=0..h} (-1)^(h+m) B_m
+               * sum_t d_r theta_r F_{h-m}[t-i] F_{h-m}[t-j]
+                       F_m[sigma-t] F_m[t+m+1],
+
+t from max(i, j) + h - m to min(sigma, k) - m and r = 2t - sigma.  So
+for one anti-diagonal sigma and one m, Q_m[t] = (-1)^(h+m) B_m d_r
+theta_r F_m[sigma-t] F_m[t+m+1] is one row shared by every pair {i, j}
+on it, and each pair's S entry is p/2 + 1 dot products of table rows
+with tails of those rows, each one ``sum(map(mul, ...))``
+(``_s_rows``).  Every F is a ratio of two factorial-table entries, and
+each term is symmetric in i and j, so each unordered pair {i, j} is
+summed once and S is exactly symmetric.  The extra tables are O(p k):
+the rows F_c, c = 0..h, and the Q_m of one sigma at a time.  Each F lies
+in (0, 1] and is a normal double wherever the factorial table is, up to
+k = 1030; the symbol kernel instead divides by a product of seven table
+entries, which underflows from k = 600 when p is near k.  The symbol
+kernel, ``_self_coupling_six_j`` in ``tests/mtc_oracle.py``, evaluates
+the same sum one symbol at a time and is the oracle of this one, with
+``_six_j2``, the general kernel behind ``six_j``, as its own.
+``tests/mtc_oracle.py`` also keeps the three-symbol sum, term by term
+and with every braiding phase, as the oracle of S: it alone checks that
+the phases cancel.  Nothing is cached across pairs.
 The certification is plain Python too, O(d^3) in the basis size d.
 Since S is exactly symmetric, so are S^2, S^4, S T S and S T S T S =
 (S T)^3 T^-1, and each is half a product, the row products on and above
@@ -71,6 +90,7 @@ import time
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
@@ -181,51 +201,61 @@ def _precision_loss(k: int, *doubled: int) -> PrecisionLossError:
     )
 
 
-def _coupling_norm(data: MtcLevelData, p: int, i: int) -> float:
-    """A_i = [p/2]! sqrt([i+1] [i-p/2]! / [i+p/2+1]!) for a label i with
-    Hom(p (x) i, i) != 0, from the rescaled tables of ``data``: the part
-    of the prefactor of {p/2 i/2 i/2; r/2 j/2 j/2} that depends on i
-    alone.  NaN when the factorial table underflows, so that the first
-    symbol using it raises."""
-    fact = data.qfact
-    try:
-        return math.sqrt(data.qint[i + 1] * fact[i - p // 2] / fact[i + p // 2 + 1]) * fact[p // 2]
-    except ZeroDivisionError:
-        return math.nan
+def _s_rows(data: MtcLevelData, p: int, basis: tuple[int, ...]) -> tuple[list[list[complex]], int]:
+    """The rows of S^(p) on ``basis`` = (p/2, ..., k - p/2), by the m-form
+    of the module docstring, and the number of 6j-symbols they sum.
 
-
-def _self_coupling_six_j(
-    data: MtcLevelData, p: int, i: int, j: int, r: int, norm_i: float, norm_j: float
-) -> float:
-    """{p/2 i/2 i/2; r/2 j/2 j/2}, the one 6j-symbol of the modular pair,
-    for admissible integer labels, with ``norm_i`` and ``norm_j`` the
-    ``_coupling_norm`` of i and j.
-
-    The Kirillov-Reshetikhin formula of ``_six_j2`` collapses here: the
-    triad sums are i + p/2, j + p/2 and twice t = (i+j+r)/2, the
-    quadrilateral sums twice t + p/2 and once i + j, and the prefactor is
-    A_i A_j [t-i]! [t-j]! [t-r]! / [t+1]!, with no square root.  Every
-    product is formed so that swapping i and j gives the same float: the
-    tetrahedral symmetry holds exactly.  Underflow raises
-    ``PrecisionLossError`` as in ``_six_j2``."""
-    k, fact = data.level, data.qfact
-    t1, t2, t = i + p // 2, j + p // 2, (i + j + r) // 2
-    s, s3 = t + p // 2, i + j
-    try:
-        pref = norm_i * norm_j * (fact[t - i] * fact[t - j]) * fact[t - r] / fact[t + 1]
-        total = 0.0
-        for z in range(max(t1, t2, t), min(s, s3, k) + 1):
-            term = fact[z + 1] / (
-                fact[z - t1] * fact[z - t2] * fact[z - t] * fact[z - t]
-                * fact[s - z] * fact[s - z] * fact[s3 - z]
-            )
-            total += -term if z % 2 else term
-        value = -pref * total if (p - i - j - r) // 2 % 2 else pref * total
-    except ZeroDivisionError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise _precision_loss(k, p, i, i, r, j, j)
-    return value
+    Each anti-diagonal sigma = i + j gets the rows Q_m[t], m = 0..p/2, on
+    the t that its most central pair reads; every other pair of that
+    sigma reads a tail of each row.  A zero, subnormal or non-finite value
+    of the factorial table or of a row raises ``PrecisionLossError``,
+    naming a symbol that reads it, before anything is summed."""
+    k, qfact = data.level, data.qfact
+    h, dim = p // 2, len(basis)
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    # the table decreases, so its smallest entry is [k+1]!, which the symbol
+    # with i = j = k - p/2 and r = 0 reads at z = k
+    if not min(qfact) >= tiny:
+        raise _precision_loss(k, p, k - h, k - h, 0, k - h, k - h)
+    # F[c][n] = [n]!/[n-c]! (0 for n < c), each a ratio of two normal
+    # entries of (0, 1], so itself normal and in (0, 1]
+    falling = [[0.0] * c + [qfact[n] / qfact[n - c] for n in range(c, k + 2)] for c in range(h + 1)]
+    signed_binomial = [(-1) ** (h + m) * (qfact[h] / qfact[m] / qfact[h - m]) ** 2 for m in range(h + 1)]
+    norm = [math.sqrt(data.qint[i + 1] * qfact[i - h] / qfact[i + h + 1]) for i in basis]
+    theta, root = data.theta, data.global_dim_root
+    d_theta = list(map(mul, data.qdim, theta))
+    rows = [[0j] * dim for _ in basis]
+    evaluations = 0
+    for sigma in range(2 * h, 2 * (k - h) + 1):
+        # the central pair reads t = centre + h - m .. top - m of Q_m, r = 2t - sigma
+        centre, top = sigma - sigma // 2, min(sigma, k)
+        windows, flat = [], []
+        for m in range(h + 1):
+            lo, hi, f_m = centre + h - m, top - m, falling[m]
+            # (d_r theta_r F_m[sigma-t]) (sign B_m F_m[t+m+1]): each factor has
+            # modulus at least that of its F, so only the product can underflow
+            q = list(map(
+                mul,
+                map(mul, d_theta[2 * lo - sigma:2 * hi - sigma + 1:2], reversed(f_m[sigma - hi:sigma - lo + 1])),
+                map(mul, f_m[lo + m + 1:hi + m + 2], repeat(signed_binomial[m])),
+            ))
+            windows.append((falling[h - m], h - m, hi, q))
+            flat += q
+        # the row Q_p/2 holds the central pair's r, so flat is never empty
+        sizes = list(map(abs, flat))
+        if not (tiny <= min(sizes) and max(sizes) <= huge):
+            m, n = next((m, n) for m, w in enumerate(windows) for n, x in enumerate(w[3]) if not tiny <= abs(x) <= huge)
+            raise _precision_loss(k, p, sigma // 2, sigma // 2, 2 * (centre + h - m + n) - sigma, centre, centre)
+        for i in range(sigma // 2, max(h, sigma - k + h) - 1, -1):
+            j = sigma - i
+            # pair (i, j) reads t = j + h - m .. top - m: the tail of Q_m from j - centre
+            total = 0j
+            for f_c, c, hi, q in windows:
+                total += sum(map(mul, map(mul, f_c[j - i + c:hi - i + 1], f_c[c:hi - j + 1]), q[j - centre:]))
+            a, b = i - h, j - h
+            rows[a][b] = rows[b][a] = norm[a] * norm[b] * total / (root * theta[i] * theta[j])
+            evaluations += (min(sigma, 2 * k - sigma) - j + i) // 2 + 1
+    return rows, evaluations
 
 
 def six_j(k: int, a, b, e, d, c, f) -> float:
@@ -262,8 +292,8 @@ class MtcLevelData(NamedTuple):
 @lru_cache(maxsize=None)
 def f_r_g_matrices(k: int) -> MtcLevelData:
     """The level-k table, O(k^2) work, and the only per-level state of
-    this module.  The 6j-symbols are evaluated directly from it
-    (``_six_j2``, ``_self_coupling_six_j``), and the modular pairs need
+    this module.  The 6j-symbols (``_six_j2``) and the rows of the modular
+    pairs (``_s_rows``) are evaluated directly from it, and the pairs need
     no braiding phase; no F, R or G tensor is ever built."""
     _check_level(k)
     n = k + 2
@@ -305,9 +335,10 @@ class GenModularPair(NamedTuple):
     self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}.
     S is symmetric, each unordered {i, j} summed once with no braiding
     phase.  ``stages`` records what building it cost: the number of
-    6j-symbols evaluated (one per unordered {i, j} and r),
-    the assembly and certification times in seconds, and the headroom of
-    the worst residual below the tolerance in decimal digits."""
+    6j-symbols in the sum (one per unordered {i, j} and r; each is now
+    summed as a slice of the table rows, not evaluated on its own), the
+    assembly and certification times in seconds, and the headroom of the
+    worst residual below the tolerance in decimal digits."""
 
     level: int
     p_label: int
@@ -358,24 +389,13 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     ``tolerance``, or one that is NaN, raises ``RelationViolationError``."""
     dim = rep_dimension(k, p)
     data = f_r_g_matrices(k)
-    theta, qdim = data.theta, data.qdim
+    theta = data.theta
     basis = tuple(i for i in data.labels if fusion_coefficient(k, p, i, i) == 1)
 
-    # S^(p)_ij by the one-punctured-torus formula of the module docstring;
-    # it is symmetric in i and j, so each unordered pair is summed once
+    # S^(p)_ij by the m-form of the module docstring; it is symmetric in i
+    # and j, so each unordered pair is summed once
     start = time.perf_counter()
-    evaluations = 0
-    norm = [_coupling_norm(data, p, i) for i in basis]
-    rows = [[0j] * dim for _ in basis]
-    for a, i in enumerate(basis):
-        for b in range(a, dim):
-            j = basis[b]
-            acc = 0j
-            # the r with N_ij^r = 1, ascending
-            for r in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2):
-                acc += qdim[r] * theta[r] * _self_coupling_six_j(data, p, i, j, r, norm[a], norm[b])
-                evaluations += 1
-            rows[a][b] = rows[b][a] = acc / (data.global_dim_root * theta[i] * theta[j])
+    rows, evaluations = _s_rows(data, p, basis)
     s = tuple(map(tuple, rows))
     t_diag = tuple(theta[i] / data.zeta for i in basis)
     assembled = time.perf_counter()
@@ -427,7 +447,7 @@ def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERA
     if not all(cmath.isfinite(z) for row in pair.s_matrix for z in row):
         raise ValueError("refusing a pair whose S-matrix has non-finite entries")
     dim = len(pair.basis)
-    # no longer needed, but the benchmark's mtc references pin this message (ROADMAP item 2)
+    # no longer needed, but the benchmark's mtc references pin this message (ROADMAP item 5)
     if dim > 20:
         raise ValueError(f"refusing subset enumeration for basis size {dim} > 20")
     if dim == 1:

@@ -50,9 +50,9 @@ def check_mlde(config):
         ("third-order", range(4, 11, 2), 2, 13),
     ):
         for k in levels:
-            res = generators.mlde_residual(k, k - shift, order)
-            solved = all(r.is_zero() and r.order >= 10 for r in res)
             gen = generators.cyclic_generator(k, k - shift, order)
+            res = generators.mlde_residual(k, k - shift, order, gen)
+            solved = all(r.is_zero() and r.order >= 10 for r in res)
             same = gen == generators.hypergeometric_generator(k, k - shift, order)
             note = "" if same else "recurrence differs from the hypergeometric construction"
             if not solved:

@@ -11,10 +11,9 @@ braiding phase, since all of them cancel from its modular pairs.
 ``s_matrix_loop`` assembles S^(p) one (i, j, r) term at a time from
 these two, as the categorical definition reads: three 6j-symbols per
 term, two of them inside G-entries, and every braiding phase.  The
-library evaluates one 6j-symbol per term and no phase instead (the
-one-punctured-torus formula of ``mtc.gen_modular_pair``, on the
-rescaled tables of ``mtc._six_j2``), and the tests compare it against
-these.
+library sums the one-punctured-torus formula of ``mtc.gen_modular_pair``
+instead, one symbol per term and no phase, as table rows on the rescaled
+tables of ``mtc._six_j2``, and the tests compare it against these.
 
 ``f_tensor``, ``r_tensor`` and ``g_tensor`` tabulate F (the library's
 6j-symbols), R (``r_phase``) and G on every admissible index tuple of a level, a count that grows like
@@ -32,6 +31,13 @@ same question by two reachability sweeps.
 ``certification`` forms the products of the braid relations as they
 read, four full matrix products, 4 d^3 complex products, where
 ``mtc.gen_modular_pair`` uses the exact symmetry of S for 2 d^3.
+
+``_self_coupling_six_j`` evaluates the one symbol of the modular pair,
+{p/2 i/2 i/2; r/2 j/2 j/2}, by its own collapsed z-sum on the library's
+rescaled tables, and ``s_entry_by_symbols`` sums it over r as the
+one-punctured-torus formula reads, one symbol at a time.  That sum is
+the oracle of the table rows of ``mtc._s_rows``, which reorder the same
+terms by m = z - t; ``mtc._six_j2`` is the oracle of the symbol.
 """
 
 import math
@@ -251,3 +257,61 @@ def certification(s, t_diag, theta_p) -> tuple:
     braid = max(abs(x - y) for row3, row2 in zip(st3, s2) for x, y in zip(row3, row2))
     dehn = max(abs(x - (a == b) / theta_p) for a, row in enumerate(s4) for b, x in enumerate(row))
     return s2, s4, {"st_cubed_vs_s_squared": braid, "s_fourth_vs_inverse_twist": dehn}
+
+
+def _coupling_norm(data: mtc.MtcLevelData, p: int, i: int) -> float:
+    """A_i = [p/2]! sqrt([i+1] [i-p/2]! / [i+p/2+1]!) for a label i with
+    Hom(p (x) i, i) != 0, from the rescaled tables of ``data``: the part
+    of the prefactor of {p/2 i/2 i/2; r/2 j/2 j/2} that depends on i
+    alone.  NaN when the factorial table underflows, so that the first
+    symbol using it raises."""
+    fact = data.qfact
+    try:
+        return math.sqrt(data.qint[i + 1] * fact[i - p // 2] / fact[i + p // 2 + 1]) * fact[p // 2]
+    except ZeroDivisionError:
+        return math.nan
+
+
+def _self_coupling_six_j(
+    data: mtc.MtcLevelData, p: int, i: int, j: int, r: int, norm_i: float, norm_j: float
+) -> float:
+    """{p/2 i/2 i/2; r/2 j/2 j/2} for admissible integer labels, with
+    ``norm_i`` and ``norm_j`` the ``_coupling_norm`` of i and j.
+
+    The Kirillov-Reshetikhin formula of ``mtc._six_j2`` collapses here:
+    the triad sums are i + p/2, j + p/2 and twice t = (i+j+r)/2, the
+    quadrilateral sums twice t + p/2 and once i + j, and the prefactor is
+    A_i A_j [t-i]! [t-j]! [t-r]! / [t+1]!, with no square root.  Every
+    product is formed so that swapping i and j gives the same float: the
+    tetrahedral symmetry holds exactly.  Underflow raises
+    ``PrecisionLossError`` as in ``mtc._six_j2``."""
+    k, fact = data.level, data.qfact
+    t1, t2, t = i + p // 2, j + p // 2, (i + j + r) // 2
+    s, s3 = t + p // 2, i + j
+    try:
+        pref = norm_i * norm_j * (fact[t - i] * fact[t - j]) * fact[t - r] / fact[t + 1]
+        total = 0.0
+        for z in range(max(t1, t2, t), min(s, s3, k) + 1):
+            term = fact[z + 1] / (
+                fact[z - t1] * fact[z - t2] * fact[z - t] * fact[z - t]
+                * fact[s - z] * fact[s - z] * fact[s3 - z]
+            )
+            total += -term if z % 2 else term
+        value = -pref * total if (p - i - j - r) // 2 % 2 else pref * total
+    except ZeroDivisionError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise mtc._precision_loss(k, p, i, i, r, j, j)
+    return value
+
+
+def s_entry_by_symbols(k: int, p: int, i: int, j: int) -> tuple[complex, int]:
+    """S^(p)_ij = (D theta_i theta_j)^-1 sum_r d_r theta_r
+    {p/2 i/2 i/2; r/2 j/2 j/2}, one ``_self_coupling_six_j`` per r with
+    N_ij^r = 1, ascending, and the number of symbols summed."""
+    data = mtc.f_r_g_matrices(k)
+    theta, qdim = data.theta, data.qdim
+    norm_i, norm_j = _coupling_norm(data, p, i), _coupling_norm(data, p, j)
+    rs = range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2)
+    acc = sum(qdim[r] * theta[r] * _self_coupling_six_j(data, p, i, j, r, norm_i, norm_j) for r in rs)
+    return acc / (data.global_dim_root * theta[i] * theta[j]), len(rs)

@@ -149,13 +149,15 @@ def test_mtc_nan_relation_residual_exits_1(capsys, monkeypatch):
 
     import sl2onepoint.mtc as mtc_module
 
-    true_six_j = mtc_module._self_coupling_six_j
+    true_rows = mtc_module._s_rows
 
-    def nan_six_j(data, p, i, j, r, norm_i, norm_j):
-        value = true_six_j(data, p, i, j, r, norm_i, norm_j)
-        return value * (math.nan if (i, j, r) == (1, 1, 2) else 1.0)
+    def nan_rows(data, p, basis):
+        # S_11 of the (3, 2) pair, basis (1, 2)
+        rows, evaluations = true_rows(data, p, basis)
+        rows[0][0] *= math.nan
+        return rows, evaluations
 
-    monkeypatch.setattr(mtc_module, "_self_coupling_six_j", nan_six_j)
+    monkeypatch.setattr(mtc_module, "_s_rows", nan_rows)
     code, out, err = run(capsys, "mtc", "--level", "3", "--p", "2", "--format", "json")
     assert code == EXIT_VERIFY_FAILED
     assert out == ""
@@ -194,12 +196,13 @@ def test_mtc_relation_violation_exits_1(capsys):
 
 
 def test_mtc_unrepresentable_six_j_exits_1(capsys):
-    # at k = 600 the factorial products of {295 295/2 295/2; 125 295/2 295/2}
-    # underflow a double: a limit of the arithmetic, not bad input
-    code, out, err = run(capsys, "mtc", "--level", "600", "--p", "590")
+    # at k = 1200 the factorial table underflows a double from [1166]! on,
+    # and {599 601/2 601/2; 0 601/2 601/2} reads [1201]!: a limit of the
+    # arithmetic, not bad input
+    code, out, err = run(capsys, "mtc", "--level", "1200", "--p", "1198")
     assert code == EXIT_VERIFY_FAILED
     assert out == ""
-    assert "6j-symbol {295 295/2 295/2; 125 295/2 295/2} at level 600" in err
+    assert "6j-symbol {599 601/2 601/2; 0 601/2 601/2} at level 1200" in err
     assert "Traceback" not in err
 
 
@@ -255,6 +258,25 @@ def test_verify_mtc_suite_builds_each_pair_once(capsys, monkeypatch):
     # the 36 (k, p) with p even, 0 <= p <= k <= 10, each built once
     assert len(built) == 36
     assert set(built) == {(k, p) for k in range(11) for p in range(0, k + 1, 2)}
+
+
+def test_verify_mlde_suite_builds_each_generator_once(capsys, monkeypatch):
+    import sl2onepoint.generators as generators
+
+    built = []
+    real = generators.cyclic_generator
+
+    def counting(k, lam, order):
+        built.append((k, lam, order))
+        return real(k, lam, order)
+
+    monkeypatch.setattr(generators, "cyclic_generator", counting)
+    code, out, _ = run(capsys, "verify", "--suite", "mlde", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"suite": "mlde", "total": 10, "failed": 0, "failures": []}
+    # six dimension-2 and four dimension-3 generators, each built once and
+    # shared by its residual check and its hypergeometric comparison
+    assert sorted(built) == sorted([(k, k - 1, 12) for k in range(3, 14, 2)] + [(k, k - 2, 13) for k in range(4, 11, 2)])
 
 
 def test_verify_mtc_suite_reports_residuals_above_a_tight_tolerance(capsys):

@@ -11,7 +11,10 @@ one-punctured-torus sum.  The hexagon needs the braiding with the halved
 sign (-1)^{(r+s-t)/2}; the oracle's R keeps the trivial-sign convention
 of its defining formula, and the phases cancel in both conventions, as
 a test below checks.  The three-symbol oracle S keeps every phase, so it
-alone checks the cancellation in the library's S.
+alone checks the cancellation in the library's S.  The library sums S as
+table rows; the oracle's sum of collapsed symbols checks those entry by
+entry, and near p = k, where that kernel underflows, the symbols in
+mpmath do.
 """
 
 import cmath
@@ -28,8 +31,7 @@ from hypothesis import strategies as st
 from sl2onepoint.errors import PrecisionLossError, RelationViolationError
 from sl2onepoint.mtc import (
     GenModularPair,
-    _coupling_norm,
-    _self_coupling_six_j,
+    _s_rows,
     _six_j2,
     _symmetric_product,
     adjoint_members,
@@ -46,12 +48,15 @@ from sl2onepoint.sl2data import conformal_weight, fusion_coefficient, rho_t, xi_
 
 from mtc_oracle import _qnumbers as oracle_qnumbers
 from mtc_oracle import (
+    _coupling_norm,
+    _self_coupling_six_j,
     _six_j_2,
     certification,
     f_tensor,
     g_tensor,
     irreducibility_by_subsets,
     r_tensor,
+    s_entry_by_symbols,
     s_matrix_loop,
 )
 
@@ -299,16 +304,16 @@ def test_self_coupling_six_j_equals_general_kernel_at_levels_48_and_100():
 
 
 def test_self_coupling_six_j_refuses_underflow_like_the_general_kernel():
-    # the symbol that stops mtc -k 600 --p 590: both kernels refuse it in
-    # the same words
+    # the symbol that stopped mtc -k 600 --p 590 before the pairs were summed
+    # as table rows: both scalar kernels refuse it in the same words
     data = f_r_g_matrices(600)
     norm = _coupling_norm(data, 590, 295)
     collapsed = pytest.raises(PrecisionLossError, _self_coupling_six_j, data, 590, 295, 295, 250, norm, norm)
     general = pytest.raises(PrecisionLossError, _six_j2, data, 590, 295, 295, 250, 295, 295)
     assert "6j-symbol {295 295/2 295/2; 125 295/2 295/2} at level 600" in str(collapsed.value)
     assert str(collapsed.value) == str(general.value)
-    # where the factorial table itself holds zeros, the norm is NaN and the
-    # first symbol that uses it raises
+    # where the factorial table itself holds zeros, the norm is NaN, and the
+    # pair refuses before it sums anything
     assert math.isnan(_coupling_norm(f_r_g_matrices(1200), 1198, 599))
     with pytest.raises(PrecisionLossError, match="at level 1200"):
         gen_modular_pair(1200, 1198)
@@ -563,6 +568,83 @@ def test_pair_s_matrix_is_exactly_symmetric():
         assert s == tuple(zip(*s)), (k, p)
 
 
+def _check_rows_against_symbol_sum(k, p, entries):
+    """The pair's table rows against the oracle's sum over r of d_r theta_r
+    times one collapsed symbol, on the basis positions ``entries`` (all of
+    them when None), and exactly symmetric.  Returns the oracle's count of
+    symbols over the unordered entries checked."""
+    data = f_r_g_matrices(k)
+    basis = tuple(xi_set(k, p))
+    rows, evaluations = _s_rows(data, p, basis)
+    assert rows == [list(col) for col in zip(*rows)], (k, p)
+    if entries is None:
+        entries = [(a, b) for a in range(len(basis)) for b in range(a, len(basis))]
+    count = 0
+    for a, b in entries:
+        want, symbols = s_entry_by_symbols(k, p, basis[a], basis[b])
+        assert abs(rows[a][b] - want) < 1e-13, (k, p, basis[a], basis[b])
+        count += symbols
+    return evaluations, count
+
+
+def test_pair_rows_equal_symbol_sum():
+    """Every entry of every pair with k <= 24, and the count of symbols."""
+    for k in range(0, 25):
+        for p in range(0, k + 1, 2):
+            evaluations, count = _check_rows_against_symbol_sum(k, p, None)
+            assert evaluations == count, (k, p)
+
+
+def test_pair_rows_equal_symbol_sum_at_levels_48_and_100():
+    """200 seeded entries at each level: 50 on each of four seeded p."""
+    for k in (48, 100):
+        rng = random.Random(k)
+        for p in rng.sample(range(0, k + 1, 2), 4):
+            dim = len(xi_set(k, p))
+            entries = [(rng.randrange(dim), rng.randrange(dim)) for _ in range(50)]
+            _check_rows_against_symbol_sum(k, p, entries)
+    assert gen_modular_pair(48, 2).stages["six_j_evaluations"] == 10628
+
+
+def test_pair_rows_near_p_equals_k_against_mpmath():
+    """Seeded entries of (600, 590) and (1000, 990), where the symbol
+    kernel's factorial products underflow, against the same sum of symbols
+    with each symbol in 50-digit mpmath."""
+    for k, p in ((600, 590), (1000, 990)):
+        pair = gen_modular_pair(k, p)
+        data = f_r_g_matrices(k)
+        rng = random.Random(k)
+        for _ in range(3):
+            a, b = rng.randrange(len(pair.basis)), rng.randrange(len(pair.basis))
+            i, j = pair.basis[a], pair.basis[b]
+            rs = range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2)
+            symbols = _six_j_mpmath(k, [(p, i, i, r, j, j) for r in rs])
+            acc = sum(data.qdim[r] * data.theta[r] * x for r, x in zip(rs, symbols))
+            want = acc / (data.global_dim_root * data.theta[i] * data.theta[j])
+            assert abs(pair.s_matrix[a][b] - want) < 1e-12, (k, p, i, j)
+
+
+def test_pair_refuses_a_subnormal_or_zero_table_value(monkeypatch):
+    """A zero or subnormal value of the factorial table, or of a row Q_m,
+    raises before it is summed, naming a symbol that reads it."""
+    import sl2onepoint.mtc as mtc_module
+
+    data = f_r_g_matrices(3)
+
+    def serve(**poisoned):
+        monkeypatch.setattr(mtc_module, "f_r_g_matrices", lambda k: data._replace(**poisoned))
+
+    for bad in (0.0, 5e-324):
+        serve(qfact=data.qfact[:2] + (bad,) + data.qfact[3:])
+        with pytest.raises(PrecisionLossError, match=r"\{1 1 1; 0 1 1\} at level 3"):
+            gen_modular_pair(3, 2)
+    # d_2 subnormal makes Q_0[2] on sigma = 2 subnormal, which the pair
+    # (1, 1) reads at r = 2
+    serve(qdim=data.qdim[:2] + (5e-324,) + data.qdim[3:])
+    with pytest.raises(PrecisionLossError, match=r"\{1 1/2 1/2; 1 1/2 1/2\} at level 3"):
+        gen_modular_pair(3, 2)
+
+
 def test_certification_equals_four_full_products():
     """The certification's half products against the four full products of
     the oracle: S^2 and S^4 float for float, so the Dehn residual exactly,
@@ -651,18 +733,26 @@ def test_gen_modular_pair_guards():
     assert np.max(np.abs(np.asarray(pair.s_matrix) - np.asarray(f_r_g_matrices(60).s_char))) < TOL
 
 
-def test_relation_violation_surfaces_loudly(monkeypatch):
-    # poison one 6j-symbol of the sum: the pair construction must refuse to
-    # return silently wrong data
+def _poison_s_entry(monkeypatch, factor):
+    """Make the (3, 2) pair's S_11 (rows[0][0], basis (1, 2)) ``factor``
+    times its value."""
     import sl2onepoint.mtc as mtc_module
 
-    true_six_j = mtc_module._self_coupling_six_j
+    true_rows = mtc_module._s_rows
 
-    def wrong_six_j(data, p, i, j, r, norm_i, norm_j):
-        value = true_six_j(data, p, i, j, r, norm_i, norm_j)
-        return value * (1.05 if (i, j, r) == (1, 1, 2) else 1.0)
+    def poisoned_rows(data, p, basis):
+        rows, evaluations = true_rows(data, p, basis)
+        if (data.level, p) == (3, 2):
+            rows[0][0] *= factor
+        return rows, evaluations
 
-    monkeypatch.setattr(mtc_module, "_self_coupling_six_j", wrong_six_j)
+    monkeypatch.setattr(mtc_module, "_s_rows", poisoned_rows)
+
+
+def test_relation_violation_surfaces_loudly(monkeypatch):
+    # poison one S entry: the pair construction must refuse to return
+    # silently wrong data
+    _poison_s_entry(monkeypatch, 1.05)
     with pytest.raises(RelationViolationError):
         gen_modular_pair(3, 2)
 
@@ -670,15 +760,7 @@ def test_relation_violation_surfaces_loudly(monkeypatch):
 def test_nan_residual_is_refused(monkeypatch):
     # a NaN compares false with any tolerance; the certification must
     # still refuse it
-    import sl2onepoint.mtc as mtc_module
-
-    true_six_j = mtc_module._self_coupling_six_j
-
-    def nan_six_j(data, p, i, j, r, norm_i, norm_j):
-        value = true_six_j(data, p, i, j, r, norm_i, norm_j)
-        return value * (math.nan if (i, j, r) == (1, 1, 2) else 1.0)
-
-    monkeypatch.setattr(mtc_module, "_self_coupling_six_j", nan_six_j)
+    _poison_s_entry(monkeypatch, math.nan)
     with pytest.raises(RelationViolationError, match="nan"):
         gen_modular_pair(3, 2)
 
