@@ -68,13 +68,22 @@ the same sum one symbol at a time and is the oracle of this one, with
 ``tests/mtc_oracle.py`` also keeps the three-symbol sum, term by term
 and with every braiding phase, as the oracle of S: it alone checks that
 the phases cancel.  Nothing is cached across pairs.
-The certification is plain Python too, O(d^3) in the basis size d.
-Since S is exactly symmetric, so are S^2, S^4, S T S and S T S T S =
-(S T)^3 T^-1, and each is half a product, the row products on and above
-the diagonal mirrored: 2 d^3 complex products in all, where the four full
-products (S T)(S T)(S T), S S and S^2 S^2 take 4 d^3.  S^2 and S^4 equal
-the full products float for float; the oracle keeps those in
-``tests/mtc_oracle.py``.
+The certification is plain Python too, d^3 complex products in the
+basis size d, where the four half products S^2, S^4, S T S and S T S T S
+took 2 d^3.  S is exactly symmetric, so S^2 and S T S are half products,
+the row products on and above the diagonal mirrored; each relation is
+then bounded in O(d^2) by an identity that holds exactly on the float
+matrices.  The braid relation: (S T)^3 - S^2 = S T F T with the symmetric
+F = S T S - T^-1 S T^-1, so with |t_i| = 1 every entry is at most
+max_i |S_i| max_j |F_j| (row norms, Cauchy-Schwarz).  The Dehn twist:
+S^2 = D + E with D diagonal, so S^4 - theta_p^-1 Id = (D^2 - theta_p^-1
+Id) + (D E + E D) + E^2; the first two terms are exact entry by entry and
+|(E^2)_ij| <= |E_i| |E_j|.  Every sl(2) label is self-dual, so S^2 maps
+each coupling space to itself and is diagonal: E is rounding (under
+7e-15 for every pair with k <= 40) and the Dehn bound is tight.  A pair
+whose S^2 is not diagonal fails the bound; it never passes silently.
+Neither bound is below the entrywise residual of the full products,
+which ``tests/mtc_oracle.py`` keeps, by more than rounding.
 
 Label conventions: integer labels 0..k; 6j-symbols take the spin (half
 label) values.  All self-couplings here are multiplicity-free, so no
@@ -87,11 +96,11 @@ import cmath
 import math
 import sys
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import mul
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -334,7 +343,9 @@ class GenModularPair(NamedTuple):
     """The action of the once-punctured-torus mapping class group on the
     self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}.
     S is symmetric, each unordered {i, j} summed once with no braiding
-    phase.  ``stages`` records what building it cost: the number of
+    phase.  ``relation_residuals`` holds the two certified bounds of the
+    module docstring, each at least the largest entrywise |difference| of
+    its relation.  ``stages`` records what building it cost: the number of
     6j-symbols in the sum (one per unordered {i, j} and r; each is now
     summed as a slice of the table rows, not evaluated on its own), the
     assembly and certification times in seconds, and the headroom of the
@@ -364,12 +375,13 @@ class GenModularPair(NamedTuple):
         }
 
 
-def _symmetric_product(a: Matrix, b: Matrix) -> list[list[complex]]:
+def _symmetric_product(a: Iterable[Sequence[complex]], b: Matrix) -> list[list[complex]]:
     """a b for an exactly symmetric b when the product is symmetric too:
     the row products a_i . b_j on and above the diagonal, mirrored, d^3/2
-    complex products.  For a square of a symmetric matrix (a = b), every
-    entry is bit for bit that of the full product."""
-    dim = len(a)
+    complex products.  ``a`` is read once, row by row, so it may be a
+    generator.  For a square of a symmetric matrix (a = b), every entry is
+    bit for bit that of the full product."""
+    dim = len(b)
     rows = [[0j] * dim for _ in range(dim)]
     for i, row in enumerate(a):
         for j in range(i, dim):
@@ -377,17 +389,23 @@ def _symmetric_product(a: Matrix, b: Matrix) -> list[list[complex]]:
     return rows
 
 
-def _max_abs_diff(a: Matrix, b: Matrix) -> float:
-    """The largest entrywise |a - b|, NaN if any difference is NaN."""
-    diffs = [abs(x - y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b)]
-    return math.nan if any(map(math.isnan, diffs)) else max(diffs)
+def _row_norm(row) -> float:
+    """The Euclidean norm of a complex row (NaN if an entry is NaN and
+    none is infinite)."""
+    return math.hypot(*map(abs, row))
+
+
+def _nan_max(values) -> float:
+    """The largest of ``values``, NaN if any of them is NaN."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> GenModularPair:
     """Build (S^(p), T^(p)) from the categorical data and certify the
     relations (S T)^3 = S^2 and S^4 = theta_p^{-1} Id.  A residual above
     ``tolerance``, or one that is NaN, raises ``RelationViolationError``."""
-    dim = rep_dimension(k, p)
+    rep_dimension(k, p)  # refuses a bad level or label
     data = f_r_g_matrices(k)
     theta = data.theta
     basis = tuple(i for i in data.labels if fusion_coefficient(k, p, i, i) == 1)
@@ -400,16 +418,29 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     t_diag = tuple(theta[i] / data.zeta for i in basis)
     assembled = time.perf_counter()
 
-    def times_t(a):
-        return [[x * t for x, t in zip(row, t_diag)] for row in a]
-
-    # S is exactly symmetric, and so are S^2, S^4, S T S and S T S T S, with
-    # (S T)^3 = (S T S T S) T: four half products, 2 d^3 complex products
+    # S is exactly symmetric, and so are S^2 and S T S: two half products,
+    # d^3 complex products
     s2 = _symmetric_product(s, s)
-    ststs = _symmetric_product(times_t(_symmetric_product(times_t(s), s)), s)
-    res_braid = _max_abs_diff(times_t(ststs), s2)
-    s4 = _symmetric_product(s2, s2)
-    res_dehn = _max_abs_diff(s4, [[(a == b) / theta[p] for b in range(dim)] for a in range(dim)])
+    sts = _symmetric_product((list(map(mul, row, t_diag)) for row in s), s)
+    # braid: (S T)^3 - S^2 = S T F T, F = S T S - T^-1 S T^-1 symmetric;
+    # with |t| = 1, each entry is at most |S_i| |F_j| (Cauchy-Schwarz)
+    inv = [1 / t for t in t_diag]
+    f_norms = (
+        _row_norm(map(sub, sts_row, map(mul, row, [u * v for v in inv])))
+        for row, sts_row, u in zip(s, sts, inv)
+    )
+    res_braid = _nan_max(map(_row_norm, s)) * _nan_max(f_norms)
+    # Dehn: S^2 = D + E, D diagonal, so S^4 - theta_p^-1 Id = (D^2 -
+    # theta_p^-1 Id) + (D E + E D) + E^2, the first two exact entry by
+    # entry and |(E^2)_ij| <= |E_i| |E_j|
+    diag = [row[a] for a, row in enumerate(s2)]
+    off_norms = [_row_norm(row[:a] + row[a + 1:]) for a, row in enumerate(s2)]
+    worst_rows = []
+    for a, row in enumerate(s2):
+        exact = [abs((diag[a] + x) * y) for x, y in zip(diag, row)]
+        exact[a] = abs(diag[a] * diag[a] - 1 / theta[p])
+        worst_rows.append(_nan_max(map(add, exact, map(mul, repeat(off_norms[a]), off_norms))))
+    res_dehn = _nan_max(worst_rows)
     residuals = {"st_cubed_vs_s_squared": res_braid, "s_fourth_vs_inverse_twist": res_dehn}
     # phrased so that a NaN residual fails too
     if not (res_braid <= tolerance and res_dehn <= tolerance):
@@ -477,10 +508,11 @@ def compare_with_analytic(
 ) -> dict:
     """Compare the categorical T^(lam), divided by the weight-h_lam
     multiplier value on T, against the analytic diagonal exponents
-    e(r_mu); report per-entry residuals.  The S-side comparison is
-    reported as data without asserting equality.  ``pair`` is the
-    certified (S^(lam), T^(lam)) at level k when the caller holds it;
-    otherwise it is built here."""
+    e(r_mu); report per-entry residuals.  There is no S side: the report
+    gives the exponent of the multiplier value on S, from which S / nu_S
+    is rebuilt, but nothing here compares S with the analytic action.
+    ``pair`` is the certified (S^(lam), T^(lam)) at level k when the
+    caller holds it; otherwise it is built here."""
     if pair is None:
         pair = gen_modular_pair(k, lam, tolerance)
     elif (pair.level, pair.p_label) != (k, lam):
@@ -489,18 +521,15 @@ def compare_with_analytic(
     if list(pair.basis) != xi_set(k, lam):
         raise RelationViolationError("categorical basis disagrees with the label set")
     nu_t = _e(multiplier(sig.multiplier_weight, "T"))
-    nu_s = _e(multiplier(sig.multiplier_weight, "S"))
     t_resid = {}
     for mu, t, r in zip(pair.basis, pair.t_diagonal, sig.t_exponents):
         t_resid[mu] = float(abs(t / nu_t - _e(r)))
-    s_over_nu = [[z / nu_s for z in row] for row in pair.s_matrix]
     return {
         "level": k,
         "lambda": lam,
         "t_residuals": {int(mu): v for mu, v in t_resid.items()},
         "max_t_residual": max(t_resid.values()),
         "t_consistent": max(t_resid.values()) < tolerance,
-        "s_over_nu": [[[z.real, z.imag] for z in row] for row in s_over_nu],
         "nu_t_exponent": str(multiplier(sig.multiplier_weight, "T")),
         "nu_s_exponent": str(multiplier(sig.multiplier_weight, "S")),
     }

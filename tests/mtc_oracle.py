@@ -29,8 +29,9 @@ pair's basis, O(2^d d^2), where ``mtc.irreducibility_probe`` decides the
 same question by two reachability sweeps.
 
 ``certification`` forms the products of the braid relations as they
-read, four full matrix products, 4 d^3 complex products, where
-``mtc.gen_modular_pair`` uses the exact symmetry of S for 2 d^3.
+read, four full matrix products, 4 d^3 complex products, and takes each
+residual entry by entry; ``mtc.gen_modular_pair`` forms two half products,
+d^3, and bounds both residuals from above in O(d^2).
 
 ``_self_coupling_six_j`` evaluates the one symbol of the modular pair,
 {p/2 i/2 i/2; r/2 j/2 j/2}, by its own collapsed z-sum on the library's
