@@ -229,11 +229,12 @@ def cyclic_generator(k: int, lam: int, order: int) -> VvmfVector:
     d = _dimension(k, lam)
     mus = xi_set(k, lam)
     exps = leading_exponents(k, lam)
-    weight = form_weight(k, lam)
     if d == 1:
+        weight = form_weight(k, lam)
         comps = [eta_power(Fraction(3 * k, 2), order)]
     else:
-        comps = mlde_solutions(weight, exps, order)
+        weight, kappas = mlde_equation(k, lam)
+        comps = _solve_mlde(weight, exps, kappas, order)
     for comp, exponent in zip(comps, exps):
         _check_component(comp, exponent)
     return VvmfVector(k, lam, tuple(zip(mus, comps)), weight)
@@ -325,13 +326,15 @@ def _indicial_kappas(weight, exponents) -> tuple[Fraction, ...]:
     return tuple(kappas)
 
 
+@lru_cache(maxsize=None)
 def mlde_equation(k: int, lam: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(weight, kappas) of the monic equation annihilating every component
     of the (k, lam) generator in dimension 2 or 3.
 
     The equation acts at the generator's weight.  The eta factor changes
     nothing, because D_{w+r/2}(eta^r f) = eta^r D_w f: the eta-rescaled
-    components solve the same equation at weight w.
+    components solve the same equation at weight w.  Cached by (k, lam):
+    every caller shares one immutable value.
     """
     if _dimension(k, lam) == 1:
         raise UnsupportedDimensionError("differential equations cover dimensions 2-3, got 1")
@@ -409,7 +412,12 @@ def mlde_solutions(weight, exponents, order: int) -> list[QExpansion]:
         raise ValueError("order must be >= 1")
     weight = Fraction(weight)
     exponents = [Fraction(x) for x in exponents]
-    ops = _theta_form(weight, _indicial_kappas(weight, exponents), order)
+    return _solve_mlde(weight, exponents, _indicial_kappas(weight, exponents), order)
+
+
+def _solve_mlde(weight: Fraction, exponents: list[Fraction], kappas, order: int) -> list[QExpansion]:
+    """``mlde_solutions`` on Fractions, with the equation's kappas given."""
+    ops = _theta_form(weight, kappas, order)
     top = len(ops) - 1
 
     def horner(col, y: int) -> int:

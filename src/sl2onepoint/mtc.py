@@ -14,8 +14,10 @@ never a user error).  These residuals are the only precision guard.
 
 Per-level state lives in one table, the immutable ``MtcLevelData`` that
 ``f_r_g_matrices`` builds once and caches by level: the twists, quantum
-dimensions and character S-matrix, and the rescaled quantum integers and
-factorials.  The quantum integers are tabulated as sin(pi n/(k+2)) =
+dimensions, and the rescaled quantum integers and factorials.  It reads
+the character S-matrix's column 0 only; the whole matrix, which the
+Verlinde formula and ``verify`` read, is ``character_s_matrix``, cached
+apart.  The quantum integers are tabulated as sin(pi n/(k+2)) =
 [n] sin(pi/(k+2)), so the factorials stay in (0, 1] at every level,
 where the unscaled [k+1]! overflows a double from k = 202 on.  The 6j
 formula is homogeneous of degree 0 in the quantum integers, so the
@@ -100,7 +102,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, mul, sub, truediv
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -124,12 +126,14 @@ __all__ = [
     "quantum_integer",
     "six_j",
     "f_r_g_matrices",
+    "character_s_matrix",
     "adjoint_members",
     "gen_modular_pair",
     "irreducibility_probe",
     "compare_with_analytic",
     "s_k_report",
     "verlinde_fusion",
+    "verlinde_numbers",
 ]
 
 DEFAULT_TOLERANCE = 1e-9
@@ -279,8 +283,9 @@ def six_j(k: int, a, b, e, d, c, f) -> float:
 
 
 class MtcLevelData(NamedTuple):
-    """The level-k constants: labels, twists, zeta = e(c/24), character
-    S-matrix, quantum dimensions and the global dimension root; the
+    """The level-k constants: labels, twists, zeta = e(c/24), quantum
+    dimensions and the global dimension root, from column 0 of the
+    character S-matrix (``character_s_matrix``); the
     rescaled quantum integers sin(pi n/(k+2)), n = 0..k+2, and their
     running products, the rescaled factorials, n = 0..k+1, all in (0, 1].
     It holds no braiding phase: none survives in the modular pairs.
@@ -291,7 +296,6 @@ class MtcLevelData(NamedTuple):
     labels: tuple[int, ...]
     theta: tuple[complex, ...]
     zeta: complex
-    s_char: tuple[tuple[float, ...], ...]
     qdim: tuple[float, ...]
     global_dim_root: float
     qint: tuple[float, ...]
@@ -307,10 +311,8 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
     _check_level(k)
     n = k + 2
     labels = tuple(range(k + 1))
-    s_char = tuple(
-        tuple(math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) * (j + 1) / n) for j in labels)
-        for i in labels
-    )
+    # column 0 of character_s_matrix(k), bit for bit: the factor j + 1 = 1 is exact
+    s_col = [math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) / n) for i in labels]
     qint = tuple(math.sin(math.pi * m / n) for m in range(k + 3))
     qfact = [1.0]
     for m in range(1, k + 2):
@@ -320,11 +322,23 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
         labels=labels,
         theta=tuple(_e(conformal_weight(k, i)) for i in labels),
         zeta=_e(central_charge(k) / 24),
-        s_char=s_char,
-        qdim=tuple(row[0] / s_char[0][0] for row in s_char),
-        global_dim_root=1.0 / s_char[0][0],
+        qdim=tuple(x / s_col[0] for x in s_col),
+        global_dim_root=1.0 / s_col[0],
         qint=qint,
         qfact=tuple(qfact),
+    )
+
+
+@lru_cache(maxsize=None)
+def character_s_matrix(k: int) -> tuple[tuple[float, ...], ...]:
+    """The character S-matrix S_ij = sqrt(2/(k+2)) sin(pi (i+1)(j+1)/(k+2))
+    of level k, real and symmetric; cached by level and immutable."""
+    _check_level(k)
+    n = k + 2
+    labels = range(k + 1)
+    return tuple(
+        tuple(math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) * (j + 1) / n) for j in labels)
+        for i in labels
     )
 
 
@@ -558,5 +572,23 @@ def verlinde_fusion(k: int, lam: int, mu: int, nu: int) -> float:
     real, so the conjugation is the identity."""
     for label in (lam, mu, nu):
         _check_label(k, label)
-    s = f_r_g_matrices(k).s_char
+    s = character_s_matrix(k)
     return float(sum(s[lam][m] * s[mu][m] * s[nu][m] / s[0][m] for m in range(k + 1)))
+
+
+def verlinde_numbers(k: int) -> list[list[list[float]]]:
+    """Every fusion number of level k by the Verlinde formula, in one pass:
+    N[lam][mu][nu] is the weights S_{lam,m} S_{mu,m} / S_{0,m} of the pair
+    (lam, mu) dotted with row nu of the character S-matrix, one label
+    check for the level.  The sum of ``verlinde_fusion`` in another order,
+    so equal to it up to rounding."""
+    s = character_s_matrix(k)
+    table = []
+    for s_lam in s:
+        ratios = list(map(truediv, s_lam, s[0]))
+        by_mu = []
+        for s_mu in s:
+            weights = list(map(mul, ratios, s_mu))
+            by_mu.append([sum(map(mul, weights, s_nu)) for s_nu in s])
+        table.append(by_mu)
+    return table

@@ -113,7 +113,8 @@ def hp_coefficient(d: int, n: int) -> int:
         raise ValueError("rank d must be >= 1")
     if n < 0:
         raise ValueError("degree n must be >= 0")
-    return _hp_coefficients(d, n + 1)[n]
+    # one table per rank for every n < 64, and one more per doubling past it
+    return _hp_coefficients(d, max(64, 1 << n.bit_length()))[n]
 
 
 def graded_dimension(k: int, lam: int, n: int) -> int:

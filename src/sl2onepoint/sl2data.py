@@ -6,6 +6,10 @@ the diagonal T-action, eta-type multiplier systems, the weight bound
 12*(sum of exponents)/d + 1 - d, holomorphy and weight-saturation
 classification, and the positivity sum certifying that
 the distinguished insertion vector has a non-vanishing trace.
+
+Exponents are integer closed forms, one Fraction each: (2 mu^2 + 4 mu - k)
+/(8(k+2)) and, for rho_t, (12 mu^2 + 24 mu - 6k - lam(lam+2))/(48(k+2));
+the definitions are their test oracle.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ def _check_level(k: int) -> None:
 
 
 def _check_label(k: int, mu: int) -> None:
-    _check_level(k)
-    if not 0 <= mu <= k:
+    if not 0 <= mu <= k:  # also false for every negative level
+        _check_level(k)
         raise ValueError(f"label {mu} out of range 0..{k}")
 
 
@@ -140,23 +144,15 @@ def rep_dimension(k: int, lam: int) -> int:
 def leading_exponents(k: int, lam: int) -> list[Fraction]:
     """h_mu - c/24 = (2 mu^2 + 4 mu - k)/(8(k+2)) for mu in the label set."""
     rep_dimension(k, lam)
-    c = central_charge(k)
-    return [conformal_weight(k, mu) - c / 24 for mu in xi_set(k, lam)]
+    return [Fraction(2 * mu * mu + 4 * mu - k, 8 * k + 16) for mu in xi_set(k, lam)]
 
 
 def rho_t(k: int, lam: int) -> RepSignature:
     """Exact exponents r_mu = h_mu - c/24 - h_lam/12 of the diagonal T-action."""
     d = rep_dimension(k, lam)
-    h_lam = conformal_weight(k, lam)
-    shift = h_lam / 12
-    exps = tuple(x - shift for x in leading_exponents(k, lam))
-    return RepSignature(
-        level=k,
-        lam=lam,
-        dimension=d,
-        t_exponents=exps,
-        multiplier_weight=h_lam,
-    )
+    c = 6 * k + lam * (lam + 2)
+    exps = tuple(Fraction(12 * mu * mu + 24 * mu - c, 48 * k + 96) for mu in xi_set(k, lam))
+    return RepSignature(k, lam, d, exps, _conformal_weight(k, lam))
 
 
 def multiplier(r, generator: str) -> Fraction:
@@ -197,11 +193,12 @@ def holomorphy_classify(k: int, lam: int) -> str:
 def weight_lower_bound(exponents) -> Fraction:
     """12*(sum of exponents)/d + 1 - d for d exponents: the weight lower
     bound, which the cyclic generator built on them attains."""
-    exps = [Fraction(x) for x in exponents]
+    exps = [x if isinstance(x, Fraction) else Fraction(x) for x in exponents]
     if not exps:
         raise ValueError("need at least one exponent")
-    d = len(exps)
-    return Fraction(12) * sum(exps) / d + 1 - d
+    d, den = len(exps), math.lcm(*(x.denominator for x in exps))
+    total = sum(x.numerator * (den // x.denominator) for x in exps)
+    return Fraction(12 * total + (1 - d) * d * den, d * den)
 
 
 def form_weight(k: int, lam: int) -> Fraction:

@@ -125,18 +125,18 @@ def check_mtc(config):
     for k in range(0, kmax + 1):
         diff = max(
             abs(x - y)
-            for row, char_row in zip(pairs[(k, 0)].s_matrix, mtc.f_r_g_matrices(k).s_char)
+            for row, char_row in zip(pairs[(k, 0)].s_matrix, mtc.character_s_matrix(k))
             for x, y in zip(row, char_row)
         )
         checks.append((f"S^(0) equals character S-matrix k={k}", diff < config.tolerance, f"max diff {diff:.2e}"))
     for k in range(0, min(kmax, 8) + 1):
-        ok = True
-        for lam in range(k + 1):
-            for mu in range(k + 1):
-                for nu in range(k + 1):
-                    got = round(mtc.verlinde_fusion(k, lam, mu, nu))
-                    if got != sl2data.fusion_coefficient(k, lam, mu, nu):
-                        ok = False
+        table = mtc.verlinde_numbers(k)
+        ok = all(
+            round(table[lam][mu][nu]) == sl2data.fusion_coefficient(k, lam, mu, nu)
+            for lam in range(k + 1)
+            for mu in range(k + 1)
+            for nu in range(k + 1)
+        )
         checks.append((f"Verlinde numbers k={k}", ok, ""))
     for k in range(0, kmax + 1):
         for lam in range(0, k + 1, 2):

@@ -195,7 +195,7 @@ def test_criterion_09_s0_and_verlinde():
     worst = 0.0
     for k in range(0, 11):
         pair = mtc.gen_modular_pair(k, 0, TOL)
-        diff = np.asarray(pair.s_matrix) - np.asarray(mtc.f_r_g_matrices(k).s_char)
+        diff = np.asarray(pair.s_matrix) - np.asarray(mtc.character_s_matrix(k))
         worst = max(worst, float(np.max(np.abs(diff))))
     ok = worst < TOL
     for k in range(0, 9):

@@ -44,7 +44,7 @@ from sl2onepoint.qseries import (
     zero,
 )
 from sl2onepoint.repanalysis import minimal_admissible_set
-from sl2onepoint.sl2data import conformal_weight, leading_exponents, rho_t, xi_set
+from sl2onepoint.sl2data import conformal_weight, form_weight, leading_exponents, rho_t, xi_set
 
 import fraction_oracle
 from mlde_oracle import apply_monic_operator, indicial_kappas
@@ -363,6 +363,29 @@ def test_equation_kappas_match_the_oracle():
     for k, lam in [(3, 2), (9, 8), (2, 0), (4, 2), (12, 10)]:
         _, kappas = mlde_equation(k, lam)
         assert kappas == indicial_kappas(generator_weight(k, lam), minimal_exponents(k, lam))
+
+
+def test_mlde_equation_is_one_shared_immutable_value(monkeypatch):
+    """Cached by (k, lam): an equal value every call, the same object, and
+    nothing in it that a caller could change.  The generator solves with
+    the cached kappas and derives none of its own."""
+    for k, lam in [(3, 2), (13, 12), (4, 2), (10, 8)]:
+        first = mlde_equation(k, lam)
+        weight, kappas = first
+        assert first == (form_weight(k, lam), _indicial_kappas(weight, leading_exponents(k, lam)))
+        assert mlde_equation(k, lam) is first
+        assert type(first) is tuple and type(kappas) is tuple
+        assert all(type(x) is F for x in (weight, *kappas))
+        want = mlde_solutions(weight, leading_exponents(k, lam), 12)
+
+        def refuse(*args):
+            raise AssertionError("kappas re-derived")
+
+        with monkeypatch.context() as m:
+            m.setattr(generators, "_indicial_kappas", refuse)
+            gen = cyclic_generator(k, lam, 12)
+            assert mlde_equation(k, lam) is first
+        assert [series for _, series in gen.components] == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -35,6 +35,7 @@ from sl2onepoint.mtc import (
     _six_j2,
     _symmetric_product,
     adjoint_members,
+    character_s_matrix,
     compare_with_analytic,
     f_r_g_matrices,
     gen_modular_pair,
@@ -43,6 +44,7 @@ from sl2onepoint.mtc import (
     s_k_report,
     six_j,
     verlinde_fusion,
+    verlinde_numbers,
 )
 from sl2onepoint.sl2data import conformal_weight, fusion_coefficient, rho_t, xi_set
 
@@ -499,7 +501,7 @@ def test_theta_and_quantum_dimensions():
 
 def test_s_char_orthogonal_and_involutive():
     for k in range(0, 11):
-        s = np.asarray(f_r_g_matrices(k).s_char)
+        s = np.asarray(character_s_matrix(k))
         n = k + 1
         assert np.max(np.abs(s - s.T)) < 1e-12
         assert np.max(np.abs(s @ s - np.eye(n))) < 1e-12  # self-dual: S^2 = C = 1
@@ -512,6 +514,34 @@ def test_verlinde_reproduces_fusion():
                 for nu in range(k + 1):
                     got = round(verlinde_fusion(k, lam, mu, nu))
                     assert got == fusion_coefficient(k, lam, mu, nu)
+
+
+def test_character_s_matrix_column_zero_is_the_level_table():
+    """The level table reads column 0 of the character S-matrix by its own
+    expression: the quantum dimensions and the global dimension root are
+    those of the full matrix, bit for bit."""
+    for k in [*range(0, 61), 100, 200, 1000]:
+        s, data = character_s_matrix(k), f_r_g_matrices(k)
+        assert len(s) == k + 1 and all(len(row) == k + 1 for row in s)
+        assert tuple(row[0] / s[0][0] for row in s) == data.qdim
+        assert 1.0 / s[0][0] == data.global_dim_root
+    assert character_s_matrix(7) is character_s_matrix(7)
+    with pytest.raises(ValueError):
+        character_s_matrix(-1)
+
+
+def test_verlinde_numbers_equal_verlinde_fusion():
+    """The one-pass level table against the per-triple sum it replaces in
+    ``verify``."""
+    for k in range(0, 13):
+        table = verlinde_numbers(k)
+        assert len(table) == k + 1
+        for lam in range(k + 1):
+            for mu in range(k + 1):
+                for nu in range(k + 1):
+                    assert abs(table[lam][mu][nu] - verlinde_fusion(k, lam, mu, nu)) <= 1e-12
+    with pytest.raises(ValueError):
+        verlinde_numbers(-1)
 
 
 # -- adjoint members and modular pairs ------------------------------------------------
@@ -542,7 +572,7 @@ def test_braid_relations_sweep():
 def test_s0_equals_character_s_matrix():
     for k in range(0, 11):
         pair = gen_modular_pair(k, 0)
-        diff = np.max(np.abs(np.asarray(pair.s_matrix) - np.asarray(f_r_g_matrices(k).s_char)))
+        diff = np.max(np.abs(np.asarray(pair.s_matrix) - np.asarray(character_s_matrix(k))))
         assert diff < TOL
 
 
@@ -767,7 +797,7 @@ def test_gen_modular_pair_guards():
     # any level builds: the relation residuals are the precision guard
     pair = gen_modular_pair(60, 0)
     assert max(pair.relation_residuals.values()) < TOL
-    assert np.max(np.abs(np.asarray(pair.s_matrix) - np.asarray(f_r_g_matrices(60).s_char))) < TOL
+    assert np.max(np.abs(np.asarray(pair.s_matrix) - np.asarray(character_s_matrix(60)))) < TOL
 
 
 def _poison_s_entry(monkeypatch, factor):

@@ -117,6 +117,25 @@ def test_hp_against_counting_oracle():
             assert hp_coefficient(d, n) == hp_oracle(d, n)
 
 
+def hp_by_recurrence(d, n):
+    """Coefficient n of (1 - t^{2d}) / ((1-t^2)(1-t^4)(1-t^6)) from a
+    series of n + 1 terms of its own."""
+    coeffs = [1] + [0] * n
+    if 2 * d <= n:
+        coeffs[2 * d] = -1
+    for p in (2, 4, 6):
+        for m in range(p, n + 1):
+            coeffs[m] += coeffs[m - p]
+    return coeffs[n]
+
+
+def test_hp_tables_equal_the_per_degree_recurrence():
+    for d in range(1, 7):
+        for n in range(121):
+            assert hp_coefficient(d, n) == hp_by_recurrence(d, n)
+    assert hp_coefficient(2, 1000) == hp_by_recurrence(2, 1000)
+
+
 def test_hp_monotone_along_parity():
     # non-decreasing along parity classes for ranks 2 and 3; the rank-1
     # sequence dips at every n = 2 (mod 12) (its floor(n/12) branch), so

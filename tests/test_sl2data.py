@@ -22,6 +22,7 @@ from sl2onepoint.sl2data import (
     rep_dimension,
     rho_t,
     saturation_check,
+    weight_lower_bound,
     xi_set,
 )
 
@@ -157,6 +158,22 @@ def test_rho_t_relates_to_leading_exponents():
             assert len(set(sig.t_exponents)) == sig.dimension
 
 
+def test_exponent_closed_forms_equal_the_definitions():
+    """The integer closed forms of ``leading_exponents`` and ``rho_t``
+    against h_mu - c/24 - h_lam/12 from the definitions, exactly."""
+    for k in range(0, 121):
+        c24 = central_charge(k) / 24
+        heads = [conformal_weight(k, mu) - c24 for mu in range(k + 1)]
+        for lam in range(0, k + 1, 2):
+            want = [heads[mu] for mu in xi_set(k, lam)]
+            shift = conformal_weight(k, lam) / 12
+            assert leading_exponents(k, lam) == want
+            sig = rho_t(k, lam)
+            assert list(sig.t_exponents) == [x - shift for x in want]
+            assert sig.multiplier_weight == conformal_weight(k, lam)
+            assert (sig.level, sig.lam, sig.dimension) == (k, lam, len(want))
+
+
 def test_rho_t_mod1_representatives():
     sig = rho_t(24, 24)
     assert sig.t_exponents == (F(1),)
@@ -219,6 +236,19 @@ def test_holomorphy_sharp_ranges():
     assert holomorphy_classify(2, 0) == WEAKLY_ONLY
     with pytest.raises(UnsupportedDimensionError):
         holomorphy_classify(20, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.fractions(), st.integers(-50, 50)), min_size=1, max_size=8))
+def test_weight_lower_bound_equals_its_definition(exponents):
+    """The sum over the lcm of the denominators against 12 sum/d + 1 - d
+    in Fraction arithmetic."""
+    d = len(exponents)
+    want = F(12) * sum(F(x) for x in exponents) / d + 1 - d
+    got = weight_lower_bound(exponents)
+    assert type(got) is F and got == want
+    assert weight_lower_bound(iter(exponents)) == want
+    assert weight_lower_bound([str(x) for x in exponents]) == want
 
 
 def test_saturation_sweep():
