@@ -10,8 +10,10 @@ Subpackages:
   weights, fusion rules, intertwiner label sets, T-exponents, multiplier
   systems, holomorphy and saturation classification.
 - :mod:`sl2onepoint.generators` -- cyclic vector-valued-modular-form
-  generators in dimensions 1-3, their differential equations, and the
-  published expansion fixtures.
+  generators in dimensions 1-3, built from their differential equations.
+- :mod:`sl2onepoint.generator_checks` -- what the generators are checked
+  against: the hypergeometric construction, the equations applied by
+  modular derivatives, and the published expansion fixtures.
 - :mod:`sl2onepoint.bgg` -- truncated two-variable characters of simple
   highest-weight modules via the BGG resolution.
 - :mod:`sl2onepoint.repanalysis` -- admissible sets, graded dimensions,

@@ -19,10 +19,11 @@ the character S-matrix's column 0 only; the whole matrix, which the
 Verlinde formula and ``verify`` read, is ``character_s_matrix``, cached
 apart.  The quantum integers are tabulated as sin(pi n/(k+2)) =
 [n] sin(pi/(k+2)), so the factorials stay in (0, 1] at every level,
-where the unscaled [k+1]! overflows a double from k = 202 on.  The 6j
-formula is homogeneous of degree 0 in the quantum integers, so the
-rescaling cancels in every symbol.  The 6j kernels take the table, not
-the level.
+where the unscaled [k+1]! overflows a double from k = 202 on; each
+sine's argument is folded to at most pi/2, which keeps every entry
+within about an ulp.  The 6j formula is homogeneous of degree 0 in the
+quantum integers, so the rescaling cancels in every symbol.  The 6j
+kernels take the table, not the level.
 
 The modular pair.  The categorical definition sums, over the admissible
 r, theta_r/(theta_i theta_j) G^{(iij)j}_{0r} F^{(iij)j}_{r0}
@@ -313,7 +314,8 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
     labels = tuple(range(k + 1))
     # column 0 of character_s_matrix(k), bit for bit: the factor j + 1 = 1 is exact
     s_col = [math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) / n) for i in labels]
-    qint = tuple(math.sin(math.pi * m / n) for m in range(k + 3))
+    # sin(pi m/n) = sin(pi (n-m)/n): an argument rounded near pi loses digits
+    qint = tuple(math.sin(math.pi * min(m, n - m) / n) for m in range(k + 3))
     qfact = [1.0]
     for m in range(1, k + 2):
         qfact.append(qfact[-1] * qint[m])

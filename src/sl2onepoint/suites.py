@@ -20,12 +20,12 @@ def _fixture_note(entry) -> str:
 
 
 def check_tables(config):
-    from . import generators
+    from . import generator_checks, generators
     from .qseries import QExpansion, euler_product
 
     checks = []
     for which in ("table1", "table2"):
-        report = generators.table_fixture_check(which)
+        report = generator_checks.table_fixture_check(which)
         for entry in report.entries:
             checks.append(
                 (f"{which} k={entry.level} mu={entry.mu}", entry.passed,
@@ -42,7 +42,7 @@ def check_tables(config):
 def check_mlde(config):
     """Each generator solves its equation, and equals the hypergeometric
     construction it is built to replace."""
-    from . import generators
+    from . import generator_checks, generators
 
     checks = []
     for name, levels, shift, order in (
@@ -51,9 +51,9 @@ def check_mlde(config):
     ):
         for k in levels:
             gen = generators.cyclic_generator(k, k - shift, order)
-            res = generators.mlde_residual(k, k - shift, order, gen)
+            res = generator_checks.mlde_residual(k, k - shift, order, gen)
             solved = all(r.is_zero() and r.order >= 10 for r in res)
-            same = gen == generators.hypergeometric_generator(k, k - shift, order)
+            same = gen == generator_checks.hypergeometric_generator(k, k - shift, order)
             note = "" if same else "recurrence differs from the hypergeometric construction"
             if not solved:
                 note = "non-zero residual"

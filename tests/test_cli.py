@@ -321,6 +321,39 @@ def test_no_subcommand_loads_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_only_verify_loads_generator_checks():
+    """``expand``, ``classify`` and ``mtc`` never load the constructions
+    the generators are checked against, ``generator_checks``, so their
+    jobs do not compile it; ``verify --suite mlde`` loads it.  Checked in
+    a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import sl2onepoint
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
+    script = "\n".join(
+        [
+            "import sys",
+            "from sl2onepoint.cli import main",
+            "checks = 'sl2onepoint.generator_checks'",
+            "assert main(['expand', '-k', '3', '-l', '2', '-n', '5']) == 0",
+            "assert main(['expand', '-k', '4', '-l', '2', '-n', '5']) == 0",
+            "assert main(['classify', '-k', '5', '-l', '2']) == 0",
+            "assert main(['mtc', '-k', '5', '--p', '2']) == 0",
+            "assert checks not in sys.modules, 'loaded by a job'",
+            "assert main(['verify', '--suite', 'mlde']) == 0",
+            "assert checks in sys.modules, 'not loaded by verify'",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_subcommands_load_only_their_layers():
     """Each subcommand imports the layers it uses and no others, and the
     CLI's own import stays lean.  In a fresh interpreter per case, the

@@ -17,23 +17,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2onepoint import generators
+from sl2onepoint import generator_checks, generators
 from sl2onepoint.errors import DegenerateMldeError, UnsupportedDimensionError
-from sl2onepoint.generators import (
+from sl2onepoint.generator_checks import (
     FixtureReport,
     _component_factors,
-    _indicial_kappas,
-    _theta_form,
     HypergeomSpec,
-    cyclic_generator,
     generator_weight,
     hypergeom_series,
     hypergeometric_generator,
     minimal_exponents,
-    mlde_equation,
     mlde_residual,
-    mlde_solutions,
     table_fixture_check,
+)
+from sl2onepoint.generators import (
+    _indicial_kappas,
+    _theta_form,
+    cyclic_generator,
+    mlde_equation,
+    mlde_solutions,
 )
 from sl2onepoint.qseries import (
     QExpansion,
@@ -523,28 +525,45 @@ def test_table_fixture_rejects_unknown_table(monkeypatch):
     def unread():
         raise AssertionError("the fixture file was read for an unknown table")
 
-    monkeypatch.setattr(generators, "_published_tables", unread)
+    monkeypatch.setattr(generator_checks, "_published_tables", unread)
     with pytest.raises(ValueError, match="unknown table 'table3'"):
         table_fixture_check("table3")
 
 
 def test_table_fixtures_are_parsed_once_and_shared_immutable(monkeypatch):
     parsed = []
-    real = generators.json.loads
-    monkeypatch.setattr(generators.json, "loads", lambda text: parsed.append(1) or real(text))
-    generators._published_tables.cache_clear()
+    real = generator_checks.json.loads
+    monkeypatch.setattr(generator_checks.json, "loads", lambda text: parsed.append(1) or real(text))
+    generator_checks._published_tables.cache_clear()
     try:
         reports = [table_fixture_check(which) for which in ("table1", "table2", "table1")]
         assert len(parsed) == 1
     finally:
-        generators._published_tables.cache_clear()
+        generator_checks._published_tables.cache_clear()
     assert reports[0] == reports[2]
     assert [len(r.entries) for r in reports] == [12, 12, 12]
     # what every caller shares holds no dict or list: it hashes
-    hash(generators._published_tables())
+    hash(generator_checks._published_tables())
 
 
 def test_fixture_report_serialises():
     payload = table_fixture_check("table1").to_json()
     assert payload["all_passed"] is True
     assert payload["entries"][0]["expected_coeffs"][0] == "1"
+
+
+def test_generators_resolves_the_moved_names_lazily():
+    """Every public name that moved to ``generator_checks`` stays importable
+    from ``generators`` as the same object; no other name is invented."""
+    moved = [name for name in generators.__all__ if name not in vars(generators)]
+    assert sorted(moved) == sorted(generator_checks.__all__)
+    for name in moved:
+        assert getattr(generators, name) is getattr(generator_checks, name)
+    from sl2onepoint.generators import table_fixture_check as via_generators
+
+    assert via_generators is table_fixture_check
+    # the imports only the moved code used are gone, and private helpers stay put
+    with pytest.raises(AttributeError, match="has no attribute 'j_inverse'"):
+        generators.j_inverse
+    assert not hasattr(generators, "_published_tables")
+    assert not hasattr(generators, "no_such_name")

@@ -247,6 +247,23 @@ def test_six_j_kernel_rejects_one_bad_element():
         assert abs(f_r_g_matrices(k).qfact[n] - want) <= 1e-14 * want
 
 
+@pytest.mark.parametrize("k", [48, 200, 260])
+def test_quantum_integer_table_is_within_ulps_of_mpmath(k):
+    """Every rescaled quantum integer sin(pi m/(k+2)) is within 4 ulps of
+    its 40-digit value, near m = k+2 too, and both ends are exactly 0.  An
+    argument pi m/(k+2) rounded near pi is off by 16 ulps at k = 48 and
+    by 267 at k = 260."""
+    import mpmath
+
+    qint, n = f_r_g_matrices(k).qint, k + 2
+    assert len(qint) == n + 1
+    assert qint[0] == qint[n] == 0.0
+    with mpmath.workdps(40):
+        for m in range(1, n):
+            want = mpmath.sin(mpmath.pi * m / n)
+            assert abs(qint[m] - want) <= 4 * math.ulp(float(want)), m
+
+
 def test_six_j_refuses_underflow():
     """At k = 480 the factorial products of 2 of these 150 sextuples
     underflow (the alternating sum then holds inf or NaN); exactly those
