@@ -19,8 +19,8 @@ integer.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .sl2data import _check_label, _conformal_weight, rep_dimension
 
@@ -38,13 +38,11 @@ def _zconv(a: Row, b: Row) -> Row:
     return {e: c for e, c in out.items() if c}
 
 
-class ZQCharacter(NamedTuple):
-    """Rows of a two-variable character, one sparse z-row per q-grade."""
+class ZQCharacter(namedtuple("ZQCharacter", "level weight qorder rows")):
+    """Rows of a two-variable character, one sparse z-row per q-grade:
+    ``rows`` holds ``qorder`` of them, each a ``Row``."""
 
-    level: int
-    weight: int
-    qorder: int
-    rows: tuple[Row, ...]
+    __slots__ = ()
 
     def coefficient(self, z_exponent: int, n: int) -> int:
         self._check_grade(n)

@@ -15,32 +15,48 @@ before all of its output is written (``| head``): stdout then points at
 the null device, so that neither the interrupted write nor the
 interpreter's final flush prints a traceback.
 
+The command line is read from one table, ``_COMMANDS``: each
+subcommand's options, with their flag spellings, the attribute each sets,
+the type or the choices of its value, whether it is required, and its
+help.  ``main`` first reads ``argv`` with ``_parse``, which accepts only
+``<subcommand> (<flag> <value>)*`` with every flag spelled as in the
+table and given once, no value starting with ``-``, every value of its
+type or among its choices, and every required option given.  Any other
+``argv`` (``-h``, an abbreviation such as ``--lev``, ``--level=3``,
+``-k3``, ``--``, a repeated or unknown option, a negative number, a bad
+value) goes to the argparse parser that ``_build_parser`` builds from
+the same table, which prints the help, or the usage error with exit
+code 2.  So a well-formed job loads neither ``argparse`` nor ``gettext``
+nor ``locale``, and ``json`` loads only for ``--format json``.
+
 Each subcommand imports the layers it uses, inside the function that
 uses them: ``generators`` in ``cmd_expand``, ``repanalysis`` in
 ``cmd_classify``, ``mtc`` in ``cmd_mtc``, and the verification suites
 (``suites``, which import what they check) in ``cmd_verify``.  Compiling
 and running a module adds to the start of every process, which the other
 subcommands would pay for nothing.  Without a bytecode cache
-(``python -X importtime``, best of 25 fresh processes on 2 cores, Python
-3.11) importing this module, with ``sl2data``, takes about 6 ms; ``expand`` adds 8 ms
-(``qseries`` 4, ``generators`` 3), ``classify`` 2 ms (``repanalysis``),
-``mtc`` 6 ms, and ``verify --suite all`` 22 ms, of which ``suites`` takes
-2 and ``generator_checks``, the oracles that only ``verify`` and the tests
-call, 3.5.  Only ``sl2data``, which every layer imports, loads with this
-module; ``qseries`` loads with ``generators`` alone.  The records are named
-tuples, so no subcommand loads ``dataclasses`` (and ``inspect`` with it),
-which took about 10 ms of every start.
+(``python -X importtime``, cumulative, best of 25 fresh processes on 2
+cores, Python 3.11) importing this module, with ``sl2data``, takes about
+11.5 ms, where ``argparse`` and ``json`` would add 4 ms and building the
+argparse parser 2 ms more; ``expand`` adds 10 ms (``qseries`` 6,
+``generators`` 4), ``classify`` 2.5 ms (``repanalysis``), ``mtc`` 8 ms,
+and ``verify --suite all`` 31 ms, of which ``suites`` takes 2.  Only ``sl2data``, which every layer
+imports, loads with this module; ``qseries`` loads with ``generators``
+alone, and ``generator_checks``, the oracles that only ``verify`` and the
+tests call, with ``verify`` alone.  The records are named tuples built by
+``collections.namedtuple``, so no subcommand loads ``dataclasses`` (and
+``inspect`` with it), which took about 10 ms of every start, nor
+``typing``, which costs 3.5-4.5 ms where ``site`` does not preload it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
 import time
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import sl2data
 from .errors import (
@@ -57,6 +73,7 @@ EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 
 SUITES = ("tables", "mlde", "bgg", "dims", "mtc", "all")
+FORMATS = ("json", "table")
 
 
 class RunConfig(namedtuple("RunConfig", "order tolerance output_format")):
@@ -70,7 +87,7 @@ class RunConfig(namedtuple("RunConfig", "order tolerance output_format")):
         # phrased so that NaN fails too
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-        if output_format not in ("json", "table"):
+        if output_format not in FORMATS:
             raise ValueError(f"unknown format {output_format!r}")
         return super().__new__(cls, order, tolerance, output_format)
 
@@ -84,6 +101,8 @@ def _emit(payload, config: RunConfig, table_lines) -> None:
     and ``table_lines`` is iterated only for table output, so neither
     format builds what the other would throw away."""
     if config.output_format == "json":
+        import json
+
         print(json.dumps(payload()))
     else:
         for line in table_lines:
@@ -228,44 +247,104 @@ def cmd_verify(suite: str, config: RunConfig) -> int:
 # -- argument plumbing ---------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Option(
+    namedtuple("_Option", "flags dest type choices required help", defaults=(None, None, False, None))
+):
+    """One option of a subcommand: its flag spellings, the namespace
+    attribute it sets, and either the type its value converts with or the
+    choices it must be one of.  An optional option left out stays off the
+    namespace, so that ``RunConfig`` supplies its default."""
+
+    __slots__ = ()
+
+
+_LEVEL = _Option(("--level", "-k"), "level", int, required=True, help="level k >= 0")
+_LAMBDA = _Option(("--lambda", "-l"), "lam", int, required=True, help="finite weight lambda (even)")
+_ORDER = _Option(("--order", "-n"), "order", int, help="series truncation order")
+_TOLERANCE = _Option(("--tolerance",), "tolerance", float)
+_FORMAT = _Option(("--format",), "output_format", choices=FORMATS)
+
+# the grammar: each subcommand's help and its options, in the order of its help
+_COMMANDS = {
+    "expand": ("q-expansions of the cyclic generator", (_LEVEL, _LAMBDA, _ORDER, _FORMAT)),
+    "classify": ("representation-level classification", (_LEVEL, _LAMBDA, _FORMAT)),
+    "mtc": (
+        "generalised modular pair from categorical data",
+        (
+            _LEVEL,
+            _TOLERANCE,
+            _FORMAT,
+            _Option(("--p",), "p", int, required=True, help="acting label p (even)"),
+        ),
+    ),
+    "verify": (
+        "run a verification suite",
+        (_TOLERANCE, _FORMAT, _Option(("--suite",), "suite", choices=SUITES, required=True)),
+    ),
+}
+
+
+def _parse(argv):
+    """The namespace of a well-formed ``argv``, ``<subcommand> (<flag>
+    <value>)*``, read from the table, or None for any other ``argv``.  Each
+    flag is spelled as in the table and given once, no value starts with
+    ``-``, each value converts with its type or is one of its choices, and
+    every required option is given; the namespace is then the one
+    ``_build_parser`` would return."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    by_flag = {flag: opt for opt in options for flag in opt.flags}
+    values = {"command": argv[0]}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        opt = by_flag.get(flag)
+        if opt is None or opt.dest in values or value.startswith("-"):
+            return None
+        if opt.choices is not None:
+            if value not in opt.choices:
+                return None
+        else:
+            try:
+                value = opt.type(value)
+            except ValueError:
+                return None
+        values[opt.dest] = value
+    if any(opt.required and opt.dest not in values for opt in options):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _build_parser():
+    """The argparse parser of the same table.  It prints help and usage
+    errors, so it is built, and ``argparse`` imported, only for an ``argv``
+    that ``_parse`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sl2onepoint",
         description="Exact and categorical modular data of affine sl(2) torus one-point functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, level=True, lam=False, order=False, tolerance=False):
-        """The options a subcommand reads, and no others.  An option left
-        out stays off the namespace, so that ``RunConfig`` supplies its
-        default."""
-        if level:
-            p.add_argument("--level", "-k", type=int, required=True, help="level k >= 0")
-        if lam:
-            p.add_argument("--lambda", "-l", dest="lam", type=int, required=True,
-                           help="finite weight lambda (even)")
-        if order:
-            p.add_argument("--order", "-n", type=int, default=argparse.SUPPRESS,
-                           help="series truncation order")
-        if tolerance:
-            p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--format", dest="output_format", choices=("json", "table"),
-                       default=argparse.SUPPRESS)
-
-    common(sub.add_parser("expand", help="q-expansions of the cyclic generator"),
-           lam=True, order=True)
-    common(sub.add_parser("classify", help="representation-level classification"), lam=True)
-    p_mtc = sub.add_parser("mtc", help="generalised modular pair from categorical data")
-    common(p_mtc, tolerance=True)
-    p_mtc.add_argument("--p", type=int, required=True, help="acting label p (even)")
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify, level=False, tolerance=True)
-    p_verify.add_argument("--suite", choices=SUITES, required=True)
+    for name, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for opt in options:
+            p.add_argument(
+                *opt.flags,
+                dest=opt.dest,
+                type=opt.type,
+                choices=opt.choices,
+                required=opt.required,
+                help=opt.help,
+                default=None if opt.required else argparse.SUPPRESS,
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         config = RunConfig(
             **{name: getattr(args, name) for name in RunConfig._fields if hasattr(args, name)}

@@ -25,7 +25,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import UnsupportedDimensionError
 from .generators import (
@@ -242,15 +241,18 @@ def mlde_residual(k: int, lam: int, order: int, gen: VvmfVector | None = None) -
 # -- published-table fixtures -----------------------------------------
 
 
-class FixtureEntry(NamedTuple):
-    level: int
-    mu: int
-    expected_exponent: Fraction
-    got_exponent: Fraction
-    expected_coeffs: tuple[Fraction, ...]
-    got_coeffs: tuple[Fraction, ...]
-    # the level's monic equation applied to the published series, from q^0
-    published_residual: tuple[Fraction, ...]
+class FixtureEntry(
+    namedtuple(
+        "FixtureEntry",
+        "level mu expected_exponent got_exponent expected_coeffs got_coeffs published_residual",
+    )
+):
+    """One published series against the computed one: its leading
+    exponents and coefficients (Fractions), and ``published_residual``,
+    the level's monic equation applied to the published series, from
+    q^0."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -272,9 +274,10 @@ class FixtureEntry(NamedTuple):
         }
 
 
-class FixtureReport(NamedTuple):
-    table: str
-    entries: tuple[FixtureEntry, ...]
+class FixtureReport(namedtuple("FixtureReport", "table entries")):
+    """The entries (``FixtureEntry``) of one published table."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

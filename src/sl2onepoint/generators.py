@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import DegenerateMldeError, InternalInconsistencyError, UnsupportedDimensionError
 from .qseries import QExpansion, _convolve, _from_ints, eisenstein, eta_power
@@ -64,14 +64,12 @@ _FORMS = (4, 6)
 _MAX_ORDER = len(_FORMS) + 1  # an equation of order d uses d - 1 forms
 
 
-class VvmfVector(NamedTuple):
+class VvmfVector(namedtuple("VvmfVector", "level weight_label components form_weight")):
     """A vector of trace-function expansions, one component per label mu
-    in the self-coupling set of (level, weight_label)."""
+    in the self-coupling set of (level, weight_label): ``components``
+    holds the pairs (mu, QExpansion), and ``form_weight`` is a Fraction."""
 
-    level: int
-    weight_label: int
-    components: tuple[tuple[int, QExpansion], ...]
-    form_weight: Fraction
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:

@@ -99,13 +99,13 @@ import cmath
 import math
 import sys
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub, truediv
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import PrecisionLossError, RelationViolationError
 from .sl2data import (
@@ -283,24 +283,18 @@ def six_j(k: int, a, b, e, d, c, f) -> float:
     return _six_j2(f_r_g_matrices(k), a2, b2, e2, d2, c2, f2)
 
 
-class MtcLevelData(NamedTuple):
-    """The level-k constants: labels, twists, zeta = e(c/24), quantum
-    dimensions and the global dimension root, from column 0 of the
-    character S-matrix (``character_s_matrix``); the
+class MtcLevelData(namedtuple("MtcLevelData", "level labels theta zeta qdim global_dim_root qint qfact")):
+    """The level-k constants: labels, twists (complex), zeta = e(c/24),
+    quantum dimensions and the global dimension root, from column 0 of
+    the character S-matrix (``character_s_matrix``); the
     rescaled quantum integers sin(pi n/(k+2)), n = 0..k+2, and their
     running products, the rescaled factorials, n = 0..k+1, all in (0, 1].
+    Every sequence is a tuple.
     It holds no braiding phase: none survives in the modular pairs.
     A named tuple, so it refuses assignment, because ``f_r_g_matrices``
     shares one cached instance per level."""
 
-    level: int
-    labels: tuple[int, ...]
-    theta: tuple[complex, ...]
-    zeta: complex
-    qdim: tuple[float, ...]
-    global_dim_root: float
-    qint: tuple[float, ...]
-    qfact: tuple[float, ...]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -312,10 +306,10 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
     _check_level(k)
     n = k + 2
     labels = tuple(range(k + 1))
-    # column 0 of character_s_matrix(k), bit for bit: the factor j + 1 = 1 is exact
-    s_col = [math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) / n) for i in labels]
     # sin(pi m/n) = sin(pi (n-m)/n): an argument rounded near pi loses digits
     qint = tuple(math.sin(math.pi * min(m, n - m) / n) for m in range(k + 3))
+    # column 0 of character_s_matrix(k), bit for bit: m = (i+1)(0+1) < n
+    s_col = [math.sqrt(2.0 / n) * qint[i + 1] for i in labels]
     qfact = [1.0]
     for m in range(1, k + 2):
         qfact.append(qfact[-1] * qint[m])
@@ -334,14 +328,23 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
 @lru_cache(maxsize=None)
 def character_s_matrix(k: int) -> tuple[tuple[float, ...], ...]:
     """The character S-matrix S_ij = sqrt(2/(k+2)) sin(pi (i+1)(j+1)/(k+2))
-    of level k, real and symmetric; cached by level and immutable."""
+    of level k, real and symmetric; cached by level and immutable.  The
+    sine's argument is folded into [0, pi/2] as ``qint``'s is: (i+1)(j+1)
+    is reduced mod 2n, n = k + 2, with the sign of its half-period, and m
+    is taken to min(m, n - m)."""
     _check_level(k)
     n = k + 2
-    labels = range(k + 1)
-    return tuple(
-        tuple(math.sqrt(2.0 / n) * math.sin(math.pi * (i + 1) * (j + 1) / n) for j in labels)
-        for i in labels
-    )
+    scale = math.sqrt(2.0 / n)
+
+    def entry(m: int) -> float:
+        m %= 2 * n
+        if m < n:
+            return scale * math.sin(math.pi * min(m, n - m) / n)
+        m -= n
+        return -(scale * math.sin(math.pi * min(m, n - m) / n))
+
+    labels = range(1, k + 2)
+    return tuple(tuple(entry(a * b) for b in labels) for a in labels)
 
 
 def adjoint_members(k: int) -> list[int]:
@@ -355,7 +358,13 @@ def adjoint_members(k: int) -> list[int]:
     return out
 
 
-class GenModularPair(NamedTuple):
+class GenModularPair(
+    namedtuple(
+        "GenModularPair",
+        "level p_label basis s_matrix t_diagonal relation_residuals stages",
+        defaults=(MappingProxyType({}),),
+    )
+):
     """The action of the once-punctured-torus mapping class group on the
     self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}.
     S is symmetric, each unordered {i, j} summed once with no braiding
@@ -365,16 +374,10 @@ class GenModularPair(NamedTuple):
     6j-symbols in the sum (one per unordered {i, j} and r; each is now
     summed as a slice of the table rows, not evaluated on its own), the
     assembly and certification times in seconds, and the headroom of the
-    worst residual below the tolerance in decimal digits."""
+    worst residual below the tolerance in decimal digits; read-only when
+    not given, so that no two pairs share a mutable default."""
 
-    level: int
-    p_label: int
-    basis: tuple[int, ...]
-    s_matrix: Matrix
-    t_diagonal: tuple[complex, ...]
-    relation_residuals: dict[str, float]
-    # read-only when not given, so that no two pairs share a mutable default
-    stages: Mapping[str, float] = MappingProxyType({})
+    __slots__ = ()
 
     def to_json(self) -> dict:
         def cpx(z: complex) -> list[float]:

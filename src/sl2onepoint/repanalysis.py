@@ -16,7 +16,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import UnsupportedDimensionError
 from .sl2data import RepSignature, rep_dimension, rho_t, weight_lower_bound
@@ -50,11 +49,12 @@ INCONCLUSIVE = "inconclusive"
 NONCONGRUENCE_ORDER_BOUND = 2**8 * 3**4 * 5**2 * 7**2
 
 
-class AdmissibleSet(NamedTuple):
-    """Exponents in [0,1) compatible with a (representation, multiplier)
-    pair; the minimal admissible set is the unique such choice."""
+class AdmissibleSet(namedtuple("AdmissibleSet", "exponents")):
+    """Exponents in [0,1), a tuple of Fractions, compatible with a
+    (representation, multiplier) pair; the minimal admissible set is the
+    unique such choice."""
 
-    exponents: tuple[Fraction, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"exponents": [str(x) for x in self.exponents]}

@@ -15,8 +15,8 @@ the definitions are their test oracle.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import UnsupportedDimensionError
 
@@ -77,15 +77,15 @@ def _check_label(k: int, mu: int) -> None:
         raise ValueError(f"label {mu} out of range 0..{k}")
 
 
-class RepSignature(NamedTuple):
+class RepSignature(
+    namedtuple("RepSignature", "level lam dimension t_exponents multiplier_weight")
+):
     """Diagonal T-data of the representation attached to insertions from
-    the simple module with finite weight ``lam``."""
+    the simple module with finite weight ``lam``: the level, the weight,
+    the dimension, the T-exponents (a tuple of Fractions) and the
+    multiplier weight (a Fraction)."""
 
-    level: int
-    lam: int
-    dimension: int
-    t_exponents: tuple[Fraction, ...]
-    multiplier_weight: Fraction
+    __slots__ = ()
 
     def t_exponents_mod1(self) -> tuple[tuple[Fraction, int], ...]:
         """Canonical representatives in [0,1) with their integer offsets."""

@@ -61,3 +61,31 @@ def test_every_record_refuses_assignment():
         with pytest.raises(AttributeError):
             record.extra = None
         assert type(record)(*record) == record, name
+
+
+def test_records_keep_their_fields_and_defaults():
+    """The records are ``collections.namedtuple`` classes with the field
+    order of their constructors; only ``GenModularPair.stages`` has a
+    default, a read-only empty mapping."""
+    from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sl2data
+
+    fields = {
+        sl2data.RepSignature: "level lam dimension t_exponents multiplier_weight",
+        repanalysis.AdmissibleSet: "exponents",
+        bgg.ZQCharacter: "level weight qorder rows",
+        generators.VvmfVector: "level weight_label components form_weight",
+        mtc.MtcLevelData: "level labels theta zeta qdim global_dim_root qint qfact",
+        mtc.GenModularPair: "level p_label basis s_matrix t_diagonal relation_residuals stages",
+        generator_checks.FixtureEntry: (
+            "level mu expected_exponent got_exponent expected_coeffs got_coeffs published_residual"
+        ),
+        generator_checks.FixtureReport: "table entries",
+    }
+    for record, names in fields.items():
+        assert record._fields == tuple(names.split()), record.__name__
+        assert record.__slots__ == (), record.__name__
+    assert {r.__name__ for r in fields if r._field_defaults} == {"GenModularPair"}
+    stages = mtc.GenModularPair(0, 0, (0,), ((1.0,),), (1.0,), {}).stages
+    assert stages == {}
+    with pytest.raises(TypeError):
+        stages["assembly_s"] = 0.0

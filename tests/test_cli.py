@@ -3,13 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2onepoint.cli import (
+    _COMMANDS,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_VERIFY_FAILED,
     RunConfig,
+    _build_parser,
+    _parse,
     main,
 )
 
@@ -362,7 +367,9 @@ def test_subcommands_load_only_their_layers():
     for ``expand`` ``dataclasses``, ``bgg``, ``repanalysis`` and ``mtc``;
     for ``classify`` ``qseries`` and ``generators``; and for ``mtc``
     ``qseries``, ``generators``, ``bgg`` and ``repanalysis``.  None of
-    them loads the verification suites, ``suites``."""
+    them loads the verification suites, ``suites``, and no well-formed job
+    of any subcommand loads ``argparse``, ``gettext`` or ``locale``: the
+    table parses its argv."""
     import os
     import subprocess
     import sys
@@ -372,20 +379,22 @@ def test_subcommands_load_only_their_layers():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     layer = "sl2onepoint.{}".format
+    parsing = ("argparse", "gettext", "locale")
     for argv, unloaded in (
-        (None, ("dataclasses", "inspect", layer("qseries"), layer("suites"))),
+        (None, ("dataclasses", "inspect", layer("qseries"), layer("suites"), *parsing)),
         (
             ["expand", "-k", "3", "-l", "2", "-n", "5"],
-            ("dataclasses", layer("bgg"), layer("repanalysis"), layer("mtc"), layer("suites")),
+            ("dataclasses", layer("bgg"), layer("repanalysis"), layer("mtc"), layer("suites"), *parsing),
         ),
         (
-            ["classify", "-k", "5", "-l", "2"],
-            (layer("qseries"), layer("generators"), layer("suites")),
+            ["classify", "-k", "5", "-l", "2", "--format", "json"],
+            (layer("qseries"), layer("generators"), layer("suites"), *parsing),
         ),
         (
-            ["mtc", "-k", "5", "--p", "2"],
-            (layer("qseries"), layer("generators"), layer("bgg"), layer("repanalysis"), layer("suites")),
+            ["mtc", "--level", "5", "--p", "2", "--tolerance", "1e-8"],
+            (layer("qseries"), layer("generators"), layer("bgg"), layer("repanalysis"), layer("suites"), *parsing),
         ),
+        (["verify", "--suite", "bgg", "--format", "table"], parsing),
     ):
         script = "\n".join(
             [
@@ -401,6 +410,147 @@ def test_subcommands_load_only_their_layers():
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, (argv, result.stderr)
+
+
+def test_table_format_jobs_load_neither_argparse_json_nor_typing():
+    """Without ``site``, which preloads ``typing`` on some installs, a
+    table-format ``expand``, ``classify`` and ``mtc`` job loads neither
+    ``argparse`` nor ``json`` nor ``typing``, checked in a fresh ``python
+    -S`` interpreter per job."""
+    import os
+    import subprocess
+    import sys
+
+    import sl2onepoint
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
+    for argv in (
+        ["expand", "-k", "4", "-l", "2", "-n", "5"],
+        ["classify", "-k", "5", "-l", "2"],
+        ["mtc", "-k", "5", "--p", "2", "--format", "table"],
+    ):
+        script = "\n".join(
+            [
+                "import sys",
+                f"sys.path.insert(0, {src!r})",
+                "from sl2onepoint.cli import main",
+                f"assert main({argv!r}) == 0",
+                "loaded = sorted({'argparse', 'json', 'typing'}.intersection(sys.modules))",
+                "assert not loaded, loaded",
+            ]
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, (argv, result.stderr)
+
+
+# flag spellings of every subcommand, some that argparse abbreviates or
+# splits, and values that argparse reads as options or refuses
+_FLAGS = sorted({flag for _, options in _COMMANDS.values() for opt in options for flag in opt.flags})
+_TOKENS = _FLAGS + [
+    "--lev", "--lam", "--ord", "--tol", "--form", "--su", "--level=3", "--format=json", "-k3", "-l2",
+    "-n5", "--", "-h", "--help", "--max-level", "-x",
+]
+_VALUES = [
+    "0", "2", "3", "4", "5", "12", "+2", " 4", "4_0", "1e-6", "1e-16", "-1e-6", "-3", "-0", "nan",
+    "inf", "", "json", "table", "yaml", "all", "bgg", "mtc", "expand", "junk", "-", "--",
+]
+
+
+# values that each type converts
+_FITS = {int: ("3", "12", "+2", " 4", "4_0"), float: ("1e-6", "3", "nan", "inf")}
+
+
+@st.composite
+def _argvs(draw):
+    """argv near the grammar: a subcommand, then most of its options, each
+    with one of its flags or a stray token and a value that fits or not, in
+    any order, and sometimes stray tokens after them."""
+    def stray():
+        # one draw in five
+        return draw(st.sampled_from(range(5))) == 0
+
+    command = draw(st.sampled_from(["bogus", "-h"] if stray() else list(_COMMANDS)))
+    pairs = []
+    for opt in _COMMANDS.get(command, ("", ()))[1]:
+        if stray():
+            continue
+        flag = draw(st.sampled_from(_TOKENS if stray() else opt.flags))
+        fits = opt.choices or _FITS[opt.type]
+        pairs.append((flag, draw(st.sampled_from(_VALUES if stray() else fits))))
+    pairs = draw(st.permutations(pairs))
+    extra = draw(st.lists(st.sampled_from(_TOKENS + _VALUES), min_size=1, max_size=2)) if stray() else []
+    return [command, *(token for pair in pairs for token in pair), *extra]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_parse_agrees_with_argparse_whenever_it_accepts(argv):
+    """Whenever the direct parse accepts an argv, its namespace is the one
+    argparse returns, value types included (compared by ``repr``, since
+    NaN equals nothing)."""
+    args = _parse(argv)
+    if args is not None:
+        want = vars(_build_parser().parse_args(argv))
+        assert {k: repr(v) for k, v in vars(args).items()} == {k: repr(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "-k", "3", "-l", "2", "-n", "5"),
+        ("classify", "--level", "5", "--lambda", "4", "--format", "json"),
+        ("mtc", "--format", "table", "--p", "2", "-k", "5", "--tolerance", "1e-6"),
+        ("verify", "--tolerance", "1e-7", "--suite", "all"),
+    ],
+)
+def test_parse_reads_well_formed_argv(argv):
+    args = _parse(list(argv))
+    assert args is not None
+    assert vars(args) == vars(_build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("-h",),
+        ("expand", "--help"),
+        ("expand",),
+        ("expand", "-k", "3"),
+        ("expand", "--lev", "3", "-l", "2"),
+        ("expand", "--level=3", "-l", "2"),
+        ("expand", "-k3", "-l2"),
+        ("expand", "--", "-k", "3", "-l", "2"),
+        ("expand", "-k", "3", "-l", "2", "-k", "3"),
+        ("expand", "-k", "-3", "-l", "2"),
+        ("mtc", "-k", "5", "--p", "2", "--tolerance", "-1e-6"),
+        ("mtc", "-k", "x", "--p", "2"),
+        ("mtc", "-k", "5", "--p", "2", "--format", "yaml"),
+        ("verify", "--suite", "nope"),
+        ("classify", "-k", "5", "-l", "2", "junk"),
+        ("classify", "-k", "5", "-l", "2", "--order", "5"),
+    ],
+)
+def test_parse_declines_what_argparse_handles(argv):
+    """Help, abbreviations, ``=`` and attached forms, ``--``, repeated,
+    unknown or missing options, negative numbers and bad values are left
+    to argparse, which prints their help or usage error."""
+    assert _parse(list(argv)) is None
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_names_every_flag_in_the_table(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    if command is None:
+        assert all(name in out for name in _COMMANDS), out
+    else:
+        flags = [flag for opt in _COMMANDS[command][1] for flag in opt.flags]
+        assert all(f"{flag} " in out for flag in flags), out
 
 
 @pytest.mark.parametrize(
