@@ -19,8 +19,11 @@ Subpackages:
 - :mod:`sl2onepoint.repanalysis` -- admissible sets, graded dimensions,
   T-orders, irreducibility and congruence classification.
 - :mod:`sl2onepoint.mtc` -- numerical modular-tensor-category data:
-  quantum 6j-symbols and the generalised modular pairs acting on
-  self-coupling spaces.
+  the generalised modular pairs acting on self-coupling spaces, built
+  from the level's table and certified by their relations.
+- :mod:`sl2onepoint.sixj` -- what ``verify`` and the tests read besides
+  the pairs: quantum 6j-symbols, the character S-matrix and the Verlinde
+  formula.
 - :mod:`sl2onepoint.cli` -- the ``sl2onepoint`` command line tool.
 """
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -295,10 +296,11 @@ class FixtureReport(namedtuple("FixtureReport", "table entries")):
 def _published_tables() -> tuple:
     """(table, level, ((mu, series), ...)) for each level of both tables,
     sorted.  The file is parsed once per process; callers share only
-    immutable values."""
-    from importlib import resources
-
-    tables = json.loads(resources.files("sl2onepoint").joinpath("data/published_tables.json").read_text())
+    immutable values.  It is read by this module's own loader, next to
+    this file, which needs no import (``importlib.resources`` would cost
+    a process about 30 ms) and reads from a zip too."""
+    path = os.path.join(os.path.dirname(__file__), "data", "published_tables.json")
+    tables = json.loads(__loader__.get_data(path))
     return tuple(
         (which, int(k), tuple(sorted(
             (int(mu), QExpansion(Fraction(f["exponent"]), [Fraction(c) for c in f["coeffs"]]))

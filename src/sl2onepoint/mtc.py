@@ -1,10 +1,8 @@
-"""Numerical modular-tensor-category data for sl(2) at level k.
-
-Quantum 6j-symbols in the unitary normalisation and the generalised
-modular pair (S^(p), T^(p)) acting on the self-coupling spaces
-Hom(p (x) i, i).  Arithmetic is double-precision complex at every level,
-in plain Python floats and nested tuples, and every pair is certified on
-construction by the braid-group relations
+"""Numerical modular-tensor-category data for sl(2) at level k: the
+generalised modular pair (S^(p), T^(p)) acting on the self-coupling
+spaces Hom(p (x) i, i).  Arithmetic is double-precision complex at every
+level, in plain Python floats and nested tuples, and every pair is
+certified on construction by the braid-group relations
 
     (S T)^3 = S^2,      S^4 = theta_p^{-1} * Id,
 
@@ -12,18 +10,26 @@ with residuals stored on the object and a loud error when they exceed
 tolerance or are not numbers at all (a convention bug or lost precision,
 never a user error).  These residuals are the only precision guard.
 
+What an ``mtc`` job never runs lives in ``sixj``: the general 6j-symbol
+``six_j`` and its kernel ``_six_j2``, ``quantum_integer``, the character
+S-matrix, the Verlinde formula and ``adjoint_members``.  The module
+``__getattr__`` below resolves those names from there on first use, so
+``mtc.six_j`` still works and an ``mtc`` job does not compile ``sixj``.
+
 Per-level state lives in one table, the immutable ``MtcLevelData`` that
 ``f_r_g_matrices`` builds once and caches by level: the twists, quantum
 dimensions, and the rescaled quantum integers and factorials.  It reads
 the character S-matrix's column 0 only; the whole matrix, which the
-Verlinde formula and ``verify`` read, is ``character_s_matrix``, cached
-apart.  The quantum integers are tabulated as sin(pi n/(k+2)) =
+Verlinde formula and ``verify`` read, is ``sixj.character_s_matrix``,
+cached apart.  The quantum integers are tabulated as sin(pi n/(k+2)) =
 [n] sin(pi/(k+2)), so the factorials stay in (0, 1] at every level,
 where the unscaled [k+1]! overflows a double from k = 202 on; each
 sine's argument is folded to at most pi/2, which keeps every entry
-within about an ulp.  The 6j formula is homogeneous of degree 0 in the
-quantum integers, so the rescaling cancels in every symbol.  The 6j
-kernels take the table, not the level.
+within about an ulp.  Each twist e(h_i) has its exponent reduced mod 1
+exactly, as a Fraction, before it becomes a float: h_i grows to about
+k/4, and 2 pi h_i rounded at that size would cost digits.  The 6j
+formula is homogeneous of degree 0 in the quantum integers, so the
+rescaling cancels in every symbol.
 
 The modular pair.  The categorical definition sums, over the admissible
 r, theta_r/(theta_i theta_j) G^{(iij)j}_{0r} F^{(iij)j}_{r0}
@@ -67,20 +73,42 @@ k = 1030; the symbol kernel instead divides by a product of seven table
 entries, which underflows from k = 600 when p is near k.  The symbol
 kernel, ``_self_coupling_six_j`` in ``tests/mtc_oracle.py``, evaluates
 the same sum one symbol at a time and is the oracle of this one, with
-``_six_j2``, the general kernel behind ``six_j``, as its own.
+``sixj._six_j2``, the general kernel behind ``six_j``, as its own.
 ``tests/mtc_oracle.py`` also keeps the three-symbol sum, term by term
 and with every braiding phase, as the oracle of S: it alone checks that
 the phases cancel.  Nothing is cached across pairs.
-The certification is plain Python too, d^3 complex products in the
-basis size d, where the four half products S^2, S^4, S T S and S T S T S
-took 2 d^3.  S is exactly symmetric, so S^2 and S T S are half products,
-the row products on and above the diagonal mirrored; each relation is
-then bounded in O(d^2) by an identity that holds exactly on the float
-matrices.  The braid relation: (S T)^3 - S^2 = S T F T with the symmetric
-F = S T S - T^-1 S T^-1, so with |t_i| = 1 every entry is at most
-max_i |S_i| max_j |F_j| (row norms, Cauchy-Schwarz).  The Dehn twist:
-S^2 = D + E with D diagonal, so S^4 - theta_p^-1 Id = (D^2 - theta_p^-1
-Id) + (D E + E D) + E^2; the first two terms are exact entry by entry and
+
+The simple current.  The label J = k fuses with i to k - i, and it gives
+the pair an exact symmetry, the sl(2) case of the simple-current
+symmetry of the quantum 6j-symbols (Kirillov & Reshetikhin 1989): with
+the basis (h, ..., k - h) indexed a = i - h and d = k - p + 1 its size,
+label i sits at a and k - i at d - 1 - a, and
+
+    S^(p)_{k-i,k-j} = (-1)^(k+i+j) S^(p)_ij,    theta_{k-i} = i^k (-1)^i theta_i,
+
+the second because h_{k-i} - h_i = k/4 - i/2.  So ``_s_rows`` sums only
+the anti-diagonals sigma <= k, about half of the entries, and writes
+each entry's mirror (d-1-a, d-1-b) with the sign (-1)^(k+sigma);
+``_t_diagonal`` computes T on the lower half of the basis and mirrors it
+by a quarter turn and a sign.  Both are exact in floats, so both laws
+hold exactly, float for float, on the pair, and ``gen_modular_pair``
+checks that they do, in O(d^2), before it certifies: a pair that breaks
+either is refused with the entries named, however small its residuals.
+
+The certification is plain Python too, d^3/2 complex products in the
+basis size d.  S^2 and S T S are the only products formed.  Both are
+symmetric, and by the two laws their mirror entries are (S^2)_{a'c'} =
+(-1)^(i+j) (S^2)_ac and (S T S)_{a'c'} = i^k (-1)^(i+j) (E - O), where
+a' = d-1-a, c' = d-1-c and E + O = (S T S)_ac splits the sum over the
+middle label l into its even and odd l.  So only the entries a <= c,
+a + c <= d - 1 are summed, a quarter of each matrix (``_quarter_products``),
+where two half products took d^3.  Each relation is then bounded in
+O(d^2) by an identity that holds exactly on the float matrices.  The
+braid relation: (S T)^3 - S^2 = S T F T with the symmetric F = S T S -
+T^-1 S T^-1, so with |t_i| = 1 every entry is at most max_i |S_i|
+max_j |F_j| (row norms, Cauchy-Schwarz).  The Dehn twist: S^2 = D + E
+with D diagonal, so S^4 - theta_p^-1 Id = (D^2 - theta_p^-1 Id) + (D E
++ E D) + E^2; the first two terms are exact entry by entry and
 |(E^2)_ij| <= |E_i| |E_j|.  Every sl(2) label is self-dual, so S^2 maps
 each coupling space to itself and is diagonal: E is rounding (under
 7e-15 for every pair with k <= 40) and the Dehn bound is tight.  A pair
@@ -100,16 +128,14 @@ import math
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, mul, sub, truediv
+from operator import add, mul, neg, sub
 from types import MappingProxyType
 
 from .errors import PrecisionLossError, RelationViolationError
 from .sl2data import (
-    _check_label,
     _check_level,
     central_charge,
     conformal_weight,
@@ -120,89 +146,47 @@ from .sl2data import (
     xi_set,
 )
 
+# the public names of ``sixj``, resolved by ``__getattr__``
+_SIXJ = (
+    "quantum_integer",
+    "six_j",
+    "character_s_matrix",
+    "adjoint_members",
+    "verlinde_fusion",
+    "verlinde_numbers",
+)
+
 __all__ = [
     "DEFAULT_TOLERANCE",
     "MtcLevelData",
     "GenModularPair",
-    "quantum_integer",
-    "six_j",
     "f_r_g_matrices",
-    "character_s_matrix",
-    "adjoint_members",
     "gen_modular_pair",
     "irreducibility_probe",
     "compare_with_analytic",
     "s_k_report",
-    "verlinde_fusion",
-    "verlinde_numbers",
+    *_SIXJ,
 ]
+
+
+def __getattr__(name: str):
+    if name in _SIXJ:
+        from . import sixj
+
+        return getattr(sixj, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 DEFAULT_TOLERANCE = 1e-9
 
-Matrix = tuple[tuple[complex, ...], ...]
+# i^k by k mod 4, as exact complex units: multiplying by one is exact
+_QUARTER_TURNS = (1, 1j, -1, -1j)
 
 
 def _e(x) -> complex:
-    """e(x) = exp(2 pi i x)."""
-    return cmath.exp(2j * cmath.pi * float(x))
-
-
-def quantum_integer(k: int, n: int) -> float:
-    """[n] = sin(pi n/(k+2)) / sin(pi/(k+2))."""
-    return math.sin(math.pi * n / (k + 2)) / math.sin(math.pi / (k + 2))
-
-
-def _as_twice(x) -> int:
-    """A half-integer as its doubled integer value."""
-    d = Fraction(x) * 2
-    if d.denominator != 1:
-        raise ValueError(f"{x} is not a half-integer")
-    return int(d)
-
-
-def _six_j2(
-    data: MtcLevelData, a2: int, b2: int, e2: int, d2: int, c2: int, f2: int
-) -> float:
-    """Unitary quantum 6j-symbol {a b e; d c f} at the level of ``data``,
-    from the rescaled tables there and doubled labels whose
-    four triads are admissible (not checked here), by the
-    Kirillov-Reshetikhin formula (Kirillov & Reshetikhin, "Representations
-    of the algebra U_q(sl(2)), q-orthogonal polynomials and invariants of
-    links", 1989).
-
-    Admissible triads make every factorial argument an integer in
-    0..k+1.  The sum runs z from the largest triad sum to the smallest of
-    the quadrilateral sums and k ([k+2] = 0 kills anything beyond k), in
-    the order of z.  A value lost to underflow or overflow raises
-    ``PrecisionLossError``: such a symbol is not representable in double
-    precision, and returning NaN or a zero would pass it on silently.
-    """
-    k, qint, fact = data.level, data.qint, data.qfact
-    # triad sums, halved
-    t1, t2 = (a2 + b2 + e2) // 2, (a2 + c2 + f2) // 2
-    t3, t4 = (b2 + d2 + f2) // 2, (c2 + d2 + e2) // 2
-    # quadrilateral sums, halved
-    s1, s2, s3 = (a2 + b2 + c2 + d2) // 2, (a2 + d2 + e2 + f2) // 2, (b2 + c2 + e2 + f2) // 2
-    try:
-        # sqrt([2e+1][2f+1]) times the four triangle coefficients, all positive
-        pref = math.sqrt(qint[e2 + 1] * qint[f2 + 1])
-        pref *= math.sqrt(fact[t1 - a2] * fact[t1 - b2] * fact[t1 - e2] / fact[t1 + 1])
-        pref *= math.sqrt(fact[t2 - a2] * fact[t2 - c2] * fact[t2 - f2] / fact[t2 + 1])
-        pref *= math.sqrt(fact[t4 - c2] * fact[t4 - e2] * fact[t4 - d2] / fact[t4 + 1])
-        pref *= math.sqrt(fact[t3 - d2] * fact[t3 - b2] * fact[t3 - f2] / fact[t3 + 1])
-        total = 0.0
-        for z in range(max(t1, t2, t3, t4), min(s1, s2, s3, k) + 1):
-            term = fact[z + 1] / (
-                fact[z - t1] * fact[z - t2] * fact[z - t3] * fact[z - t4]
-                * fact[s1 - z] * fact[s2 - z] * fact[s3 - z]
-            )
-            total += -term if z % 2 else term
-        value = -pref * total if (a2 + b2 - c2 - d2 - 2 * e2) // 2 % 2 else pref * total
-    except ZeroDivisionError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise _precision_loss(k, a2, b2, e2, d2, c2, f2)
-    return value
+    """e(x) = exp(2 pi i x), with x reduced mod 1 first; exactly, when x
+    is a Fraction, as every caller passes."""
+    return cmath.exp(2j * cmath.pi * float(x % 1))
 
 
 def _precision_loss(k: int, *doubled: int) -> PrecisionLossError:
@@ -219,11 +203,14 @@ def _s_rows(data: MtcLevelData, p: int, basis: tuple[int, ...]) -> tuple[list[li
     """The rows of S^(p) on ``basis`` = (p/2, ..., k - p/2), by the m-form
     of the module docstring, and the number of 6j-symbols they sum.
 
-    Each anti-diagonal sigma = i + j gets the rows Q_m[t], m = 0..p/2, on
-    the t that its most central pair reads; every other pair of that
-    sigma reads a tail of each row.  A zero, subnormal or non-finite value
-    of the factorial table or of a row raises ``PrecisionLossError``,
-    naming a symbol that reads it, before anything is summed."""
+    Each anti-diagonal sigma = i + j <= k gets the rows Q_m[t], m =
+    0..p/2, on the t that its most central pair reads; every other pair
+    of that sigma reads a tail of each row.  The anti-diagonals sigma > k
+    are the mirrors 2k - sigma of those: each entry (a, b) summed is also
+    written at (d-1-a, d-1-b) with the sign (-1)^(k+sigma), and its
+    symbols are counted again.  A zero, subnormal or non-finite value of
+    the factorial table or of a row raises ``PrecisionLossError``, naming
+    a symbol that reads it, before anything is summed."""
     k, qfact = data.level, data.qfact
     h, dim = p // 2, len(basis)
     tiny, huge = sys.float_info.min, sys.float_info.max
@@ -239,13 +226,13 @@ def _s_rows(data: MtcLevelData, p: int, basis: tuple[int, ...]) -> tuple[list[li
     theta, root = data.theta, data.global_dim_root
     d_theta = list(map(mul, data.qdim, theta))
     rows = [[0j] * dim for _ in basis]
-    evaluations = 0
-    for sigma in range(2 * h, 2 * (k - h) + 1):
-        # the central pair reads t = centre + h - m .. top - m of Q_m, r = 2t - sigma
-        centre, top = sigma - sigma // 2, min(sigma, k)
+    last, evaluations = dim - 1, 0
+    for sigma in range(2 * h, k + 1):
+        # the central pair reads t = centre + h - m .. sigma - m of Q_m, r = 2t - sigma
+        centre = sigma - sigma // 2
         windows, flat = [], []
         for m in range(h + 1):
-            lo, hi, f_m = centre + h - m, top - m, falling[m]
+            lo, hi, f_m = centre + h - m, sigma - m, falling[m]
             # (d_r theta_r F_m[sigma-t]) (sign B_m F_m[t+m+1]): each factor has
             # modulus at least that of its F, so only the product can underflow
             q = list(map(
@@ -260,33 +247,28 @@ def _s_rows(data: MtcLevelData, p: int, basis: tuple[int, ...]) -> tuple[list[li
         if not (tiny <= min(sizes) and max(sizes) <= huge):
             m, n = next((m, n) for m, w in enumerate(windows) for n, x in enumerate(w[3]) if not tiny <= abs(x) <= huge)
             raise _precision_loss(k, p, sigma // 2, sigma // 2, 2 * (centre + h - m + n) - sigma, centre, centre)
-        for i in range(sigma // 2, max(h, sigma - k + h) - 1, -1):
+        # the mirror anti-diagonal 2k - sigma, which is sigma itself at sigma = k
+        mirrored, odd = sigma < k, (k + sigma) % 2
+        for i in range(sigma // 2, h - 1, -1):
             j = sigma - i
-            # pair (i, j) reads t = j + h - m .. top - m: the tail of Q_m from j - centre
+            # pair (i, j) reads t = j + h - m .. sigma - m: the tail of Q_m from j - centre
             total = 0j
             for f_c, c, hi, q in windows:
                 total += sum(map(mul, map(mul, f_c[j - i + c:hi - i + 1], f_c[c:hi - j + 1]), q[j - centre:]))
             a, b = i - h, j - h
-            rows[a][b] = rows[b][a] = norm[a] * norm[b] * total / (root * theta[i] * theta[j])
-            evaluations += (min(sigma, 2 * k - sigma) - j + i) // 2 + 1
+            x = rows[a][b] = rows[b][a] = norm[a] * norm[b] * total / (root * theta[i] * theta[j])
+            symbols = (sigma - j + i) // 2 + 1
+            if mirrored:
+                rows[last - a][last - b] = rows[last - b][last - a] = -x if odd else x
+                symbols *= 2
+            evaluations += symbols
     return rows, evaluations
-
-
-def six_j(k: int, a, b, e, d, c, f) -> float:
-    """Quantum 6j-symbol {a b e; d c f} for half-integer spins at level k.
-    A spin triad whose doubled labels break the fusion rule raises
-    ``ValueError``."""
-    a2, b2, e2, d2, c2, f2 = (_as_twice(x) for x in (a, b, e, d, c, f))
-    for triad in ((a2, b2, e2), (a2, c2, f2), (c2, e2, d2), (d2, b2, f2)):
-        if not fusion_coefficient(k, *triad):
-            raise ValueError(f"inadmissible spin triad {tuple(x / 2 for x in triad)} at level {k}")
-    return _six_j2(f_r_g_matrices(k), a2, b2, e2, d2, c2, f2)
 
 
 class MtcLevelData(namedtuple("MtcLevelData", "level labels theta zeta qdim global_dim_root qint qfact")):
     """The level-k constants: labels, twists (complex), zeta = e(c/24),
     quantum dimensions and the global dimension root, from column 0 of
-    the character S-matrix (``character_s_matrix``); the
+    the character S-matrix (``sixj.character_s_matrix``); the
     rescaled quantum integers sin(pi n/(k+2)), n = 0..k+2, and their
     running products, the rescaled factorials, n = 0..k+1, all in (0, 1].
     Every sequence is a tuple.
@@ -300,7 +282,7 @@ class MtcLevelData(namedtuple("MtcLevelData", "level labels theta zeta qdim glob
 @lru_cache(maxsize=None)
 def f_r_g_matrices(k: int) -> MtcLevelData:
     """The level-k table, O(k^2) work, and the only per-level state of
-    this module.  The 6j-symbols (``_six_j2``) and the rows of the modular
+    this module.  The 6j-symbols (``sixj._six_j2``) and the rows of the modular
     pairs (``_s_rows``) are evaluated directly from it, and the pairs need
     no braiding phase; no F, R or G tensor is ever built."""
     _check_level(k)
@@ -308,7 +290,7 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
     labels = tuple(range(k + 1))
     # sin(pi m/n) = sin(pi (n-m)/n): an argument rounded near pi loses digits
     qint = tuple(math.sin(math.pi * min(m, n - m) / n) for m in range(k + 3))
-    # column 0 of character_s_matrix(k), bit for bit: m = (i+1)(0+1) < n
+    # column 0 of sixj.character_s_matrix(k), bit for bit: m = (i+1)(0+1) < n
     s_col = [math.sqrt(2.0 / n) * qint[i + 1] for i in labels]
     qfact = [1.0]
     for m in range(1, k + 2):
@@ -325,39 +307,6 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
     )
 
 
-@lru_cache(maxsize=None)
-def character_s_matrix(k: int) -> tuple[tuple[float, ...], ...]:
-    """The character S-matrix S_ij = sqrt(2/(k+2)) sin(pi (i+1)(j+1)/(k+2))
-    of level k, real and symmetric; cached by level and immutable.  The
-    sine's argument is folded into [0, pi/2] as ``qint``'s is: (i+1)(j+1)
-    is reduced mod 2n, n = k + 2, with the sign of its half-period, and m
-    is taken to min(m, n - m)."""
-    _check_level(k)
-    n = k + 2
-    scale = math.sqrt(2.0 / n)
-
-    def entry(m: int) -> float:
-        m %= 2 * n
-        if m < n:
-            return scale * math.sin(math.pi * min(m, n - m) / n)
-        m -= n
-        return -(scale * math.sin(math.pi * min(m, n - m) / n))
-
-    labels = range(1, k + 2)
-    return tuple(tuple(entry(a * b) for b in labels) for a in labels)
-
-
-def adjoint_members(k: int) -> list[int]:
-    """Labels p admitting a self-coupling Hom(p (x) i, i) != 0 for some i,
-    found by a fusion sweep (the even labels, but computed, not assumed)."""
-    _check_level(k)
-    out = []
-    for p in range(k + 1):
-        if any(fusion_coefficient(k, p, i, i) == 1 for i in range(k + 1)):
-            out.append(p)
-    return out
-
-
 class GenModularPair(
     namedtuple(
         "GenModularPair",
@@ -367,15 +316,19 @@ class GenModularPair(
 ):
     """The action of the once-punctured-torus mapping class group on the
     self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}.
-    S is symmetric, each unordered {i, j} summed once with no braiding
-    phase.  ``relation_residuals`` holds the two certified bounds of the
-    module docstring, each at least the largest entrywise |difference| of
-    its relation.  ``stages`` records what building it cost: the number of
-    6j-symbols in the sum (one per unordered {i, j} and r; each is now
-    summed as a slice of the table rows, not evaluated on its own), the
-    assembly and certification times in seconds, and the headroom of the
-    worst residual below the tolerance in decimal digits; read-only when
-    not given, so that no two pairs share a mutable default."""
+    S is symmetric, each unordered {i, j} with i + j <= k summed once with
+    no braiding phase, and keeps the simple-current symmetry exactly:
+    S_{k-i,k-j} = (-1)^(k+i+j) S_ij, the mirror of each summed entry, and
+    T_{k-i} = i^k (-1)^i T_i.  ``relation_residuals`` holds the two
+    certified bounds of the module docstring, each at least the largest
+    entrywise |difference| of its relation, from quarter products of d^3/2
+    complex products.  ``stages`` records what building it cost: the
+    number of 6j-symbols in the sum (one per unordered {i, j} and r,
+    mirrored ones included; each is summed as a slice of the table rows,
+    not evaluated on its own), the assembly and certification times in
+    seconds, and the headroom of the worst residual below the tolerance in
+    decimal digits; read-only when not given, so that no two pairs share
+    a mutable default."""
 
     __slots__ = ()
 
@@ -394,18 +347,68 @@ class GenModularPair(
         }
 
 
-def _symmetric_product(a: Iterable[Sequence[complex]], b: Matrix) -> list[list[complex]]:
-    """a b for an exactly symmetric b when the product is symmetric too:
-    the row products a_i . b_j on and above the diagonal, mirrored, d^3/2
-    complex products.  ``a`` is read once, row by row, so it may be a
-    generator.  For a square of a symmetric matrix (a = b), every entry is
-    bit for bit that of the full product."""
-    dim = len(b)
-    rows = [[0j] * dim for _ in range(dim)]
-    for i, row in enumerate(a):
-        for j in range(i, dim):
-            rows[i][j] = rows[j][i] = sum(map(mul, row, b[j]))
-    return rows
+def _t_diagonal(data: MtcLevelData, basis: tuple[int, ...]) -> tuple[complex, ...]:
+    """T^(p) = theta_i / zeta on ``basis``: divided out on the lower half,
+    the middle label included, and mirrored to k - i by theta_{k-i} =
+    i^k (-1)^i theta_i, a quarter turn and a sign, both exact in floats."""
+    k, theta, zeta = data.level, data.theta, data.zeta
+    dim, turn = len(basis), _QUARTER_TURNS[k % 4]
+    t = [theta[i] / zeta for i in basis[:dim - dim // 2]]
+    t += [(-turn if basis[a] % 2 else turn) * t[a] for a in range(dim // 2 - 1, -1, -1)]
+    return tuple(t)
+
+
+def _symmetry_break(k: int, basis: tuple[int, ...], s, t_diag) -> str | None:
+    """Where S or T breaks its simple-current law of the module docstring,
+    named by the two entries that disagree, or None when both laws hold
+    exactly, entry by entry; O(d^2)."""
+    last, turn = len(basis) - 1, _QUARTER_TURNS[k % 4]
+    for a, row in enumerate(s):
+        # S_{k-i,k-j} = (-1)^(k+i+j) S_ij: the sign is -1 on every other j
+        want = list(row)
+        flip = (k + basis[a] + basis[0] + 1) % 2
+        want[flip::2] = map(neg, row[flip::2])
+        mirror = list(reversed(s[last - a]))
+        if want != mirror:
+            b = next(b for b, (x, y) in enumerate(zip(want, mirror)) if x != y)
+            i, j = basis[a], basis[b]
+            return (
+                f"S breaks S_(k-i,k-j) = (-1)^(k+i+j) S_ij at i={i}, j={j}: "
+                f"S_({i},{j}) = {row[b]}, S_({k - i},{k - j}) = {mirror[b]}"
+            )
+    want = [(-turn if i % 2 else turn) * x for i, x in zip(basis, t_diag)]
+    for i, x, y, z in zip(basis, t_diag, want, t_diag[::-1]):
+        if y != z:
+            return f"T breaks theta_(k-i) = i^k (-1)^i theta_i at i={i}: T_{i} = {x}, T_{k - i} = {z}"
+    return None
+
+
+def _quarter_products(s, t_diag, k: int, h: int) -> tuple[list[list[complex]], list[list[complex]]]:
+    """S^2 and S T S for a pair that keeps both laws exactly: each entry
+    a <= c, a + c <= d - 1 summed, and the rest filled by symmetry and by
+    the mirror rules of the module docstring, d^3/2 complex products."""
+    dim, last, turn = len(s), len(s) - 1, _QUARTER_TURNS[k % 4]
+    # label h + b is even at b = h mod 2
+    ev, od = h % 2, 1 - h % 2
+    evens, odds = [row[ev::2] for row in s], [row[od::2] for row in s]
+    s2 = [[0j] * dim for _ in s]
+    sts = [[0j] * dim for _ in s]
+    for a in range(dim - dim // 2):
+        row = s[a]
+        st = list(map(mul, row, t_diag))
+        st_even, st_odd = st[ev::2], st[od::2]
+        for c in range(a, dim - a):
+            x = s2[a][c] = s2[c][a] = sum(map(mul, row, s[c]))
+            e, o = sum(map(mul, st_even, evens[c])), sum(map(mul, st_odd, odds[c]))
+            sts[a][c] = sts[c][a] = e + o
+            if a + c < last:
+                # (S^2)_{a'c'} = (-1)^(i+j) x and (S T S)_{a'c'} = i^k (-1)^(i+j) (E - O)
+                y = turn * (e - o)
+                if (a + c) % 2:
+                    x, y = -x, -y
+                s2[last - a][last - c] = s2[last - c][last - a] = x
+                sts[last - a][last - c] = sts[last - c][last - a] = y
+    return s2, sts
 
 
 def _row_norm(row) -> float:
@@ -422,30 +425,33 @@ def _nan_max(values) -> float:
 
 def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> GenModularPair:
     """Build (S^(p), T^(p)) from the categorical data and certify the
-    relations (S T)^3 = S^2 and S^4 = theta_p^{-1} Id.  A residual above
-    ``tolerance``, or one that is NaN, raises ``RelationViolationError``."""
+    relations (S T)^3 = S^2 and S^4 = theta_p^{-1} Id.  A pair that breaks
+    the simple-current symmetry of S or of T anywhere, or a residual above
+    ``tolerance`` or NaN, raises ``RelationViolationError``."""
     rep_dimension(k, p)  # refuses a bad level or label
     data = f_r_g_matrices(k)
     theta = data.theta
     basis = tuple(i for i in data.labels if fusion_coefficient(k, p, i, i) == 1)
 
-    # S^(p)_ij by the m-form of the module docstring; it is symmetric in i
-    # and j, so each unordered pair is summed once
+    # S^(p)_ij by the m-form of the module docstring, each unordered pair
+    # on the anti-diagonals i + j <= k summed once and the rest mirrored;
+    # T on the lower half of the basis, mirrored
     start = time.perf_counter()
     rows, evaluations = _s_rows(data, p, basis)
     s = tuple(map(tuple, rows))
-    t_diag = tuple(theta[i] / data.zeta for i in basis)
+    t_diag = _t_diagonal(data, basis)
     assembled = time.perf_counter()
 
-    # S is exactly symmetric, and so are S^2 and S T S: two half products,
-    # d^3 complex products
-    s2 = _symmetric_product(s, s)
-    sts = _symmetric_product((list(map(mul, row, t_diag)) for row in s), s)
+    # the quarter products hold only for a pair that keeps both laws exactly
+    broken = _symmetry_break(k, basis, s, t_diag)
+    if broken is not None:
+        raise RelationViolationError(f"modular pair relations violated at level {k}, p={p}: {broken}")
+    s2, sts = _quarter_products(s, t_diag, k, p // 2)
     # braid: (S T)^3 - S^2 = S T F T, F = S T S - T^-1 S T^-1 symmetric;
     # with |t| = 1, each entry is at most |S_i| |F_j| (Cauchy-Schwarz)
     inv = [1 / t for t in t_diag]
     f_norms = (
-        _row_norm(map(sub, sts_row, map(mul, row, [u * v for v in inv])))
+        _row_norm(map(sub, sts_row, map(mul, row, map(mul, repeat(u), inv))))
         for row, sts_row, u in zip(s, sts, inv)
     )
     res_braid = _nan_max(map(_row_norm, s)) * _nan_max(f_norms)
@@ -456,7 +462,7 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     off_norms = [_row_norm(row[:a] + row[a + 1:]) for a, row in enumerate(s2)]
     worst_rows = []
     for a, row in enumerate(s2):
-        exact = [abs((diag[a] + x) * y) for x, y in zip(diag, row)]
+        exact = list(map(abs, map(mul, map(add, repeat(diag[a]), diag), row)))
         exact[a] = abs(diag[a] * diag[a] - 1 / theta[p])
         worst_rows.append(_nan_max(map(add, exact, map(mul, repeat(off_norms[a]), off_norms))))
     res_dehn = _nan_max(worst_rows)
@@ -569,31 +575,3 @@ def s_k_report(pair: GenModularPair) -> dict:
         "e_minus_3k_16": [_e(Fraction(-3 * k, 16)).real, _e(Fraction(-3 * k, 16)).imag],
         "e_minus_3k_32": [_e(Fraction(-3 * k, 32)).real, _e(Fraction(-3 * k, 32)).imag],
     }
-
-
-def verlinde_fusion(k: int, lam: int, mu: int, nu: int) -> float:
-    """Fusion number from the character S-matrix:
-    sum_m S_{lam,m} S_{mu,m} conj(S_{nu,m}) / S_{0,m}; the matrix is
-    real, so the conjugation is the identity."""
-    for label in (lam, mu, nu):
-        _check_label(k, label)
-    s = character_s_matrix(k)
-    return float(sum(s[lam][m] * s[mu][m] * s[nu][m] / s[0][m] for m in range(k + 1)))
-
-
-def verlinde_numbers(k: int) -> list[list[list[float]]]:
-    """Every fusion number of level k by the Verlinde formula, in one pass:
-    N[lam][mu][nu] is the weights S_{lam,m} S_{mu,m} / S_{0,m} of the pair
-    (lam, mu) dotted with row nu of the character S-matrix, one label
-    check for the level.  The sum of ``verlinde_fusion`` in another order,
-    so equal to it up to rounding."""
-    s = character_s_matrix(k)
-    table = []
-    for s_lam in s:
-        ratios = list(map(truediv, s_lam, s[0]))
-        by_mu = []
-        for s_mu in s:
-            weights = list(map(mul, ratios, s_mu))
-            by_mu.append([sum(map(mul, weights, s_nu)) for s_nu in s])
-        table.append(by_mu)
-    return table

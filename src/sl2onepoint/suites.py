@@ -109,7 +109,7 @@ def check_dims(config):
 
 
 def check_mtc(config):
-    from . import mtc
+    from . import mtc, sixj
 
     checks = []
     kmax = 10
@@ -125,12 +125,12 @@ def check_mtc(config):
     for k in range(0, kmax + 1):
         diff = max(
             abs(x - y)
-            for row, char_row in zip(pairs[(k, 0)].s_matrix, mtc.character_s_matrix(k))
+            for row, char_row in zip(pairs[(k, 0)].s_matrix, sixj.character_s_matrix(k))
             for x, y in zip(row, char_row)
         )
         checks.append((f"S^(0) equals character S-matrix k={k}", diff < config.tolerance, f"max diff {diff:.2e}"))
     for k in range(0, min(kmax, 8) + 1):
-        table = mtc.verlinde_numbers(k)
+        table = sixj.verlinde_numbers(k)
         ok = all(
             round(table[lam][mu][nu]) == sl2data.fusion_coefficient(k, lam, mu, nu)
             for lam in range(k + 1)

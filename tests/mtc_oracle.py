@@ -13,7 +13,7 @@ these two, as the categorical definition reads: three 6j-symbols per
 term, two of them inside G-entries, and every braiding phase.  The
 library sums the one-punctured-torus formula of ``mtc.gen_modular_pair``
 instead, one symbol per term and no phase, as table rows on the rescaled
-tables of ``mtc._six_j2``, and the tests compare it against these.
+tables of ``sixj._six_j2``, and the tests compare it against these.
 
 ``f_tensor``, ``r_tensor`` and ``g_tensor`` tabulate F (the library's
 6j-symbols), R (``r_phase``) and G on every admissible index tuple of a level, a count that grows like
@@ -30,15 +30,17 @@ same question by two reachability sweeps.
 
 ``certification`` forms the products of the braid relations as they
 read, four full matrix products, 4 d^3 complex products, and takes each
-residual entry by entry; ``mtc.gen_modular_pair`` forms two half products,
-d^3, and bounds both residuals from above in O(d^2).
+residual entry by entry; ``mtc.gen_modular_pair`` forms two quarter
+products, d^3/2, and bounds both residuals from above in O(d^2).
 
 ``_self_coupling_six_j`` evaluates the one symbol of the modular pair,
 {p/2 i/2 i/2; r/2 j/2 j/2}, by its own collapsed z-sum on the library's
 rescaled tables, and ``s_entry_by_symbols`` sums it over r as the
 one-punctured-torus formula reads, one symbol at a time.  That sum is
 the oracle of the table rows of ``mtc._s_rows``, which reorder the same
-terms by m = z - t; ``mtc._six_j2`` is the oracle of the symbol.
+terms by m = z - t and sum only the anti-diagonals i + j <= k, mirroring
+the rest; the oracle sums every entry and mirrors nothing.
+``sixj._six_j2`` is the oracle of the symbol.
 """
 
 import math
@@ -48,7 +50,7 @@ from operator import mul
 
 import numpy as np
 
-from sl2onepoint import mtc
+from sl2onepoint import mtc, sixj
 from sl2onepoint.sl2data import conformal_weight, fusion_coefficient
 
 
@@ -68,7 +70,7 @@ class _QNumbers:
 
     def __init__(self, k: int):
         self.k = k
-        self.qint = [mtc.quantum_integer(k, n) for n in range(k + 3)]
+        self.qint = [sixj.quantum_integer(k, n) for n in range(k + 3)]
         fact = [1.0] * (k + 2)
         for n in range(2, k + 2):
             fact[n] = fact[n - 1] * self.qint[n]
@@ -209,7 +211,7 @@ def f_tensor(k: int) -> dict:
         if _triad_ok_2(k, r, s, q) and _triad_ok_2(k, q, t, u)
     ]
     data = mtc.f_r_g_matrices(k)
-    return {(r, s, t, u, p, q): mtc._six_j2(data, t, s, p, r, u, q) for r, s, t, u, p, q in keys}
+    return {(r, s, t, u, p, q): sixj._six_j2(data, t, s, p, r, u, q) for r, s, t, u, p, q in keys}
 
 
 @lru_cache(maxsize=None)
@@ -279,13 +281,13 @@ def _self_coupling_six_j(
     """{p/2 i/2 i/2; r/2 j/2 j/2} for admissible integer labels, with
     ``norm_i`` and ``norm_j`` the ``_coupling_norm`` of i and j.
 
-    The Kirillov-Reshetikhin formula of ``mtc._six_j2`` collapses here:
+    The Kirillov-Reshetikhin formula of ``sixj._six_j2`` collapses here:
     the triad sums are i + p/2, j + p/2 and twice t = (i+j+r)/2, the
     quadrilateral sums twice t + p/2 and once i + j, and the prefactor is
     A_i A_j [t-i]! [t-j]! [t-r]! / [t+1]!, with no square root.  Every
     product is formed so that swapping i and j gives the same float: the
     tetrahedral symmetry holds exactly.  Underflow raises
-    ``PrecisionLossError`` as in ``mtc._six_j2``."""
+    ``PrecisionLossError`` as in ``sixj._six_j2``."""
     k, fact = data.level, data.qfact
     t1, t2, t = i + p // 2, j + p // 2, (i + j + r) // 2
     s, s3 = t + p // 2, i + j

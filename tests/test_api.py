@@ -8,7 +8,7 @@ import inspect
 
 import pytest
 
-MODULES = ("bgg", "generator_checks", "generators", "mtc", "qseries", "repanalysis", "sl2data")
+MODULES = ("bgg", "generator_checks", "generators", "mtc", "qseries", "repanalysis", "sixj", "sl2data")
 
 
 @pytest.mark.parametrize("name", MODULES)

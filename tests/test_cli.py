@@ -366,10 +366,11 @@ def test_subcommands_load_only_their_layers():
     out: for the import alone ``dataclasses``, ``inspect`` and ``qseries``;
     for ``expand`` ``dataclasses``, ``bgg``, ``repanalysis`` and ``mtc``;
     for ``classify`` ``qseries`` and ``generators``; and for ``mtc``
-    ``qseries``, ``generators``, ``bgg`` and ``repanalysis``.  None of
-    them loads the verification suites, ``suites``, and no well-formed job
-    of any subcommand loads ``argparse``, ``gettext`` or ``locale``: the
-    table parses its argv."""
+    ``qseries``, ``generators``, ``bgg``, ``repanalysis`` and ``sixj``,
+    the 6j-symbols and ordinary modular data that ``verify --suite mtc``
+    loads.  None of them loads the verification suites, ``suites``, and
+    no well-formed job of any subcommand loads ``argparse``, ``gettext``
+    or ``locale``: the table parses its argv."""
     import os
     import subprocess
     import sys
@@ -380,21 +381,26 @@ def test_subcommands_load_only_their_layers():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     layer = "sl2onepoint.{}".format
     parsing = ("argparse", "gettext", "locale")
-    for argv, unloaded in (
-        (None, ("dataclasses", "inspect", layer("qseries"), layer("suites"), *parsing)),
+    mtc_layers = (layer("qseries"), layer("generators"), layer("bgg"), layer("repanalysis"), layer("sixj"))
+    for argv, unloaded, needed in (
+        (None, ("dataclasses", "inspect", layer("qseries"), layer("suites"), *parsing), ()),
         (
             ["expand", "-k", "3", "-l", "2", "-n", "5"],
             ("dataclasses", layer("bgg"), layer("repanalysis"), layer("mtc"), layer("suites"), *parsing),
+            (),
         ),
         (
             ["classify", "-k", "5", "-l", "2", "--format", "json"],
             (layer("qseries"), layer("generators"), layer("suites"), *parsing),
+            (),
         ),
         (
             ["mtc", "--level", "5", "--p", "2", "--tolerance", "1e-8"],
-            (layer("qseries"), layer("generators"), layer("bgg"), layer("repanalysis"), layer("suites"), *parsing),
+            (*mtc_layers, layer("suites"), *parsing),
+            (layer("mtc"),),
         ),
-        (["verify", "--suite", "bgg", "--format", "table"], parsing),
+        (["verify", "--suite", "bgg", "--format", "table"], parsing, ()),
+        (["verify", "--suite", "mtc"], parsing, (layer("sixj"),)),
     ):
         script = "\n".join(
             [
@@ -404,12 +410,45 @@ def test_subcommands_load_only_their_layers():
                 f"assert main({argv!r}) == 0" if argv else "",
                 f"loaded = sorted(set(sys.modules).difference(before).intersection({unloaded!r}))",
                 "assert not loaded, loaded",
+                f"missing = sorted(set({needed!r}).difference(sys.modules))",
+                "assert not missing, missing",
             ]
         )
         result = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, (argv, result.stderr)
+
+
+def test_verify_tables_reads_the_fixtures_without_importlib_resources():
+    """Without ``site``, which preloads ``importlib.resources`` on some
+    installs, ``verify --suite tables`` reads ``data/published_tables.json``
+    through the package's own loader and leaves ``importlib.resources``
+    unloaded, with the same report: 8 failed checks, all of them
+    ``table2`` entries, and exit 1.  Checked in a fresh ``python -S``
+    interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import sl2onepoint
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
+    script = "\n".join(
+        [
+            "import sys",
+            f"sys.path.insert(0, {src!r})",
+            "from sl2onepoint.cli import main",
+            "code = main(['verify', '--suite', 'tables', '--format', 'json'])",
+            "sys.stderr.write(repr('importlib.resources' in sys.modules))",
+            "sys.exit(code)",
+        ]
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (EXIT_VERIFY_FAILED, "False")
+    payload = json.loads(result.stdout)
+    assert (payload["suite"], payload["failed"]) == ("tables", 8)
+    assert all(failure["check"].startswith("table2 ") for failure in payload["failures"])
 
 
 def test_table_format_jobs_load_neither_argparse_json_nor_typing():

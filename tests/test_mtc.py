@@ -18,6 +18,7 @@ mpmath do.
 """
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -31,17 +32,19 @@ from hypothesis import strategies as st
 from sl2onepoint.errors import PrecisionLossError, RelationViolationError
 from sl2onepoint.mtc import (
     GenModularPair,
+    _quarter_products,
     _s_rows,
-    _six_j2,
-    _symmetric_product,
-    adjoint_members,
-    character_s_matrix,
     compare_with_analytic,
     f_r_g_matrices,
     gen_modular_pair,
     irreducibility_probe,
-    quantum_integer,
     s_k_report,
+)
+from sl2onepoint.sixj import (
+    _six_j2,
+    adjoint_members,
+    character_s_matrix,
+    quantum_integer,
     six_j,
     verlinde_fusion,
     verlinde_numbers,
@@ -51,6 +54,7 @@ from sl2onepoint.sl2data import conformal_weight, fusion_coefficient, rho_t, xi_
 from mtc_oracle import _qnumbers as oracle_qnumbers
 from mtc_oracle import (
     _coupling_norm,
+    _matmul,
     _self_coupling_six_j,
     _six_j_2,
     certification,
@@ -617,16 +621,116 @@ def test_s0_equals_character_s_matrix():
         assert diff < TOL
 
 
+_LOOP_CASES = [(k, p) for k in range(0, 25) for p in range(0, k + 1, 2)] + [(48, 2), (48, 4), (48, 6)]
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_s(k, p):
+    """The oracle's three-symbol S^(p), which sums every entry and
+    mirrors none; read-only, since tests share it."""
+    s = s_matrix_loop(k, p)
+    s.flags.writeable = False
+    return s
+
+
 def test_pair_s_matrix_equals_per_triple_loop():
-    """The one-symbol assembly against the three-symbol sum over (i, j, r),
-    term by term."""
-    cases = [(k, p) for k in range(0, 17) for p in range(0, k + 1, 2)]
-    cases += [(48, 2), (30, 28), (100, 98), (200, 190)]
-    for k, p in cases:
+    """The one-symbol assembly, summed on the anti-diagonals i + j <= k
+    and mirrored, against the three-symbol sum over (i, j, r), term by
+    term, on every entry: every pair with k <= 24, (48, 2/4/6), and pairs
+    with p near k."""
+    for k, p in _LOOP_CASES + [(30, 28), (100, 98), (200, 190)]:
         got = np.asarray(gen_modular_pair(k, p).s_matrix)
-        want = s_matrix_loop(k, p)
+        want = _loop_s(k, p) if (k, p) in _LOOP_CASES else s_matrix_loop(k, p)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-12, (k, p)
+
+
+def _mirror_sign(k, i, j):
+    return -1 if (k + i + j) % 2 else 1
+
+
+def test_simple_current_laws_hold_on_the_oracles():
+    """S^(p)_{k-i,k-j} = (-1)^(k+i+j) S^(p)_ij on the oracle's three-symbol
+    S of every pair with k <= 24 and (48, 2/4/6), and on seeded entries of
+    its one-symbol sum for one seeded p at each level 25 <= k <= 60;
+    theta_{k-i} = i^k (-1)^i theta_i on every label of every level
+    k <= 60.  All to 1e-12, on computations that use no mirror."""
+    for k, p in _LOOP_CASES:
+        s, basis = _loop_s(k, p), xi_set(k, p)
+        signs = np.array([[_mirror_sign(k, i, j) for j in basis] for i in basis])
+        assert np.max(np.abs(s[::-1, ::-1] - signs * s)) < 1e-12, (k, p)
+    rng = random.Random(60)
+    for k in range(25, 61):
+        p = rng.randrange(0, k + 1, 2)
+        basis = xi_set(k, p)
+        for _ in range(4):
+            i, j = rng.choice(basis), rng.choice(basis)
+            want, _ = s_entry_by_symbols(k, p, i, j)
+            mirror, _ = s_entry_by_symbols(k, p, k - i, k - j)
+            assert abs(mirror - _mirror_sign(k, i, j) * want) < 1e-12, (k, p, i, j)
+    for k in range(0, 61):
+        theta = f_r_g_matrices(k).theta
+        for i in range(k + 1):
+            assert abs(theta[k - i] - 1j**k * (-1) ** i * theta[i]) < 1e-12, (k, i)
+
+
+@pytest.mark.parametrize("k", [48, 200, 1000])
+def test_twists_are_within_an_ulp_of_mpmath(k):
+    """Every twist e(h_i) and zeta = e(c/24) within 1e-15 of its 40-digit
+    value: the exponent is reduced mod 1 exactly before it becomes a
+    float.  Unreduced, 2 pi h_i with h_i up to about k/4 put the twists
+    off by 1.1e-14 at k = 48, 4.7e-14 at k = 200 and 2.5e-13 at k = 1000."""
+    import mpmath
+
+    from sl2onepoint.sl2data import central_charge
+
+    data = f_r_g_matrices(k)
+    with mpmath.workdps(40):
+        for i in range(k + 1):
+            h = conformal_weight(k, i)
+            want = mpmath.expjpi(2 * mpmath.mpf(h.numerator) / h.denominator)
+            assert abs(mpmath.mpc(data.theta[i]) - want) < 1e-15, (k, i)
+        c = central_charge(k) / 24
+        assert abs(mpmath.mpc(data.zeta) - mpmath.expjpi(2 * mpmath.mpf(c.numerator) / c.denominator)) < 1e-15
+
+
+def _nudged(z):
+    """z with its real part one ulp larger."""
+    return complex(math.nextafter(z.real, math.inf), z.imag)
+
+
+def test_certification_refuses_a_broken_mirror_law(monkeypatch):
+    """The last diagonal entry of S one ulp off its mirror, the first, or
+    the last T entry one ulp off the first, is refused with the entries named, even
+    at a tolerance of 1, where the residuals alone would pass it: the
+    quarter products assume both laws."""
+    import sl2onepoint.mtc as mtc_module
+
+    true_rows, true_t = mtc_module._s_rows, mtc_module._t_diagonal
+    for k, p in ((3, 2), (5, 2), (24, 6), (48, 2)):
+        last = k - p
+
+        def nudged_rows(data, p_label, basis):
+            rows, evaluations = true_rows(data, p_label, basis)
+            rows[last][last] = _nudged(rows[last][last])
+            return rows, evaluations
+
+        monkeypatch.setattr(mtc_module, "_s_rows", nudged_rows)
+        h = p // 2
+        with pytest.raises(RelationViolationError, match=rf"level {k}, p={p}: S breaks .* at i={h}, j={h}: "):
+            gen_modular_pair(k, p, tolerance=1.0)
+        monkeypatch.setattr(mtc_module, "_s_rows", true_rows)
+
+        def nudged_t(data, basis):
+            t = list(true_t(data, basis))
+            t[-1] = _nudged(t[-1])
+            return tuple(t)
+
+        monkeypatch.setattr(mtc_module, "_t_diagonal", nudged_t)
+        with pytest.raises(RelationViolationError, match=rf"level {k}, p={p}: T breaks .* at i={h}: "):
+            gen_modular_pair(k, p, tolerance=1.0)
+        monkeypatch.setattr(mtc_module, "_t_diagonal", true_t)
+        assert gen_modular_pair(k, p).basis == tuple(xi_set(k, p))
 
 
 def test_pair_s_matrix_is_exactly_symmetric():
@@ -722,32 +826,48 @@ _PAIRS_TO_LEVEL_24 = [(k, p) for k in range(0, 25) for p in range(0, k + 1, 2)]
 def test_certification_bounds_the_four_full_products():
     """Each certified bound against the entrywise residual of the four
     full products of the oracle: never below it by more than rounding,
-    and at most twice it.  The half product S^2 equals the oracle's float
-    for float."""
+    and at most twice it.  The quarter product S^2 equals the oracle's
+    full product float for float on the entries a + c <= d - 1 that it
+    sums, and within rounding on the mirrored rest; S T S, with its
+    mirror (E - O) rule, equals the full product within rounding."""
     for k, p in _PAIRS_TO_LEVEL_24 + [(48, 2), (48, 4), (48, 6), (100, 2)]:
         pair = gen_modular_pair(k, p)
-        s = pair.s_matrix
-        s2, _, want = certification(s, pair.t_diagonal, f_r_g_matrices(k).theta[p])
-        assert _symmetric_product(s, s) == [list(row) for row in s2], (k, p)
+        s, t = pair.s_matrix, pair.t_diagonal
+        s2, _, want = certification(s, t, f_r_g_matrices(k).theta[p])
+        sts = _matmul(_matmul(s, _diag(t)), s)
+        got_s2, got_sts = _quarter_products(s, t, k, p // 2)
+        dim = len(s)
+        for a in range(dim):
+            for c in range(dim):
+                if a + c <= dim - 1:
+                    assert got_s2[a][c] == s2[a][c], (k, p, a, c)
+                assert abs(got_s2[a][c] - s2[a][c]) <= 1e-14, (k, p, a, c)
+                assert abs(got_sts[a][c] - sts[a][c]) <= 1e-14, (k, p, a, c)
         for key, got in pair.relation_residuals.items():
             assert want[key] - 1e-15 <= got <= 2 * want[key] + 1e-15, (k, p, key)
 
 
 def test_certification_bounds_hold_under_perturbation(monkeypatch):
-    """Seeded symmetric perturbations of S, 1e-13 to 1e-5: each certified
-    bound is at least the oracle's residual, and a tolerance just below
-    the oracle's worst residual refuses the pair."""
+    """Seeded perturbations of S, 1e-13 to 1e-5, that keep it symmetric
+    and keep its simple-current symmetry S_{k-i,k-j} = (-1)^(k+i+j) S_ij
+    (noise on the entries a <= b, a + b <= d - 1, mirrored with that
+    sign), so that the certification runs: each certified bound is at
+    least the oracle's residual, and a tolerance just below the oracle's
+    worst residual refuses the pair."""
     import sl2onepoint.mtc as mtc_module
 
     true_rows = mtc_module._s_rows
     rng = random.Random(19)
     for k, p in [(3, 2), (5, 2), (8, 0), (12, 4), (24, 6)]:
         dim = len(gen_modular_pair(k, p).basis)
+        last = dim - 1
         for size in (1e-13, 1e-11, 1e-9, 1e-7, 1e-5):
             noise = [[0j] * dim for _ in range(dim)]
             for a in range(dim):
-                for b in range(a, dim):
-                    noise[a][b] = noise[b][a] = size * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                for b in range(a, dim - a):
+                    x = noise[a][b] = noise[b][a] = size * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    if a + b < last:
+                        noise[last - a][last - b] = noise[last - b][last - a] = -x if (k + a + b) % 2 else x
 
             def perturbed_rows(data, p_label, basis, noise=noise):
                 rows, evaluations = true_rows(data, p_label, basis)
@@ -768,7 +888,7 @@ def test_s_squared_is_diagonal():
     # itself; the Dehn bound is tight only because of this
     for k, p in _PAIRS_TO_LEVEL_24:
         s = gen_modular_pair(k, p).s_matrix
-        s2 = _symmetric_product(s, s)
+        s2 = _matmul(s, s)
         off = max((abs(x) for a, row in enumerate(s2) for b, x in enumerate(row) if a != b), default=0.0)
         assert off <= 1e-13, (k, p, off)
 
@@ -1071,3 +1191,21 @@ def test_compare_fixture_values():
     assert set(report["t_residuals"]) == {1, 2}
     report0 = compare_with_analytic(4, 0)
     assert report0["nu_t_exponent"] == "0"
+
+
+def test_mtc_resolves_the_moved_names_lazily():
+    """Every public name that moved to ``sixj`` stays importable from
+    ``mtc`` as the same object; no other name is invented."""
+    import sl2onepoint.mtc as mtc_module
+    from sl2onepoint import sixj
+
+    moved = [name for name in mtc_module.__all__ if name not in vars(mtc_module)]
+    assert sorted(moved) == sorted(sixj.__all__)
+    for name in moved:
+        assert getattr(mtc_module, name) is getattr(sixj, name)
+    from sl2onepoint.mtc import verlinde_fusion as via_mtc
+
+    assert via_mtc is verlinde_fusion
+    with pytest.raises(AttributeError, match="has no attribute '_six_j2'"):
+        mtc_module._six_j2
+    assert not hasattr(mtc_module, "no_such_name")
