@@ -199,17 +199,12 @@ def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
         probe = mtc.irreducibility_probe(pair, tolerance=config.tolerance)
     except ValueError as exc:
         probe = f"refused: {exc}"
-    # built for both formats: its check of the basis against the label set
-    # guards table output too
-    analytic = mtc.compare_with_analytic(k, p, config.tolerance, pair=pair)
 
     def payload():
+        # JSON only: the table format prints no comparison with the analytic T
         out = pair.to_json()
         out["irreducibility_probe"] = probe
-        out["analytic_comparison"] = analytic
-        if p == k:
-            # the 1x1 case, where competing printed values exist; report all
-            out["s_value_report"] = mtc.s_k_report(pair)
+        out["analytic_comparison"] = mtc.compare_with_analytic(k, p, config.tolerance, pair=pair)
         return out
 
     def lines():

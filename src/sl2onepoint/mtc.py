@@ -1,8 +1,10 @@
 """Numerical modular-tensor-category data for sl(2) at level k: the
 generalised modular pair (S^(p), T^(p)) acting on the self-coupling
-spaces Hom(p (x) i, i).  Arithmetic is double-precision complex at every
-level, in plain Python floats and nested tuples, and every pair is
-certified on construction by the braid-group relations
+spaces Hom(p (x) i, i), in the basis ``sl2data.xi_set(k, p)`` of the
+labels p/2..k - p/2 that have one (``test_xi_set_matches_fusion_sweep``
+checks it against the fusion sweep).  Arithmetic is double-precision
+complex at every level, in plain Python floats and nested tuples, and
+every pair is certified on construction by the braid-group relations
 
     (S T)^3 = S^2,      S^4 = theta_p^{-1} * Id,
 
@@ -21,15 +23,15 @@ Per-level state lives in one table, the immutable ``MtcLevelData`` that
 dimensions, and the rescaled quantum integers and factorials.  It reads
 the character S-matrix's column 0 only; the whole matrix, which the
 Verlinde formula and ``verify`` read, is ``sixj.character_s_matrix``,
-cached apart.  The quantum integers are tabulated as sin(pi n/(k+2)) =
-[n] sin(pi/(k+2)), so the factorials stay in (0, 1] at every level,
-where the unscaled [k+1]! overflows a double from k = 202 on; each
-sine's argument is folded to at most pi/2, which keeps every entry
-within about an ulp.  Each twist e(h_i) has its exponent reduced mod 1
-exactly, as a Fraction, before it becomes a float: h_i grows to about
-k/4, and 2 pi h_i rounded at that size would cost digits.  The 6j
-formula is homogeneous of degree 0 in the quantum integers, so the
-rescaling cancels in every symbol.
+cached apart, with its sines read from this table.  The quantum integers
+are tabulated as sin(pi n/(k+2)) = [n] sin(pi/(k+2)), so the factorials
+stay in (0, 1] at every level, where the unscaled [k+1]! overflows a
+double from k = 202 on; each sine's argument is folded to at most pi/2,
+which keeps every entry within about an ulp.  Each twist e(h_i) has its
+exponent reduced mod 1 exactly, as a Fraction, before it becomes a
+float: h_i grows to about k/4, and 2 pi h_i rounded at that size would
+cost digits.  The 6j formula is homogeneous of degree 0 in the quantum
+integers, so the rescaling cancels in every symbol.
 
 The modular pair.  The categorical definition sums, over the admissible
 r, theta_r/(theta_i theta_j) G^{(iij)j}_{0r} F^{(iij)j}_{r0}
@@ -139,7 +141,6 @@ from .sl2data import (
     _check_level,
     central_charge,
     conformal_weight,
-    fusion_coefficient,
     multiplier,
     rep_dimension,
     rho_t,
@@ -164,7 +165,6 @@ __all__ = [
     "gen_modular_pair",
     "irreducibility_probe",
     "compare_with_analytic",
-    "s_k_report",
     *_SIXJ,
 ]
 
@@ -189,13 +189,13 @@ def _e(x) -> complex:
     return cmath.exp(2j * cmath.pi * float(x % 1))
 
 
-def _precision_loss(k: int, *doubled: int) -> PrecisionLossError:
+def _precision_loss(k: int, *doubled: int, reason: str = "its factorial products underflow") -> PrecisionLossError:
     """The error for the 6j-symbol {a b e; d c f} at level k, given by its
-    doubled labels, whose value a double cannot hold."""
+    doubled labels, whose value a double cannot hold, and why."""
     spins = [str(Fraction(x, 2)) for x in doubled]
     return PrecisionLossError(
         f"6j-symbol {{{' '.join(spins[:3])}; {' '.join(spins[3:])}}} at level {k} "
-        "is not representable in double precision: its factorial products underflow"
+        f"is not representable in double precision: {reason}"
     )
 
 
@@ -315,7 +315,8 @@ class GenModularPair(
     )
 ):
     """The action of the once-punctured-torus mapping class group on the
-    self-coupling spaces of p, in the basis {i : Hom(p (x) i, i) != 0}.
+    self-coupling spaces of p, in the basis ``xi_set(k, p)``, the labels i
+    with Hom(p (x) i, i) != 0 (``test_xi_set_matches_fusion_sweep``).
     S is symmetric, each unordered {i, j} with i + j <= k summed once with
     no braiding phase, and keeps the simple-current symmetry exactly:
     S_{k-i,k-j} = (-1)^(k+i+j) S_ij, the mirror of each summed entry, and
@@ -424,14 +425,15 @@ def _nan_max(values) -> float:
 
 
 def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> GenModularPair:
-    """Build (S^(p), T^(p)) from the categorical data and certify the
-    relations (S T)^3 = S^2 and S^4 = theta_p^{-1} Id.  A pair that breaks
-    the simple-current symmetry of S or of T anywhere, or a residual above
-    ``tolerance`` or NaN, raises ``RelationViolationError``."""
+    """Build (S^(p), T^(p)) on the basis ``xi_set(k, p)`` from the
+    categorical data and certify the relations (S T)^3 = S^2 and S^4 =
+    theta_p^{-1} Id.  A pair that breaks the simple-current symmetry of S
+    or of T anywhere, or a residual above ``tolerance`` or NaN, raises
+    ``RelationViolationError``."""
     rep_dimension(k, p)  # refuses a bad level or label
     data = f_r_g_matrices(k)
     theta = data.theta
-    basis = tuple(i for i in data.labels if fusion_coefficient(k, p, i, i) == 1)
+    basis = tuple(xi_set(k, p))
 
     # S^(p)_ij by the m-form of the module docstring, each unordered pair
     # on the anti-diagonals i + j <= k summed once and the rest mirrored;
@@ -506,8 +508,6 @@ def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERA
     # no longer needed, but the benchmark's mtc references pin this message (ROADMAP item 5)
     if dim > 20:
         raise ValueError(f"refusing subset enumeration for basis size {dim} > 20")
-    if dim == 1:
-        return "irreducible"
     tdiag = pair.t_diagonal
     for a in range(dim):
         for b in range(a + 1, dim):
@@ -545,7 +545,8 @@ def compare_with_analytic(
     sig = rho_t(k, lam)
     if list(pair.basis) != xi_set(k, lam):
         raise RelationViolationError("categorical basis disagrees with the label set")
-    nu_t = _e(multiplier(sig.multiplier_weight, "T"))
+    nu_t_exponent = multiplier(sig.multiplier_weight, "T")
+    nu_t = _e(nu_t_exponent)
     t_resid = {}
     for mu, t, r in zip(pair.basis, pair.t_diagonal, sig.t_exponents):
         t_resid[mu] = float(abs(t / nu_t - _e(r)))
@@ -555,23 +556,6 @@ def compare_with_analytic(
         "t_residuals": {int(mu): v for mu, v in t_resid.items()},
         "max_t_residual": max(t_resid.values()),
         "t_consistent": max(t_resid.values()) < tolerance,
-        "nu_t_exponent": str(multiplier(sig.multiplier_weight, "T")),
+        "nu_t_exponent": str(nu_t_exponent),
         "nu_s_exponent": str(multiplier(sig.multiplier_weight, "S")),
-    }
-
-
-def s_k_report(pair: GenModularPair) -> dict:
-    """The three competing values for the one-dimensional S^(k) of a pair
-    with p = k: the coupling-space computation, e(-3k/16) (the weight-3k/4
-    multiplier value on S), and e(-3k/32).  Reported, not adjudicated.
-    Any other pair raises ``ValueError``."""
-    k = pair.level
-    if pair.p_label != k:
-        raise ValueError(f"the one-dimensional report needs p = k = {k}, got p={pair.p_label}")
-    computed = complex(pair.s_matrix[0][0])
-    return {
-        "level": k,
-        "computed": [computed.real, computed.imag],
-        "e_minus_3k_16": [_e(Fraction(-3 * k, 16)).real, _e(Fraction(-3 * k, 16)).imag],
-        "e_minus_3k_32": [_e(Fraction(-3 * k, 32)).real, _e(Fraction(-3 * k, 32)).imag],
     }

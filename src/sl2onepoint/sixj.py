@@ -17,11 +17,12 @@ the spin (half label) values.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul, truediv
 
-from .mtc import MtcLevelData, _precision_loss, f_r_g_matrices
+from .mtc import DEFAULT_TOLERANCE, MtcLevelData, _precision_loss, f_r_g_matrices
 from .sl2data import _check_label, _check_level, fusion_coefficient
 
 __all__ = [
@@ -35,8 +36,15 @@ __all__ = [
 
 
 def quantum_integer(k: int, n: int) -> float:
-    """[n] = sin(pi n/(k+2)) / sin(pi/(k+2))."""
-    return math.sin(math.pi * n / (k + 2)) / math.sin(math.pi / (k + 2))
+    """[n] = sin(pi n/(k+2)) / sin(pi/(k+2)), with the numerator's argument
+    folded into [0, pi/2] by its own expression, not read from the level
+    table, whose oracle this is: n is reduced mod 2(k+2) with the sign of
+    its half-period, and m taken to min(m, k+2-m)."""
+    half = k + 2
+    m = n % (2 * half)
+    sign = -1.0 if m >= half else 1.0
+    m %= half
+    return sign * math.sin(math.pi * min(m, half - m) / half) / math.sin(math.pi / half)
 
 
 def _as_twice(x) -> int:
@@ -62,7 +70,11 @@ def _six_j2(
     the quadrilateral sums and k ([k+2] = 0 kills anything beyond k), in
     the order of z.  A value lost to underflow or overflow raises
     ``PrecisionLossError``: such a symbol is not representable in double
-    precision, and returning NaN or a zero would pass it on silently.
+    precision, and returning NaN or a zero would pass it on silently.  So
+    does a term whose denominator product is below the normal doubles,
+    and an alternating sum whose terms dwarf it: 16 eps pref sum |term|
+    bounds the rounding of the value, and above ``mtc.DEFAULT_TOLERANCE``
+    the symbol is refused, not returned with its digits lost.
     """
     k, qint, fact = data.level, data.qint, data.qfact
     # triad sums, halved
@@ -77,18 +89,27 @@ def _six_j2(
         pref *= math.sqrt(fact[t2 - a2] * fact[t2 - c2] * fact[t2 - f2] / fact[t2 + 1])
         pref *= math.sqrt(fact[t4 - c2] * fact[t4 - e2] * fact[t4 - d2] / fact[t4 + 1])
         pref *= math.sqrt(fact[t3 - d2] * fact[t3 - b2] * fact[t3 - f2] / fact[t3 + 1])
-        total = 0.0
+        total = size = 0.0
         for z in range(max(t1, t2, t3, t4), min(s1, s2, s3, k) + 1):
-            term = fact[z + 1] / (
+            den = (
                 fact[z - t1] * fact[z - t2] * fact[z - t3] * fact[z - t4]
                 * fact[s1 - z] * fact[s2 - z] * fact[s3 - z]
             )
+            if den < sys.float_info.min:
+                raise _precision_loss(k, a2, b2, e2, d2, c2, f2)
+            term = fact[z + 1] / den
             total += -term if z % 2 else term
+            size += term
         value = -pref * total if (a2 + b2 - c2 - d2 - 2 * e2) // 2 % 2 else pref * total
+        rounding = 16 * sys.float_info.epsilon * pref * size
     except ZeroDivisionError:
-        value = math.nan
+        value = rounding = math.nan
     if not math.isfinite(value):
         raise _precision_loss(k, a2, b2, e2, d2, c2, f2)
+    # phrased so that a NaN bound fails too
+    if not rounding <= DEFAULT_TOLERANCE:
+        why = f"its alternating sum cancels (rounding bound {rounding:.1e})"
+        raise _precision_loss(k, a2, b2, e2, d2, c2, f2, reason=why)
     return value
 
 
@@ -106,24 +127,16 @@ def six_j(k: int, a, b, e, d, c, f) -> float:
 @lru_cache(maxsize=None)
 def character_s_matrix(k: int) -> tuple[tuple[float, ...], ...]:
     """The character S-matrix S_ij = sqrt(2/(k+2)) sin(pi (i+1)(j+1)/(k+2))
-    of level k, real and symmetric; cached by level and immutable.  The
-    sine's argument is folded into [0, pi/2] as ``qint``'s is: (i+1)(j+1)
-    is reduced mod 2n, n = k + 2, with the sign of its half-period, and m
-    is taken to min(m, n - m).  Its column 0 is, bit for bit, the one
-    that ``mtc.f_r_g_matrices`` builds from ``qint``."""
-    _check_level(k)
-    n = k + 2
+    of level k, real and symmetric; cached by level and immutable.  Each
+    sine is the level table's: with n = k + 2, sin(pi m/n) = +-``qint[m
+    mod n]``, negative on the odd half-periods, so the argument is folded
+    as ``qint``'s is and column 0 is, by construction, the one that
+    ``mtc.f_r_g_matrices`` builds."""
+    n, qint = k + 2, f_r_g_matrices(k).qint
     scale = math.sqrt(2.0 / n)
-
-    def entry(m: int) -> float:
-        m %= 2 * n
-        if m < n:
-            return scale * math.sin(math.pi * min(m, n - m) / n)
-        m -= n
-        return -(scale * math.sin(math.pi * min(m, n - m) / n))
-
+    signed = (scale, -scale)
     labels = range(1, k + 2)
-    return tuple(tuple(entry(a * b) for b in labels) for a in labels)
+    return tuple(tuple(signed[a * b // n % 2] * qint[a * b % n] for b in labels) for a in labels)
 
 
 def adjoint_members(k: int) -> list[int]:

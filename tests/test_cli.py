@@ -1,5 +1,6 @@
 """Command line surface: exit codes, output formats, determinism."""
 
+import cmath
 import json
 
 import pytest
@@ -118,7 +119,7 @@ def test_mtc_subcommand(capsys):
 @pytest.mark.parametrize("k, p", [(7, 2), (6, 6)])
 def test_mtc_builds_one_pair(capsys, monkeypatch, k, p):
     import sl2onepoint.mtc as mtc_module
-    from sl2onepoint.mtc import compare_with_analytic, s_k_report
+    from sl2onepoint.mtc import compare_with_analytic
 
     built = []
     real = mtc_module.gen_modular_pair
@@ -134,19 +135,37 @@ def test_mtc_builds_one_pair(capsys, monkeypatch, k, p):
     monkeypatch.undo()
     payload = json.loads(out)
     assert payload["analytic_comparison"] == json.loads(json.dumps(compare_with_analytic(k, p)))
-    if p == k:
-        pair = mtc_module.gen_modular_pair(k, k)
-        assert payload["s_value_report"] == json.loads(json.dumps(s_k_report(pair)))
+
+
+@pytest.mark.parametrize("output_format, calls", [("table", 0), ("json", 1)])
+def test_mtc_compares_with_analytic_for_json_only(capsys, monkeypatch, output_format, calls):
+    """The table format prints no analytic comparison, so it builds none."""
+    import sl2onepoint.mtc as mtc_module
+
+    compared = []
+    real = mtc_module.compare_with_analytic
+
+    def counting(*args, **kwargs):
+        compared.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mtc_module, "compare_with_analytic", counting)
+    code, _, _ = run(capsys, "mtc", "--level", "6", "--p", "2", "--format", output_format)
+    assert code == EXIT_OK
+    assert len(compared) == calls
 
 
 def test_mtc_one_dimensional_pair_above_default_level_cap(capsys):
     # any level builds, with no option; at k = 206 the unscaled [k+1]!
-    # would overflow a double
+    # would overflow a double.  The 1x1 S^(k) is e(-3k/16), read from
+    # s_matrix: there is no separate report of it
     code, out, err = run(capsys, "mtc", "--level", "206", "--p", "206", "--format", "json")
     assert code == EXIT_OK, err
-    report = json.loads(out)["s_value_report"]
-    assert report["level"] == 206
-    assert abs(complex(*report["computed"]) - complex(*report["e_minus_3k_16"])) < 1e-12
+    payload = json.loads(out)
+    assert "s_value_report" not in payload
+    assert payload["level"] == 206 and payload["basis"] == [103]
+    s = complex(*payload["s_matrix"][0][0])
+    assert abs(s - cmath.exp(-2j * cmath.pi * 3 * 206 / 16)) < 1e-12
 
 
 def test_mtc_nan_relation_residual_exits_1(capsys, monkeypatch):
