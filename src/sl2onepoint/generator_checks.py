@@ -7,15 +7,18 @@ module holds what ``verify`` and the tests compare it with, so that an
 The hypergeometric construction eta^E * q^c * v^c * pFq(1728/j) per
 component (Franc-Mason style), with the minimal-exponent normal form
 {0, 1/4} resp. {0, (k+1)/(4(k+2)), 1/2} fixing all parameters, is kept
-as ``hypergeometric_generator``.  It costs O(N^3) and serves as the
-independent oracle for the recurrence; its powers of 1728/j, each cut to
-the terms that reach the truncated sum, and the sum are held as integers
-over one denominator.  It drops the irrational constants 1728^a coming
-from powers of J by the same normalisation.
+as ``hypergeometric_generator``, the independent oracle for the
+recurrence.  Its powers of 1728/j, each cut to the terms that reach the
+truncated sum, cost O(N^3) and are built once per order, for every
+component of every generator; each component's sum then costs O(N^2),
+held as integers over one denominator.  It drops the irrational
+constants 1728^a coming from powers of J by the same normalisation.
 
-The module also verifies the equations on the components, and checks the
-computed expansions against the published five-coefficient tables
-embedded in ``data/published_tables.json``.
+The module also verifies the equations on the components, applying them
+by modular derivatives on integer lists and not by the theta-form the
+recurrence solves, and checks the computed expansions against the
+published five-coefficient tables embedded in
+``data/published_tables.json``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .qseries import (
     eisenstein,
     eta_power,
     j_inverse,
-    modular_derivative,
     monomial,
     one,
     series_pow_rational,
@@ -82,15 +84,38 @@ class HypergeomSpec(namedtuple("HypergeomSpec", "upper lower")):
     def coefficients(self, count: int) -> list[Fraction]:
         """First ``count`` series coefficients from the rising-factorial
         recurrence c_{n+1}/c_n = prod(a_i+n) / (prod(b_j+n) * (n+1))."""
-        cs = [Fraction(1)]
+        return [Fraction(c, d) for c, d in zip(*self._integer_coefficients(count))]
+
+    def _integer_coefficients(self, count: int) -> tuple[list[int], list[int]]:
+        """(nums, dens) with c_n = nums[n]/dens[n], not reduced: the same
+        recurrence on ints, each parameter over its own denominator, so
+        that dens[n] divides dens[n+1]."""
+        upper = [(a.numerator, a.denominator) for a in self.upper]
+        lower = [(b.numerator, b.denominator) for b in self.lower]
+        nums, dens = [1], [1]
         for n in range(count - 1):
-            num, den = cs[-1].numerator, cs[-1].denominator * (n + 1)
-            for a in self.upper:  # times a + n
-                num, den = num * (a.numerator + n * a.denominator), den * a.denominator
-            for b in self.lower:  # over b + n
-                num, den = num * b.denominator, den * (b.numerator + n * b.denominator)
-            cs.append(Fraction(num, den))
-        return cs
+            num, den = nums[-1], dens[-1] * (n + 1)
+            for p, r in upper:  # times a + n
+                num, den = num * (p + n * r), den * r
+            for p, r in lower:  # over b + n
+                num, den = num * r, den * (p + n * r)
+            nums.append(num)
+            dens.append(den)
+        return nums, dens
+
+
+@lru_cache(maxsize=None)
+def _powers(arg: QExpansion, order: int) -> tuple:
+    """The integer numerators P_n of arg^n = q^(n step) P_n / arg.den^n,
+    for n up to (order-1)/step, each cut to the order - n step terms that
+    reach a sum truncated at ``order``.  Built once per (arg, order), as
+    ``j_inverse(order)`` is: every component of a generator composes with
+    the same 1728/j."""
+    step = int(arg.leading_exponent)
+    powers = [(1,)]
+    for n in range(1, (order - 1) // step + 1):
+        powers.append(tuple(_convolve(powers[-1], arg.nums, order - n * step)))
+    return tuple(powers)
 
 
 def hypergeom_series(spec: HypergeomSpec, arg: QExpansion, order: int) -> QExpansion:
@@ -115,20 +140,20 @@ def hypergeom_series(spec: HypergeomSpec, arg: QExpansion, order: int) -> QExpan
             f"argument is only valid to order {arg.order}, cannot compose to order {order}"
         )
     step = int(arg.leading_exponent)
-    nterms = (order - 1) // step + 1
-    # c_n arg^n = r_n q^(n step) P_n with r_n = c_n / arg.den^n and integer
-    # P_n, so the sum is held as integers over the lcm of the r_n's denominators
-    ratios = [c / arg.den**n for n, c in enumerate(spec.coefficients(nterms))]
-    den = math.lcm(*(r.denominator for r in ratios))
-    total = [den] + [0] * (order - 1)
-    power = [1]
-    for n in range(1, nterms):
-        # arg^n starts at q^(n step): only its first order - n step terms reach the sum
-        power = _convolve(power, arg.nums, order - n * step)
-        scale = ratios[n].numerator * (den // ratios[n].denominator)
-        for i, x in enumerate(power, n * step):
-            total[i] += scale * x
-    return _from_ints(Fraction(0), total, den)
+    powers = _powers(arg, order)
+    top = len(powers) - 1
+    # c_n arg^n = nums[n] P_n q^(n step) / (dens[n] arg.den^n), and each of
+    # those denominators divides the last, over which the sum is held
+    nums, dens = spec._integer_coefficients(top + 1)
+    total = [0] * order
+    scale = 1  # dens[top] arg.den^top / (dens[n] arg.den^n)
+    for n in range(top, -1, -1):
+        c = nums[n] * scale
+        for i, x in enumerate(powers[n], n * step):
+            total[i] += c * x
+        if n:
+            scale *= dens[n] // dens[n - 1] * arg.den
+    return _from_ints(Fraction(0), total, dens[top] * arg.den**top)
 
 
 def minimal_exponents(k: int, lam: int) -> list[Fraction]:
@@ -170,9 +195,10 @@ def hypergeometric_generator(k: int, lam: int, order: int) -> VvmfVector:
 
     Each component is eta^E * q^c * v^c * F(1/J), where v is the
     unit-constant part of 1728/(jq) and every factor has leading
-    coefficient 1, so the result is already normalised.  The repeated
-    full-series products in ``hypergeom_series`` make this O(N^3); it is
-    the independent oracle for ``cyclic_generator``.
+    coefficient 1, so the result is already normalised.  The powers of
+    1728/j that ``hypergeom_series`` sums cost O(N^3), but they are built
+    once per order and shared by every component, so each component costs
+    O(N^2); it is the independent oracle for ``cyclic_generator``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -206,16 +232,42 @@ def hypergeometric_generator(k: int, lam: int, order: int) -> VvmfVector:
 
 def _apply_mlde(f: QExpansion, weight: Fraction, kappas) -> QExpansion:
     """The monic equation with ``kappas`` applied to ``f`` at ``weight`` by
-    repeated modular derivatives; valid to len(kappas)+1 orders less."""
+    repeated modular derivatives, not by the theta-form the recurrence
+    solves; valid to d = len(kappas)+1 orders less.
+
+    It runs on integer lists, to the n = f.order - d terms that stay
+    valid.  With f = q^(p/r) X / den, eis_2 = E / e and v = a / b, the
+    derivative D_v = theta + v eis_2 gives q^(p/r) X' / (den r e b) with
+    X'_m = e b (p + m r) X_m + a r (E X)_m.  Each D^i f is held over its
+    own denominator, and the terms D^d f and kappa_t eis_w D^(d-2-t) f are
+    summed over the lcm of theirs.
+    """
     d = len(kappas) + 1
-    valid = f.order - d
-    ds = [f]
+    n = f.order - d
+    if n < 1:
+        raise ValueError(f"an equation of order {d} needs a series of order above {d}, got {f.order}")
+    lam = f.leading_exponent
+    p, r = lam.numerator, lam.denominator
+    e2 = eisenstein(2, f.order)
+    ds = [(f.nums[:n], f.den)]
     for i in range(d):
-        ds.append(modular_derivative(ds[-1], weight + 2 * i))
-    res = ds[d]
-    for t, (kappa, w) in enumerate(zip(kappas, _FORMS)):
-        res = res + kappa * (eisenstein(w, f.order) * ds[d - 2 - t]).truncate(valid)
-    return res
+        xs, den = ds[-1]
+        v = weight + 2 * i
+        eb, ar = e2.den * v.denominator, v.numerator * r
+        ds.append((
+            [eb * (p + m * r) * x + ar * y for m, (x, y) in enumerate(zip(xs, _convolve(e2.nums, xs, n)))],
+            den * r * eb,
+        ))
+    terms = [ds[d]]
+    for kappa, w, (xs, den) in zip(kappas, _FORMS, reversed(ds[: d - 1])):
+        eis = eisenstein(w, f.order)
+        terms.append(([kappa.numerator * y for y in _convolve(eis.nums, xs, n)], den * eis.den * kappa.denominator))
+    lcd = math.lcm(*(den for _, den in terms))
+    total = [0] * n
+    for xs, den in terms:
+        scale = lcd // den
+        total = [t + scale * x for t, x in zip(total, xs)]
+    return _from_ints(lam, total, lcd)
 
 
 def mlde_residual(k: int, lam: int, order: int, gen: VvmfVector | None = None) -> list[QExpansion]:
@@ -227,9 +279,10 @@ def mlde_residual(k: int, lam: int, order: int, gen: VvmfVector | None = None) -
     The equation is ``mlde_equation(k, lam)``: its kappas come from the
     indicial roots in closed form, not from any component, so every
     component is checked from its leading term up.  It is applied by
-    repeated modular derivatives, not by the theta-form the recurrence
-    solves.  Dimension 2 has kappa_1 = -25/4, from the exponents {0, 1/4}
-    after removing the eta factor.
+    repeated modular derivatives on integer lists (``_apply_mlde``), not
+    by the theta-form the recurrence solves.  Dimension 2 has
+    kappa_1 = -25/4, from the exponents {0, 1/4} after removing the eta
+    factor.
     """
     weight, kappas = mlde_equation(k, lam)
     if order < 4:
@@ -311,13 +364,17 @@ def _published_tables() -> tuple:
     )
 
 
-def table_fixture_check(which: str) -> FixtureReport:
+def table_fixture_check(which: str, generator=None) -> FixtureReport:
     """Compare computed generators against the embedded five-coefficient
     expansion fixtures.  ``which`` is 'table1' (two components, odd k) or
     'table2' (three components, even k).  Mismatches are reported, not
     raised.  Each entry also carries the residual that the level's monic
     equation leaves on the published series: zero for a series that
-    solves it, so a non-zero residual shows the published side at fault."""
+    solves it, so a non-zero residual shows the published side at fault.
+
+    ``generator(k, lam)`` gives the (k, lam) generator to at least five
+    terms when the caller already holds them; by default each is built
+    here to five."""
     shift = {"table1": 1, "table2": 2}.get(which)
     if shift is None:
         raise ValueError(f"unknown table {which!r}; expected 'table1' or 'table2'")
@@ -325,7 +382,7 @@ def table_fixture_check(which: str) -> FixtureReport:
     for table, k, comps in _published_tables():
         if table != which:
             continue
-        gen = cyclic_generator(k, k - shift, 5)
+        gen = generator(k, k - shift) if generator else cyclic_generator(k, k - shift, 5)
         weight, kappas = mlde_equation(k, k - shift)
         for mu, published in comps:
             got = gen.component(mu)

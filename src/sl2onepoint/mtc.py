@@ -505,7 +505,7 @@ def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERA
     if not all(cmath.isfinite(z) for row in pair.s_matrix for z in row):
         raise ValueError("refusing a pair whose S-matrix has non-finite entries")
     dim = len(pair.basis)
-    # no longer needed, but the benchmark's mtc references pin this message (ROADMAP item 5)
+    # no longer needed, but the benchmark's mtc references pin this message (ROADMAP item 6)
     if dim > 20:
         raise ValueError(f"refusing subset enumeration for basis size {dim} > 20")
     tdiag = pair.t_diagonal

@@ -286,6 +286,7 @@ def test_verify_mtc_suite_builds_each_pair_once(capsys, monkeypatch):
 
 def test_verify_mlde_suite_builds_each_generator_once(capsys, monkeypatch):
     import sl2onepoint.generators as generators
+    from sl2onepoint import suites
 
     built = []
     real = generators.cyclic_generator
@@ -295,12 +296,39 @@ def test_verify_mlde_suite_builds_each_generator_once(capsys, monkeypatch):
         return real(k, lam, order)
 
     monkeypatch.setattr(generators, "cyclic_generator", counting)
-    code, out, _ = run(capsys, "verify", "--suite", "mlde", "--format", "json")
+    # the suites keep each generator for the process: start from none
+    suites._generator.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "--suite", "mlde", "--format", "json")
+    finally:
+        suites._generator.cache_clear()
     assert code == EXIT_OK
     assert json.loads(out) == {"suite": "mlde", "total": 10, "failed": 0, "failures": []}
     # six dimension-2 and four dimension-3 generators, each built once and
     # shared by its residual check and its hypergeometric comparison
     assert sorted(built) == sorted([(k, k - 1, 12) for k in range(3, 14, 2)] + [(k, k - 2, 13) for k in range(4, 11, 2)])
+
+
+def test_verify_tables_and_mlde_suites_share_each_generator(capsys, monkeypatch):
+    import sl2onepoint.generators as generators
+    from sl2onepoint import suites
+
+    built = []
+    real = generators.cyclic_generator
+    monkeypatch.setattr(generators, "cyclic_generator", lambda *key: built.append(key) or real(*key))
+    suites._generator.cache_clear()
+    try:
+        assert run(capsys, "verify", "--suite", "tables")[0] == EXIT_VERIFY_FAILED
+        assert run(capsys, "verify", "--suite", "mlde")[0] == EXIT_OK
+    finally:
+        suites._generator.cache_clear()
+    # the ten published (k, lambda) at the mlde suite's orders, built once for
+    # both suites, and the ten dimension-1 generators of the tables suite
+    assert sorted(built) == sorted(
+        [(k, k - 1, 12) for k in range(3, 14, 2)]
+        + [(k, k - 2, 13) for k in range(4, 11, 2)]
+        + [(k, k, 30) for k in range(2, 21, 2)]
+    )
 
 
 def test_verify_mtc_suite_reports_residuals_above_a_tight_tolerance(capsys):
@@ -671,6 +699,56 @@ def test_verify_tables_notes_give_published_residuals(capsys):
     notes = {f["check"]: f["note"] for f in json.loads(out)["failures"]}
     assert "q^1 residual -50/3 " in notes["table2 k=4 mu=1"]
     assert all("q^1 residual" in note for note in notes.values())
+
+
+# sha256 of the bytes ``verify --suite all`` prints in each format: 407
+# checks with the 8 documented table2 failures, whose notes are exact
+# fractions, so the bytes do not depend on the Python release
+_VERIFY_ALL_SHA256 = {
+    "json": "5ec2503a72d93cc00903a62d84c59afa9d8d93fb93f18e4efc7400a253ee6e73",
+    "table": "540ba89b7fa61de57363ba5d66caff460492da3f32d5263cffeba44f19d6511b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_VERIFY_ALL_SHA256))
+def test_verify_all_output_is_pinned_byte_for_byte(capsys, fmt):
+    import hashlib
+
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", fmt)
+    assert code == EXIT_VERIFY_FAILED
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_ALL_SHA256[fmt], out
+
+
+def test_verify_all_equals_each_suite_run_alone():
+    """Each suite, run alone in a fresh interpreter, gives the same checks
+    (name, verdict and note) as its share of ``verify --suite all`` in
+    another, in the same order: no suite passes only because one before
+    it filled a cache (the powers of 1728/j, the shared generators)."""
+    import os
+    import subprocess
+    import sys
+
+    import sl2onepoint
+    from sl2onepoint import suites
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import json, sys\n"
+        "from sl2onepoint import cli, suites\n"
+        "print(json.dumps([c for name in sys.argv[1:] for c in suites.SUITES[name](cli.RunConfig())]))"
+    )
+
+    def checks(*names):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *names], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    together = checks(*suites.SUITES)
+    assert len(together) == 407
+    assert together == [check for name in suites.SUITES for check in checks(name)]
 
 
 def test_verify_suite_choices_name_every_suite():

@@ -432,6 +432,74 @@ def test_mlde_rejects_dimension_one():
         mlde_residual(3, 2, 3)
 
 
+# -- the equation applied on integer lists, against the composed oracle --------
+
+
+def _verify_mlde_inputs():
+    """The 48 (series, weight, kappas) that ``verify`` applies the monic
+    equations to: the components of its mlde suite's ten generators, at
+    that suite's orders, and the 24 published series."""
+    inputs = []
+    for shift, levels, order in ((1, range(3, 14, 2), 12), (2, range(4, 11, 2), 13)):
+        for k in levels:
+            weight, kappas = mlde_equation(k, k - shift)
+            inputs += [(comp, weight, kappas) for _, comp in cyclic_generator(k, k - shift, order).components]
+    for table, k, comps in generator_checks._published_tables():
+        weight, kappas = mlde_equation(k, k - (1 if table == "table1" else 2))
+        inputs += [(series, weight, kappas) for _, series in comps]
+    return inputs
+
+
+def test_integer_mlde_application_equals_the_oracle_on_verify_inputs():
+    inputs = _verify_mlde_inputs()
+    assert len(inputs) == 48
+    for f, weight, kappas in inputs:
+        assert generator_checks._apply_mlde(f, weight, kappas) == apply_monic_operator(f, weight, kappas)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.fractions(-3, 3, max_denominator=24),
+    st.integers(4, 20).flatmap(
+        lambda n: st.lists(st.fractions(-10**6, 10**6, max_denominator=10**4), min_size=n, max_size=n)
+    ),
+    st.fractions(-12, 12, max_denominator=12),
+    st.integers(2, 3).flatmap(
+        lambda d: st.lists(st.fractions(-10**4, 10**4, max_denominator=10**3), min_size=d - 1, max_size=d - 1)
+    ),
+)
+def test_integer_mlde_application_equals_the_oracle(exponent, coeffs, weight, kappas):
+    # any exponent p/r, numerators and denominators, orders 4-20, d = 2 and 3
+    f = QExpansion(exponent, coeffs)
+    got = generator_checks._apply_mlde(f, weight, tuple(kappas))
+    assert got == apply_monic_operator(f, weight, tuple(kappas))
+    assert got.order == f.order - len(kappas) - 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_integer_mlde_application_refuses_series_of_order_at_most_d(d):
+    kappas = (F(-25, 4), F(3))[: d - 1]
+    for order in range(d + 1):
+        f = QExpansion(F(1, 4), [F(1)] * order)
+        with pytest.raises(ValueError):
+            generator_checks._apply_mlde(f, F(1, 2), kappas)
+        with pytest.raises(ValueError):  # as the composition refuses it
+            apply_monic_operator(f, F(1, 2), kappas)
+    assert generator_checks._apply_mlde(QExpansion(F(1, 4), [F(1)] * (d + 1)), F(1, 2), kappas).order == 1
+
+
+def test_powers_of_j_inverse_are_built_once_per_order():
+    # every component of every generator at one order shares its powers of 1728/j
+    generator_checks._powers.cache_clear()
+    try:
+        for k, lam in ((10, 8), (4, 2), (9, 8)):
+            hypergeometric_generator(k, lam, 13)
+        info = generator_checks._powers.cache_info()
+    finally:
+        generator_checks._powers.cache_clear()
+    assert (info.misses, info.hits) == (1, 7)
+
+
 def test_dim3_kappa_indicial_roots():
     # the solved coefficients reproduce the exponents as indicial roots
     for k in (4, 6, 8, 10):
