@@ -34,20 +34,19 @@ uses them: ``generators`` in ``cmd_expand``, ``repanalysis`` in
 ``cmd_classify``, ``mtc`` in ``cmd_mtc``, and the verification suites
 (``suites``, which import what they check) in ``cmd_verify``.  Compiling
 and running a module adds to the start of every process, which the other
-subcommands would pay for nothing.  Without a bytecode cache
-(``python -X importtime``, cumulative, best of 25 fresh processes on 2
-cores, Python 3.11) importing this module, with ``sl2data``, takes about
-11.5 ms, where ``argparse`` and ``json`` would add 4 ms and building the
-argparse parser 2 ms more; ``expand`` adds 10 ms (``qseries`` 6,
-``generators`` 4), ``classify`` 2.5 ms (``repanalysis``), ``mtc`` 8 ms,
-and ``verify --suite all`` 31 ms, of which ``suites`` takes 2.  An
-``mtc`` job compiles only the modular pair: the 6j-symbols and the
-ordinary modular data are ``sixj``, which ``verify --suite mtc`` loads;
-measured again in the same way, that split took ``mtc`` from 6.2 to
-5.8 ms.  Only ``sl2data``, which every layer
-imports, loads with this module; ``qseries`` loads with ``generators``
-alone, and ``generator_checks``, the oracles that only ``verify`` and the
-tests call, with ``verify`` alone.  The records are named tuples built by
+subcommands would pay for nothing.  Measured with ``python -X importtime``
+under ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` (cumulative,
+best of 15 fresh processes on a 2-core Xeon, Python 3.11), importing this
+module, with ``sl2data``, takes about 7.5 ms, where ``argparse`` and
+``json`` would add 3 ms and building the argparse parser 2 ms more;
+``expand`` adds 6 ms (``generators`` with ``qseries``), ``classify``
+1.7 ms (``repanalysis``), ``mtc`` 4.7 ms, and ``verify --suite all``
+21.5 ms, of which ``suites`` takes 1.6.  An ``mtc`` job compiles only
+the modular pair: the 6j-symbols and the ordinary modular data are
+``sixj``, which ``verify --suite mtc`` loads.  Only ``sl2data``, which
+every layer imports, loads with this module; ``qseries`` loads with
+``generators`` alone, and ``generator_checks``, the oracles that only
+``verify`` and the tests call, with ``verify`` alone.  The records are named tuples built by
 ``collections.namedtuple``, so no subcommand loads ``dataclasses`` (and
 ``inspect`` with it), which took about 10 ms of every start, nor
 ``typing``, which costs 3.5-4.5 ms where ``site`` does not preload it.

@@ -14,9 +14,8 @@ never a user error).  These residuals are the only precision guard.
 
 What an ``mtc`` job never runs lives in ``sixj``: the general 6j-symbol
 ``six_j`` and its kernel ``_six_j2``, ``quantum_integer``, the character
-S-matrix, the Verlinde formula and ``adjoint_members``.  The module
-``__getattr__`` below resolves those names from there on first use, so
-``mtc.six_j`` still works and an ``mtc`` job does not compile ``sixj``.
+S-matrix, the Verlinde formula and ``adjoint_members``, so an ``mtc`` job
+does not compile them; import those names from ``sixj``.
 
 Per-level state lives in one table, the immutable ``MtcLevelData`` that
 ``f_r_g_matrices`` builds once and caches by level: the twists, quantum
@@ -147,15 +146,9 @@ from .sl2data import (
     xi_set,
 )
 
-# the public names of ``sixj``, resolved by ``__getattr__``
-_SIXJ = (
-    "quantum_integer",
-    "six_j",
-    "character_s_matrix",
-    "adjoint_members",
-    "verlinde_fusion",
-    "verlinde_numbers",
-)
+# Names of ``sixj`` that ``__getattr__`` still resolves here: only the one the
+# benchmark's tracer looks up by this module (ROADMAP item 6).
+_SIXJ = ("verlinde_fusion",)
 
 __all__ = [
     "DEFAULT_TOLERANCE",

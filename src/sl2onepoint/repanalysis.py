@@ -1,7 +1,6 @@
 """Representation-level classification of the modular-group actions.
 
-Minimal admissible exponent sets, the weight lower bound (defined in
-``sl2data`` and re-exported here), Hilbert-Poincare graded dimensions of
+Minimal admissible exponent sets, Hilbert-Poincare graded dimensions of
 the cyclic operator modules, closed-form dimension formulas for
 dimensions 1-3, the order of the diagonal T-action, a sufficient
 irreducibility test via subproducts of T-eigenvalues, and a rule engine
@@ -18,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnsupportedDimensionError
-from .sl2data import RepSignature, rep_dimension, rho_t, weight_lower_bound
+from .sl2data import RepSignature, rep_dimension, rho_t
 
 __all__ = [
     "AdmissibleSet",
@@ -29,7 +28,6 @@ __all__ = [
     "IRREDUCIBLE",
     "INCONCLUSIVE",
     "minimal_admissible_set",
-    "weight_lower_bound",
     "hp_coefficient",
     "graded_dimension",
     "t_order",
@@ -151,18 +149,24 @@ def irreducibility_subproduct_test(sig: RepSignature) -> str:
     irreducible.  Inconclusive otherwise (the criterion is one-sided).
 
     Subset sums of the 12 r_i are decided by their residues modulo the
-    common denominator m, in O(d m) steps.  When all d residues sum to 0,
-    a qualifying proper subset or its complement omits the last exponent,
-    so only subsets of the first d - 1 are searched.
+    common denominator m.  When all d residues sum to 0, a qualifying
+    proper subset or its complement omits the last exponent, so only
+    subsets of the first d - 1 are searched.  The reachable sums are the
+    bits of one m-bit integer, rotated by each residue in turn: at most d
+    shifts of m bits, stopping at the first subset that reaches 0.
     """
-    m = math.lcm(*((12 * r).denominator for r in sig.t_exponents))
-    residues = [int(12 * r * m) % m for r in sig.t_exponents]
+    exps = sig.t_exponents
+    m = math.lcm(*(r.denominator // math.gcd(r.denominator, 12) for r in exps))
+    residues = [12 * r.numerator * m // r.denominator % m for r in exps]
     if sum(residues) % m == 0:
         residues.pop()
-    sums: set[int] = set()
+    full = (1 << m) - 1
+    sums = 0  # bit s set: some non-empty subset so far sums to s mod m
     for a in residues:
-        sums |= {(s + a) % m for s in sums} | {a}
-    return INCONCLUSIVE if 0 in sums else IRREDUCIBLE
+        sums |= (((sums << a) | (sums >> (m - a))) & full) | (1 << a)
+        if sums & 1:
+            return INCONCLUSIVE
+    return IRREDUCIBLE
 
 
 def prime_power_parameters(k: int) -> tuple[int, int] | None:

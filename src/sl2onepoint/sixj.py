@@ -6,9 +6,9 @@ table alone, never compiles it: the general 6j-symbol ``six_j`` with its
 Kirillov-Reshetikhin kernel ``_six_j2``, the unscaled ``quantum_integer``,
 the character S-matrix, the Verlinde formula and the fusion sweep of
 ``adjoint_members``.  The kernel reads the rescaled tables of
-``mtc.f_r_g_matrices``; ``mtc`` resolves every name here on first use
-through its module ``__getattr__``, so ``mtc.six_j`` and the other old
-spellings still work.
+``mtc.f_r_g_matrices``.  Each name here has this module as its one home;
+``mtc`` resolves only ``verlinde_fusion`` from here, through its module
+``__getattr__``, for the benchmark's tracer.
 
 Label conventions as in ``mtc``: integer labels 0..k; 6j-symbols take
 the spin (half label) values.

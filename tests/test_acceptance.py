@@ -26,7 +26,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from sl2onepoint import bgg, generators, mtc, repanalysis, sl2data
+from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sixj, sl2data
 from sl2onepoint.qseries import QExpansion, eta_power, euler_product
 
 from mlde_oracle import apply_monic_operator, indicial_kappas
@@ -45,7 +45,7 @@ def _report(criterion: str, passed: bool, detail: str = "") -> bool:
 
 def test_criterion_01_table1_reproduction():
     start = time.perf_counter()
-    report = generators.table_fixture_check("table1")
+    report = generator_checks.table_fixture_check("table1")
     elapsed = time.perf_counter() - start
     ok = report.all_passed and len(report.entries) == 12
     ok = _report(
@@ -59,7 +59,7 @@ def test_criterion_01_table1_reproduction():
 
 def test_criterion_02_table2_reproduction():
     start = time.perf_counter()
-    report = generators.table_fixture_check("table2")
+    report = generator_checks.table_fixture_check("table2")
     elapsed = time.perf_counter() - start
     problems, exact, off_equation = [], 0, []
     for k in sorted({e.level for e in report.entries}):
@@ -119,10 +119,10 @@ def test_criterion_03_dimension_one_identity():
 def test_criterion_04_mlde_annihilation():
     ok = True
     for k in range(3, 14, 2):
-        residuals = generators.mlde_residual(k, k - 1, 12)
+        residuals = generator_checks.mlde_residual(k, k - 1, 12)
         ok = ok and all(r.is_zero() and r.order >= 10 for r in residuals)
     for k in range(4, 11, 2):
-        residuals = generators.mlde_residual(k, k - 2, 13)
+        residuals = generator_checks.mlde_residual(k, k - 2, 13)
         ok = ok and all(r.is_zero() and r.order >= 10 for r in residuals)
     ok = _report(
         "criterion 4: exact differential-equation residuals vanish through order 10", ok
@@ -195,14 +195,14 @@ def test_criterion_09_s0_and_verlinde():
     worst = 0.0
     for k in range(0, 11):
         pair = mtc.gen_modular_pair(k, 0, TOL)
-        diff = np.asarray(pair.s_matrix) - np.asarray(mtc.character_s_matrix(k))
+        diff = np.asarray(pair.s_matrix) - np.asarray(sixj.character_s_matrix(k))
         worst = max(worst, float(np.max(np.abs(diff))))
     ok = worst < TOL
     for k in range(0, 9):
         for lam in range(k + 1):
             for mu in range(k + 1):
                 for nu in range(k + 1):
-                    got = round(mtc.verlinde_fusion(k, lam, mu, nu))
+                    got = round(sixj.verlinde_fusion(k, lam, mu, nu))
                     ok = ok and got == sl2data.fusion_coefficient(k, lam, mu, nu)
     ok = _report(
         "criterion 9: S^(0) equals the character S-matrix; Verlinde numbers equal fusion rules",

@@ -1,7 +1,8 @@
 """Each library module's ``__all__`` is its public API: every listed name
 exists, and every public function or class the module defines is listed.
-Names a module re-exports from another may be listed too.  Every record
-the layers return is immutable."""
+Every public name has one home: the only names an ``__all__`` takes from
+another module are the four the benchmark's tracer looks up there.  Every
+record the layers return is immutable."""
 
 import importlib
 import inspect
@@ -27,19 +28,47 @@ def test_all_lists_exactly_the_public_definitions(name):
     assert [n for n in defined if n not in listed] == []
 
 
+# the names ``perfbench/tracer.py`` looks up outside their home (ROADMAP item 6)
+TRACER_PINS = {
+    "generators.hypergeom_series": "generator_checks",
+    "generators.mlde_residual": "generator_checks",
+    "generators.table_fixture_check": "generator_checks",
+    "mtc.verlinde_fusion": "sixj",
+}
+
+
+def test_every_public_name_has_one_home():
+    """A name listed in an ``__all__`` is defined in that module, or is one
+    of the tracer's pins, resolved from its home as the same object."""
+    foreign = {}
+    for name in MODULES:
+        module = importlib.import_module(f"sl2onepoint.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            home = getattr(obj, "__module__", module.__name__) if callable(obj) else module.__name__
+            if attr not in vars(module) or home != module.__name__:
+                foreign[f"{name}.{attr}"] = home.rpartition(".")[2]
+    assert foreign == TRACER_PINS
+    for spelling, home in TRACER_PINS.items():
+        module, attr = spelling.split(".")
+        owner = importlib.import_module(f"sl2onepoint.{home}")
+        assert attr in owner.__all__
+        assert getattr(importlib.import_module(f"sl2onepoint.{module}"), attr) is getattr(owner, attr)
+
+
 def _records():
-    from sl2onepoint import bgg, generators, mtc, repanalysis, sl2data
+    from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sl2data
     from sl2onepoint.cli import RunConfig
 
     sig = sl2data.rho_t(5, 2)
-    report = generators.table_fixture_check("table1")
+    report = generator_checks.table_fixture_check("table1")
     return [
         sig,
         repanalysis.minimal_admissible_set(sig, 0),
         repanalysis.congruence_classify(5, 4),
         bgg.simple_character(3, 2, 3),
         generators.cyclic_generator(3, 2, 5),
-        generators.HypergeomSpec((1,), (2,)),
+        generator_checks.HypergeomSpec((1,), (2,)),
         report,
         report.entries[0],
         mtc.f_r_g_matrices(4),

@@ -1,6 +1,7 @@
 """Admissible sets, graded dimensions, T-orders, irreducibility and the
 congruence rule engine."""
 
+import math
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -23,9 +24,14 @@ from sl2onepoint.repanalysis import (
     prime_power_parameters,
     prime_power_rule_applies,
     t_order,
+)
+from sl2onepoint.sl2data import (
+    RepSignature,
+    conformal_weight,
+    leading_exponents,
+    rho_t,
     weight_lower_bound,
 )
-from sl2onepoint.sl2data import RepSignature, conformal_weight, leading_exponents, rho_t
 
 
 # -- admissible sets -------------------------------------------------------
@@ -247,6 +253,36 @@ def test_subproduct_residues_equal_enumeration():
 
 def test_subproduct_decides_large_dimension():
     assert irreducibility_subproduct_test(rho_t(24, 2)) == INCONCLUSIVE  # dimension 23
+    assert irreducibility_subproduct_test(rho_t(5000, 0)) == INCONCLUSIVE  # dimension 5001
+
+
+def subproduct_by_residue_sets(sig):
+    """The subproduct criterion by residues modulo the common denominator m,
+    with the reachable sums held as a set of ints: O(d m) set work, where
+    the library shifts one m-bit integer.  It stops once 0 is reachable."""
+    m = math.lcm(*((12 * r).denominator for r in sig.t_exponents))
+    residues = [int(12 * r * m) % m for r in sig.t_exponents]
+    if sum(residues) % m == 0:
+        residues.pop()
+    sums = set()
+    for a in residues:
+        sums |= {(s + a) % m for s in sums} | {a}
+        if 0 in sums:
+            return INCONCLUSIVE
+    return IRREDUCIBLE
+
+
+def test_subproduct_bitset_equals_residue_sets():
+    """Every level up to 300 at lambda 0 and 2, the largest dimensions, and
+    in dimensions up to 8, where every irreducible verdict of k <= 300 lies."""
+    cases = [(k, lam) for k in range(301) for lam in range(0, k + 1, 2) if lam <= 2 or k - lam < 8]
+    assert len(cases) == 1776
+    verdicts = []
+    for k, lam in cases:
+        sig = rho_t(k, lam)
+        verdicts.append(irreducibility_subproduct_test(sig))
+        assert verdicts[-1] == subproduct_by_residue_sets(sig), (k, lam)
+    assert verdicts.count(IRREDUCIBLE) == 599
 
 
 # -- congruence rule engine ------------------------------------------------------------
@@ -321,6 +357,29 @@ def test_congruence_undetermined_cases():
     verdict = congruence_classify(23, 2)
     assert verdict.status == UNDETERMINED
     assert verdict.basis == "thm-prime-power-conditional"
+
+
+def test_congruence_prime_power_noncongruence():
+    """The prime-power rule's non-congruence verdict, conditional on the
+    subproduct test: (9, 4), k + 2 = 11, dimension 6, is its first case."""
+    assert prime_power_rule_applies(9, 4)
+    assert irreducibility_subproduct_test(rho_t(9, 4)) == IRREDUCIBLE
+    assert congruence_classify(9, 4) == CongruenceVerdict(NONCONGRUENCE, None, "thm-prime-power")
+    bases = []
+    for k in range(61):
+        for lam in range(0, k - 2, 2):  # dimension 4 and up
+            if not prime_power_rule_applies(k, lam):
+                want = "no-rule"
+            elif subproduct_by_residue_sets(rho_t(k, lam)) == IRREDUCIBLE:
+                want = "thm-prime-power"
+            else:
+                want = "thm-prime-power-conditional"
+            verdict = congruence_classify(k, lam)
+            assert verdict.basis == want, (k, lam)
+            assert verdict.status == (NONCONGRUENCE if want == "thm-prime-power" else UNDETERMINED)
+            bases.append(want)
+    assert bases.count("thm-prime-power") == 16
+    assert bases.count("thm-prime-power-conditional") == 224
 
 
 def test_congruence_rule_order_shields_dim_two():
