@@ -4,11 +4,10 @@ operator algebra at non-negative integer level.
 Subpackages:
 
 - :mod:`sl2onepoint.qseries` -- exact truncated q-series ring and the
-  standard modular constructors (Eisenstein, eta powers, 1728/j, modular
-  derivative).
+  standard modular constructors (Eisenstein, eta powers, 1728/j).
 - :mod:`sl2onepoint.sl2data` -- level/weight bookkeeping: conformal
   weights, fusion rules, intertwiner label sets, T-exponents, multiplier
-  systems, holomorphy and saturation classification.
+  systems.
 - :mod:`sl2onepoint.generators` -- cyclic vector-valued-modular-form
   generators in dimensions 1-3, built from their differential equations.
 - :mod:`sl2onepoint.generator_checks` -- what the generators are checked
@@ -17,7 +16,8 @@ Subpackages:
 - :mod:`sl2onepoint.bgg` -- truncated two-variable characters of simple
   highest-weight modules via the BGG resolution.
 - :mod:`sl2onepoint.repanalysis` -- admissible sets, graded dimensions,
-  T-orders, irreducibility and congruence classification.
+  T-orders, the weight bound, holomorphy and saturation, irreducibility
+  and congruence classification: what ``classify`` reports.
 - :mod:`sl2onepoint.mtc` -- numerical modular-tensor-category data:
   the generalised modular pairs acting on self-coupling spaces, built
   from the level's table and certified by their relations.

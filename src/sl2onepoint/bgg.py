@@ -17,8 +17,6 @@ above the ground state; rows are sparse maps from z-exponent to an
 integer.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 

@@ -34,25 +34,30 @@ uses them: ``generators`` in ``cmd_expand``, ``repanalysis`` in
 ``cmd_classify``, ``mtc`` in ``cmd_mtc``, and the verification suites
 (``suites``, which import what they check) in ``cmd_verify``.  Compiling
 and running a module adds to the start of every process, which the other
-subcommands would pay for nothing.  Measured with ``python -X importtime``
-under ``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` (cumulative,
-best of 15 fresh processes on a 2-core Xeon, Python 3.11), importing this
-module, with ``sl2data``, takes about 7.5 ms, where ``argparse`` and
-``json`` would add 3 ms and building the argparse parser 2 ms more;
-``expand`` adds 6 ms (``generators`` with ``qseries``), ``classify``
-1.7 ms (``repanalysis``), ``mtc`` 4.7 ms, and ``verify --suite all``
-21.5 ms, of which ``suites`` takes 1.6.  An ``mtc`` job compiles only
-the modular pair: the 6j-symbols and the ordinary modular data are
-``sixj``, which ``verify --suite mtc`` loads.  Only ``sl2data``, which
-every layer imports, loads with this module; ``qseries`` loads with
-``generators`` alone, and ``generator_checks``, the oracles that only
-``verify`` and the tests call, with ``verify`` alone.  The records are named tuples built by
+subcommands would pay for nothing.  So ``cmd_classify`` and
+``cmd_verify`` only dispatch: what they print comes from
+``repanalysis.classification_report`` and ``suites.report``, compiled
+only by their own jobs.  Measured with ``python -X importtime`` under
+``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__`` (cumulative, best
+of 15 fresh processes on a 2-core Xeon, Python 3.11), importing this
+module takes about 3.5 ms, where ``argparse`` and ``json`` would add
+3.6 ms and building the argparse parser 2.1 ms more; ``expand`` adds
+11.3 ms (``generators`` with ``qseries`` and ``sl2data``), ``classify``
+6.7 ms (``repanalysis`` with ``sl2data``), ``mtc`` 8.4 ms (with
+``sl2data``), and ``verify --suite all`` 30 ms, of which ``suites``
+with ``sl2data`` takes 6.1.  An ``mtc`` job compiles only the modular
+pair: the 6j-symbols and the ordinary modular data are ``sixj``, which
+``verify --suite mtc`` loads.  No layer loads with this module:
+``sl2data``, the level data, loads with the first layer a job imports,
+``qseries`` with ``generators`` alone, and ``generator_checks``, the
+oracles that only ``verify`` and the tests call, with ``verify`` alone.
+No module of the package imports ``__future__``, and an ``mtc`` job
+takes its phases from ``math``, not ``cmath``: each costs about half a
+millisecond to load.  The records are named tuples built by
 ``collections.namedtuple``, so no subcommand loads ``dataclasses`` (and
 ``inspect`` with it), which took about 10 ms of every start, nor
 ``typing``, which costs 3.5-4.5 ms where ``site`` does not preload it.
 """
-
-from __future__ import annotations
 
 import math
 import os
@@ -61,7 +66,6 @@ import time
 from collections import namedtuple
 from types import SimpleNamespace
 
-from . import sl2data
 from .errors import (
     DegenerateMldeError,
     InternalInconsistencyError,
@@ -146,43 +150,9 @@ def cmd_expand(k: int, lam: int, config: RunConfig) -> int:
 
 
 def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
-    from . import repanalysis
+    from .repanalysis import classification_report
 
-    sig = sl2data.rho_t(k, lam)
-    exponents = sl2data.leading_exponents(k, lam)
-    try:
-        holomorphy = sl2data.holomorphy_classify(k, lam)
-    except UnsupportedDimensionError:
-        holomorphy = None  # no sharp refinement above dimension 3
-    verdict = repanalysis.congruence_classify(k, lam)
-    irred = repanalysis.irreducibility_subproduct_test(sig)
-    payload = {
-        "level": k,
-        "lambda": lam,
-        "dimension": sig.dimension,
-        "leading_exponents": [str(x) for x in exponents],
-        "rho_t": sig.to_json(),
-        "t_order": repanalysis.t_order(k, lam),
-        "irreducibility": irred,
-        "congruence": verdict.to_json(),
-        "holomorphy": holomorphy,
-        "saturation": sl2data.saturation_check(k, lam),
-    }
-    lines = [
-        f"level={k} lambda={lam}: dimension {sig.dimension}",
-        "  leading exponents: " + ", ".join(map(str, exponents)),
-        "  T-exponents: " + ", ".join(map(str, sig.t_exponents)),
-        f"  order of T-action: {payload['t_order']}",
-        f"  irreducibility (subproduct test): {irred}",
-        f"  congruence: {verdict.status}"
-        + (f" (level {verdict.congruence_level})" if verdict.congruence_level else "")
-        + f" [{verdict.basis}]",
-        f"  holomorphy: {holomorphy if holomorphy else 'holomorphic (no sharp refinement above dimension 3)'}",
-        f"  weight-bound saturation: {payload['saturation']}",
-    ]
-    if verdict.status == repanalysis.UNDETERMINED and sig.dimension >= 4:
-        lines.append("  hint: run `sl2onepoint mtc` for the categorical irreducibility probe")
-        payload["hint"] = "mtc"
+    payload, lines = classification_report(k, lam)
     _emit(lambda: payload, config, lines)
     return EXIT_OK
 
@@ -223,23 +193,11 @@ def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
 
 
 def cmd_verify(suite: str, config: RunConfig) -> int:
-    from . import suites
+    from .suites import report
 
-    checks = []
-    for key in suites.SUITES if suite == "all" else (suite,):
-        checks.extend(suites.SUITES[key](config))
-    failures = [(name, note) for name, ok, note in checks if not ok]
-    payload = {
-        "suite": suite,
-        "total": len(checks),
-        "failed": len(failures),
-        "failures": [{"check": name, "note": note} for name, note in failures],
-    }
-    lines = [f"suite {suite}: {len(checks) - len(failures)}/{len(checks)} checks passed"]
-    for name, note in failures:
-        lines.append(f"  FAIL {name}" + (f": {note}" if note else ""))
+    payload, lines = report(suite, config)
     _emit(lambda: payload, config, lines)
-    return EXIT_OK if not failures else EXIT_VERIFY_FAILED
+    return EXIT_OK if not payload["failed"] else EXIT_VERIFY_FAILED
 
 
 # -- argument plumbing ---------------------------------------------------

@@ -21,8 +21,6 @@ published five-coefficient tables embedded in
 ``data/published_tables.json``.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os
@@ -50,7 +48,8 @@ from .qseries import (
     one,
     series_pow_rational,
 )
-from .sl2data import form_weight, leading_exponents, weight_lower_bound, xi_set
+from .repanalysis import weight_lower_bound
+from .sl2data import form_weight, leading_exponents, xi_set
 
 __all__ = [
     "HypergeomSpec",

@@ -23,8 +23,6 @@ lives in ``generator_checks``, so that an ``expand`` job compiles only
 the construction; import those names from there.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from collections import namedtuple

@@ -122,9 +122,6 @@ label) values.  All self-couplings here are multiplicity-free, so no
 degeneracy indices appear.
 """
 
-from __future__ import annotations
-
-import cmath
 import math
 import sys
 import time
@@ -178,8 +175,11 @@ _QUARTER_TURNS = (1, 1j, -1, -1j)
 
 def _e(x) -> complex:
     """e(x) = exp(2 pi i x), with x reduced mod 1 first; exactly, when x
-    is a Fraction, as every caller passes."""
-    return cmath.exp(2j * cmath.pi * float(x % 1))
+    is a Fraction, as every caller passes.  It is cos t + i sin t at t =
+    2 pi x, the value ``cmath.exp(2j * cmath.pi * x)`` gives float for
+    float (``tests/mtc_oracle.py``), without loading ``cmath``."""
+    t = 2.0 * math.pi * float(x % 1)
+    return complex(math.cos(t), math.sin(t))
 
 
 def _precision_loss(k: int, *doubled: int, reason: str = "its factorial products underflow") -> PrecisionLossError:
@@ -192,7 +192,7 @@ def _precision_loss(k: int, *doubled: int, reason: str = "its factorial products
     )
 
 
-def _s_rows(data: MtcLevelData, p: int, basis: tuple[int, ...]) -> tuple[list[list[complex]], int]:
+def _s_rows(data: "MtcLevelData", p: int, basis: tuple[int, ...]) -> tuple[list[list[complex]], int]:
     """The rows of S^(p) on ``basis`` = (p/2, ..., k - p/2), by the m-form
     of the module docstring, and the number of 6j-symbols they sum.
 
@@ -411,6 +411,11 @@ def _row_norm(row) -> float:
     return math.hypot(*map(abs, row))
 
 
+def _finite(z: complex) -> bool:
+    """Whether both parts of z are finite, as ``cmath.isfinite`` says."""
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 def _nan_max(values) -> float:
     """The largest of ``values``, NaN if any of them is NaN."""
     values = list(values)
@@ -495,7 +500,10 @@ def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERA
     from basis vector 0, one along the edges and one against them, decide
     that in O(d^2).  A pair whose S is not finite everywhere is refused
     with ``ValueError``."""
-    if not all(cmath.isfinite(z) for row in pair.s_matrix for z in row):
+    s = pair.s_matrix
+    # a row's sum is finite when every entry is, unless it overflows, so
+    # the entries are tested one by one only where a sum is not
+    if not all(map(_finite, map(sum, s))) and not all(_finite(z) for row in s for z in row):
         raise ValueError("refusing a pair whose S-matrix has non-finite entries")
     dim = len(pair.basis)
     # no longer needed, but the benchmark's mtc references pin this message (ROADMAP item 6)
@@ -506,7 +514,6 @@ def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERA
         for b in range(a + 1, dim):
             if abs(tdiag[a] - tdiag[b]) <= tolerance:
                 return "inconclusive"
-    s = pair.s_matrix
     # along the edges i -> o, then against them
     for coupled in (lambda i, o: s[o][i], lambda o, i: s[o][i]):
         reached, stack = {0}, [0]

@@ -17,12 +17,11 @@ have equal (lam, den, nums).  ``coeffs``, the reduced Fractions, are kept when
 a series is built from them and otherwise built once, on first use.
 
 Alongside the ring operations this module provides the standard modular
-constructors (Bernoulli numbers, Eisenstein series, Dedekind eta powers,
-the reciprocal of the normalised j-invariant) and the modular derivative
-``q d/dq + weight * E2``.
+constructors: Bernoulli numbers, Eisenstein series, Dedekind eta powers
+and the reciprocal of the normalised j-invariant.  The modular derivative
+``q d/dq + weight * E2``, which only tests apply, is in
+``tests/mlde_oracle.py``.
 """
-
-from __future__ import annotations
 
 import math
 from fractions import Fraction
@@ -43,7 +42,6 @@ __all__ = [
     "series_mul",
     "series_div",
     "series_pow_rational",
-    "modular_derivative",
 ]
 
 
@@ -469,16 +467,3 @@ def j_inverse(order: int) -> QExpansion:
             "discriminant from eta^24 disagrees with (E4^3 - E6^2)/1728"
         )
     return series_div(1728 * delta_eta, e4cubed.truncate(order))
-
-
-def modular_derivative(f: QExpansion, weight) -> QExpansion:
-    """(q d/dq) f + weight * eis_2 * f, valid to one order less than f."""
-    w = _frac(weight)
-    if f.order < 2:
-        raise ValueError("modular derivative needs at least 2 valid coefficients")
-    lam = f.leading_exponent
-    p, r = lam.numerator, lam.denominator
-    # q d/dq sends q^(lam+n) to ((p + n r)/r) q^(lam+n)
-    qd = _from_ints(lam, [(p + n * r) * x for n, x in enumerate(f.nums)], f.den * r)
-    result = qd + w * (eisenstein(2, f.order) * f)
-    return result.truncate(f.order - 1)

@@ -3,13 +3,14 @@
 Minimal admissible exponent sets, Hilbert-Poincare graded dimensions of
 the cyclic operator modules, closed-form dimension formulas for
 dimensions 1-3, the order of the diagonal T-action, a sufficient
-irreducibility test via subproducts of T-eigenvalues, and a rule engine
-for congruence/non-congruence verdicts.  The rule engine is deliberately
-not a decision procedure: "undetermined" is a first-class outcome
-carrying the identifier of the last rule consulted.
+irreducibility test via subproducts of T-eigenvalues, the weight bound
+12*(sum of exponents)/d + 1 - d with the holomorphy and weight-saturation
+classification, and a rule engine for congruence/non-congruence
+verdicts.  The rule engine is deliberately not a decision procedure:
+"undetermined" is a first-class outcome carrying the identifier of the
+last rule consulted.  ``classification_report`` gathers all of it for
+one (k, lambda), as ``sl2onepoint classify`` prints it.
 """
-
-from __future__ import annotations
 
 import math
 from collections import namedtuple
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnsupportedDimensionError
-from .sl2data import RepSignature, rep_dimension, rho_t
+from .sl2data import RepSignature, form_weight, leading_exponents, rep_dimension, rho_t
 
 __all__ = [
     "AdmissibleSet",
@@ -36,6 +37,13 @@ __all__ = [
     "prime_power_parameters",
     "prime_power_rule_applies",
     "NONCONGRUENCE_ORDER_BOUND",
+    "HOLOMORPHIC_EQUAL",
+    "HOLOMORPHIC_PROPER",
+    "WEAKLY_ONLY",
+    "holomorphy_classify",
+    "weight_lower_bound",
+    "saturation_check",
+    "classification_report",
 ]
 
 CONGRUENCE = "congruence"
@@ -45,6 +53,14 @@ IRREDUCIBLE = "irreducible"
 INCONCLUSIVE = "inconclusive"
 
 NONCONGRUENCE_ORDER_BOUND = 2**8 * 3**4 * 5**2 * 7**2
+
+HOLOMORPHIC_EQUAL = "holomorphic_equal"
+HOLOMORPHIC_PROPER = "holomorphic_proper"
+WEAKLY_ONLY = "weakly_only"
+
+# Ranges of k for which torus one-point functions exhaust the holomorphic
+# forms, per dimension d = k - lambda + 1.  Sharp, hence table-driven.
+_EQUALITY_RANGES = {1: (2, 14), 2: (3, 13), 3: (4, 10)}
 
 
 class AdmissibleSet(namedtuple("AdmissibleSet", "exponents")):
@@ -219,3 +235,83 @@ def congruence_classify(k: int, lam: int) -> CongruenceVerdict:
             return CongruenceVerdict(NONCONGRUENCE, None, "thm-prime-power")
         return CongruenceVerdict(UNDETERMINED, None, "thm-prime-power-conditional")
     return CongruenceVerdict(UNDETERMINED, None, "no-rule")
+
+
+def holomorphy_classify(k: int, lam: int) -> str:
+    """Classify the forms attached to (k, lam).
+
+    Weak holomorphy only iff lam^2 + 4*lam - 2k < 0 (minimal exponent
+    negative).  Otherwise holomorphic; for dimensions 1-3 the result is
+    refined to whether one-point functions exhaust the holomorphic space
+    (sharp k-ranges), and higher dimensions have no refinement.
+    """
+    d = rep_dimension(k, lam)
+    if lam * lam + 4 * lam - 2 * k < 0:
+        return WEAKLY_ONLY
+    if d not in _EQUALITY_RANGES:
+        raise UnsupportedDimensionError(
+            f"equality refinement only known for dimensions 1-3, got {d}"
+        )
+    lo, hi = _EQUALITY_RANGES[d]
+    if lo <= k <= hi:
+        return HOLOMORPHIC_EQUAL
+    return HOLOMORPHIC_PROPER
+
+
+def weight_lower_bound(exponents) -> Fraction:
+    """12*(sum of exponents)/d + 1 - d for d exponents: the weight lower
+    bound, which the cyclic generator built on them attains."""
+    exps = [x if isinstance(x, Fraction) else Fraction(x) for x in exponents]
+    if not exps:
+        raise ValueError("need at least one exponent")
+    d, den = len(exps), math.lcm(*(x.denominator for x in exps))
+    total = sum(x.numerator * (den // x.denominator) for x in exps)
+    return Fraction(12 * total + (1 - d) * d * den, d * den)
+
+
+def saturation_check(k: int, lam: int) -> bool:
+    """Exact equality weight_lower_bound(leading exponents) = form_weight."""
+    return weight_lower_bound(leading_exponents(k, lam)) == form_weight(k, lam)
+
+
+def classification_report(k: int, lam: int) -> tuple[dict, list[str]]:
+    """Everything ``sl2onepoint classify`` reports on (k, lam): the JSON
+    payload and the lines of the table format.  Above dimension 3, where
+    the holomorphy has no sharp refinement, ``holomorphy`` is None, and
+    an undetermined verdict carries a hint to run the categorical probe."""
+    sig = rho_t(k, lam)
+    exponents = leading_exponents(k, lam)
+    try:
+        holomorphy = holomorphy_classify(k, lam)
+    except UnsupportedDimensionError:
+        holomorphy = None  # no sharp refinement above dimension 3
+    verdict = congruence_classify(k, lam)
+    irred = irreducibility_subproduct_test(sig)
+    payload = {
+        "level": k,
+        "lambda": lam,
+        "dimension": sig.dimension,
+        "leading_exponents": [str(x) for x in exponents],
+        "rho_t": sig.to_json(),
+        "t_order": t_order(k, lam),
+        "irreducibility": irred,
+        "congruence": verdict.to_json(),
+        "holomorphy": holomorphy,
+        "saturation": saturation_check(k, lam),
+    }
+    lines = [
+        f"level={k} lambda={lam}: dimension {sig.dimension}",
+        "  leading exponents: " + ", ".join(map(str, exponents)),
+        "  T-exponents: " + ", ".join(map(str, sig.t_exponents)),
+        f"  order of T-action: {payload['t_order']}",
+        f"  irreducibility (subproduct test): {irred}",
+        f"  congruence: {verdict.status}"
+        + (f" (level {verdict.congruence_level})" if verdict.congruence_level else "")
+        + f" [{verdict.basis}]",
+        f"  holomorphy: {holomorphy if holomorphy else 'holomorphic (no sharp refinement above dimension 3)'}",
+        f"  weight-bound saturation: {payload['saturation']}",
+    ]
+    if verdict.status == UNDETERMINED and sig.dimension >= 4:
+        lines.append("  hint: run `sl2onepoint mtc` for the categorical irreducibility probe")
+        payload["hint"] = "mtc"
+    return payload, lines

@@ -14,8 +14,6 @@ Label conventions as in ``mtc``: integer labels 0..k; 6j-symbols take
 the spin (half label) values.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from fractions import Fraction

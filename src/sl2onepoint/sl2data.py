@@ -2,23 +2,19 @@
 
 Conformal weights, central charge, fusion rules, the label sets of
 self-coupling intertwiners, leading exponents of the trace functions,
-the diagonal T-action, eta-type multiplier systems, the weight bound
-12*(sum of exponents)/d + 1 - d, holomorphy and weight-saturation
-classification, and the positivity sum certifying that
-the distinguished insertion vector has a non-vanishing trace.
+the diagonal T-action, eta-type multiplier systems and the weight of
+the cyclic generator: the level data that every subcommand reads.  The
+holomorphy and weight-saturation classification, which only
+``classify`` and ``verify`` run, is in ``repanalysis``.
 
 Exponents are integer closed forms, one Fraction each: (2 mu^2 + 4 mu - k)
 /(8(k+2)) and, for rho_t, (12 mu^2 + 24 mu - 6k - lam(lam+2))/(48(k+2));
 the definitions are their test oracle.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction
-
-from .errors import UnsupportedDimensionError
 
 __all__ = [
     "RepSignature",
@@ -30,23 +26,8 @@ __all__ = [
     "leading_exponents",
     "rho_t",
     "multiplier",
-    "holomorphy_classify",
-    "weight_lower_bound",
     "form_weight",
-    "saturation_check",
-    "leading_trace_sum",
-    "HOLOMORPHIC_EQUAL",
-    "HOLOMORPHIC_PROPER",
-    "WEAKLY_ONLY",
 ]
-
-HOLOMORPHIC_EQUAL = "holomorphic_equal"
-HOLOMORPHIC_PROPER = "holomorphic_proper"
-WEAKLY_ONLY = "weakly_only"
-
-# Ranges of k for which torus one-point functions exhaust the holomorphic
-# forms, per dimension d = k - lambda + 1.  Sharp, hence table-driven.
-_EQUALITY_RANGES = {1: (2, 14), 2: (3, 13), 3: (4, 10)}
 
 
 def central_charge(k: int) -> Fraction:
@@ -169,65 +150,6 @@ def multiplier(r, generator: str) -> Fraction:
     return value - math.floor(value)
 
 
-def holomorphy_classify(k: int, lam: int) -> str:
-    """Classify the forms attached to (k, lam).
-
-    Weak holomorphy only iff lam^2 + 4*lam - 2k < 0 (minimal exponent
-    negative).  Otherwise holomorphic; for dimensions 1-3 the result is
-    refined to whether one-point functions exhaust the holomorphic space
-    (sharp k-ranges), and higher dimensions have no refinement.
-    """
-    d = rep_dimension(k, lam)
-    if lam * lam + 4 * lam - 2 * k < 0:
-        return WEAKLY_ONLY
-    if d not in _EQUALITY_RANGES:
-        raise UnsupportedDimensionError(
-            f"equality refinement only known for dimensions 1-3, got {d}"
-        )
-    lo, hi = _EQUALITY_RANGES[d]
-    if lo <= k <= hi:
-        return HOLOMORPHIC_EQUAL
-    return HOLOMORPHIC_PROPER
-
-
-def weight_lower_bound(exponents) -> Fraction:
-    """12*(sum of exponents)/d + 1 - d for d exponents: the weight lower
-    bound, which the cyclic generator built on them attains."""
-    exps = [x if isinstance(x, Fraction) else Fraction(x) for x in exponents]
-    if not exps:
-        raise ValueError("need at least one exponent")
-    d, den = len(exps), math.lcm(*(x.denominator for x in exps))
-    total = sum(x.numerator * (den // x.denominator) for x in exps)
-    return Fraction(12 * total + (1 - d) * d * den, d * den)
-
-
 def form_weight(k: int, lam: int) -> Fraction:
     """Weight h_lam + lam/2 of the (k, lam) cyclic generator."""
     return conformal_weight(k, lam) + Fraction(lam, 2)
-
-
-def saturation_check(k: int, lam: int) -> bool:
-    """Exact equality weight_lower_bound(leading exponents) = form_weight."""
-    return weight_lower_bound(leading_exponents(k, lam)) == form_weight(k, lam)
-
-
-def leading_trace_sum(k: int, lam: int, mu: int) -> Fraction:
-    """The positive rational multiplying the intertwiner normalisation in
-    the leading trace coefficient:
-
-    sum_{i=0}^{mu-lam/2} ((mu-i)!/(i! mu!)) *
-        ((lam/2+i)! (mu-lam/2)!) / ((lam/2)! (mu-lam/2-i)!)
-    """
-    rep_dimension(k, lam)
-    if mu not in xi_set(k, lam):
-        raise ValueError(f"label {mu} admits no self-coupling with lambda={lam} at level {k}")
-    half = lam // 2
-    total = Fraction(0)
-    for i in range(mu - half + 1):
-        term = Fraction(math.factorial(mu - i), math.factorial(i) * math.factorial(mu))
-        term *= Fraction(
-            math.factorial(half + i) * math.factorial(mu - half),
-            math.factorial(half) * math.factorial(mu - half - i),
-        )
-        total += term
-    return total

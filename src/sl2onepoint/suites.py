@@ -1,5 +1,6 @@
 """The suites of ``sl2onepoint verify``: each takes the ``cli.RunConfig``
-and returns (name, passed, note) checks, importing the layers it checks.
+and returns (name, passed, note) checks, importing the layers it checks;
+``report`` runs one suite, or all, and gives what ``verify`` prints.
 Only ``cli.cmd_verify`` imports this module, so no other job compiles it.
 """
 
@@ -97,7 +98,7 @@ def check_dims(config):
     checks = []
     for k in range(0, 21):
         for lam in range(0, k + 1, 2):
-            ok = sl2data.saturation_check(k, lam)
+            ok = repanalysis.saturation_check(k, lam)
             checks.append((f"saturation k={k} lambda={lam}", ok, ""))
     for d, kmin in ((1, 2), (2, 3), (3, 4)):
         for k in range(kmin, 21):
@@ -169,3 +170,23 @@ def check_mtc(config):
 SUITES = {
     "tables": check_tables, "mlde": check_mlde, "bgg": check_bgg, "dims": check_dims, "mtc": check_mtc
 }
+
+
+def report(suite: str, config) -> tuple[dict, list[str]]:
+    """Run ``suite``, or every suite for ``"all"``, and give the JSON
+    payload and the lines of the table format: the counts of checks run
+    and failed, and each failure with its note."""
+    checks = []
+    for key in SUITES if suite == "all" else (suite,):
+        checks.extend(SUITES[key](config))
+    failures = [(name, note) for name, ok, note in checks if not ok]
+    payload = {
+        "suite": suite,
+        "total": len(checks),
+        "failed": len(failures),
+        "failures": [{"check": name, "note": note} for name, note in failures],
+    }
+    lines = [f"suite {suite}: {len(checks) - len(failures)}/{len(checks)} checks passed"]
+    for name, note in failures:
+        lines.append(f"  FAIL {name}" + (f": {note}" if note else ""))
+    return payload, lines

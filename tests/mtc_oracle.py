@@ -41,8 +41,12 @@ the oracle of the table rows of ``mtc._s_rows``, which reorder the same
 terms by m = z - t and sum only the anti-diagonals i + j <= k, mirroring
 the rest; the oracle sums every entry and mirrors nothing.
 ``sixj._six_j2`` is the oracle of the symbol.
+
+``twist`` is e(x) = exp(2 pi i x) as ``cmath.exp`` gives it, the oracle
+of ``mtc._e``, which takes the cosine and the sine without ``cmath``.
 """
 
+import cmath
 import math
 from functools import lru_cache
 from itertools import combinations
@@ -52,6 +56,11 @@ import numpy as np
 
 from sl2onepoint import mtc, sixj
 from sl2onepoint.sl2data import conformal_weight, fusion_coefficient
+
+
+def twist(x) -> complex:
+    """e(x) = exp(2 pi i x), x reduced mod 1 first, by ``cmath.exp``."""
+    return cmath.exp(2j * cmath.pi * float(x % 1))
 
 
 def _triad_ok_2(k: int, a2: int, b2: int, c2: int) -> bool:

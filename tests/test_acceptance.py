@@ -150,7 +150,7 @@ def test_criterion_05_bgg_multiplicities():
 
 def test_criterion_06_saturation():
     ok = all(
-        sl2data.saturation_check(k, lam)
+        repanalysis.saturation_check(k, lam)
         for k in range(0, 21)
         for lam in range(0, k + 1, 2)
     )

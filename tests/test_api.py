@@ -56,6 +56,24 @@ def test_every_public_name_has_one_home():
         assert getattr(importlib.import_module(f"sl2onepoint.{module}"), attr) is getattr(owner, attr)
 
 
+def test_moved_names_have_no_old_spelling():
+    """The holomorphy and saturation classification moved from ``sl2data``
+    to ``repanalysis``, and ``leading_trace_sum`` and ``modular_derivative``
+    to ``tests/mlde_oracle.py``; no old spelling resolves."""
+    from sl2onepoint import qseries, repanalysis, sl2data
+
+    moved = ("HOLOMORPHIC_EQUAL", "HOLOMORPHIC_PROPER", "WEAKLY_ONLY", "holomorphy_classify",
+             "saturation_check", "weight_lower_bound", "_EQUALITY_RANGES")
+    for name in moved:
+        assert hasattr(repanalysis, name), name
+        with pytest.raises(AttributeError):
+            getattr(sl2data, name)
+    with pytest.raises(AttributeError):
+        sl2data.leading_trace_sum
+    with pytest.raises(AttributeError):
+        qseries.modular_derivative
+
+
 def _records():
     from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sl2data
     from sl2onepoint.cli import RunConfig

@@ -63,6 +63,7 @@ from mtc_oracle import (
     r_tensor,
     s_entry_by_symbols,
     s_matrix_loop,
+    twist,
 )
 
 TOL = 1e-9
@@ -733,6 +734,26 @@ def test_twists_are_within_an_ulp_of_mpmath(k):
         assert abs(mpmath.mpc(data.zeta) - mpmath.expjpi(2 * mpmath.mpf(c.numerator) / c.denominator)) < 1e-15
 
 
+def test_twist_equals_the_cmath_form_float_for_float():
+    """``mtc._e`` takes cos t and sin t at t = 2 pi x with ``math``; it
+    equals ``cmath.exp(2j * cmath.pi * x)`` bit for bit, signs of zeros
+    included, on every conformal weight h_i and every c/24 of the levels
+    k <= 300, 1000 and 1030: 47,786 twists and zetas."""
+    from sl2onepoint.mtc import _e
+    from sl2onepoint.sl2data import central_charge
+
+    def bits(z):
+        # float.hex tells -0.0 from 0.0, which == does not
+        return z.real.hex(), z.imag.hex()
+
+    checked = 0
+    for k in [*range(301), 1000, 1030]:
+        for x in [*(conformal_weight(k, i) for i in range(k + 1)), central_charge(k) / 24]:
+            assert bits(_e(x)) == bits(twist(x)), (k, x)
+            checked += 1
+    assert checked == 47_786
+
+
 def _nudged(z):
     """z with its real part one ulp larger."""
     return complex(math.nextafter(z.real, math.inf), z.imag)
@@ -1138,8 +1159,15 @@ def test_probe_refuses_non_finite_s(bad):
     )
     with pytest.raises(ValueError, match="non-finite"):
         irreducibility_probe(fake)
+    imaginary = GenModularPair(3, 2, (1, 2), ((complex(0.0, bad), 0.5 + 0j), s[1]), fake.t_diagonal, {})
+    with pytest.raises(ValueError, match="non-finite"):
+        irreducibility_probe(imaginary)
     finite = GenModularPair(3, 2, (1, 2), ((0.5 + 0j, 0.5 + 0j), s[1]), fake.t_diagonal, {})
     assert irreducibility_probe(finite) == "irreducible"
+    # finite entries whose row sum overflows to inf are not refused
+    huge = GenModularPair(3, 2, (1, 2), ((1e308 + 0j, 1e308 + 0j), s[1]), fake.t_diagonal, {})
+    assert sum(huge.s_matrix[0]) == complex(math.inf, 0.0)
+    assert irreducibility_probe(huge) == "irreducible"
 
 
 def test_probe_equals_subset_enumeration_on_every_small_pair():

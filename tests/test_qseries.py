@@ -22,7 +22,6 @@ from sl2onepoint.qseries import (
     eta_power,
     euler_product,
     j_inverse,
-    modular_derivative,
     monomial,
     one,
     series_div,
@@ -32,6 +31,7 @@ from sl2onepoint.qseries import (
 )
 
 import fraction_oracle
+from mlde_oracle import modular_derivative
 
 
 # -- oracles ------------------------------------------------------------

@@ -24,13 +24,13 @@ from sl2onepoint.repanalysis import (
     prime_power_parameters,
     prime_power_rule_applies,
     t_order,
+    weight_lower_bound,
 )
 from sl2onepoint.sl2data import (
     RepSignature,
     conformal_weight,
     leading_exponents,
     rho_t,
-    weight_lower_bound,
 )
 
 

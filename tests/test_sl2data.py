@@ -1,5 +1,7 @@
 """Level/weight bookkeeping: fusion rules, label sets, exponents,
-T-action data, multipliers, holomorphy and saturation."""
+T-action data and multipliers; the holomorphy and saturation
+classification built on them (``repanalysis``), and the leading trace
+sum (``mlde_oracle``)."""
 
 from fractions import Fraction as F
 
@@ -8,23 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2onepoint.errors import UnsupportedDimensionError
-from sl2onepoint.sl2data import (
+from sl2onepoint.repanalysis import (
     HOLOMORPHIC_EQUAL,
     HOLOMORPHIC_PROPER,
     WEAKLY_ONLY,
+    holomorphy_classify,
+    saturation_check,
+    weight_lower_bound,
+)
+from sl2onepoint.sl2data import (
     central_charge,
     conformal_weight,
     fusion_coefficient,
-    holomorphy_classify,
     leading_exponents,
-    leading_trace_sum,
     multiplier,
     rep_dimension,
     rho_t,
-    saturation_check,
-    weight_lower_bound,
     xi_set,
 )
+
+from mlde_oracle import leading_trace_sum
 
 
 def test_level_data_basic():
