@@ -135,6 +135,7 @@ from types import MappingProxyType
 from .errors import PrecisionLossError, RelationViolationError
 from .sl2data import (
     _check_level,
+    _too_large,
     central_charge,
     conformal_weight,
     multiplier,
@@ -280,7 +281,10 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
     no braiding phase; no F, R or G tensor is ever built."""
     _check_level(k)
     n = k + 2
-    labels = tuple(range(k + 1))
+    try:
+        labels = tuple(range(k + 1))
+    except (OverflowError, MemoryError):
+        raise _too_large(k) from None
     # sin(pi m/n) = sin(pi (n-m)/n): an argument rounded near pi loses digits
     qint = tuple(math.sin(math.pi * min(m, n - m) / n) for m in range(k + 3))
     # column 0 of sixj.character_s_matrix(k), bit for bit: m = (i+1)(0+1) < n

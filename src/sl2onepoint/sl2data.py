@@ -52,6 +52,13 @@ def _check_level(k: int) -> None:
         raise ValueError(f"level must be a non-negative integer, got {k}")
 
 
+def _too_large(k: int) -> ValueError:
+    """The refusal of a level whose labels do not fit in memory: a range of
+    2^63 or more labels overflows before anything is allocated, and a list
+    far larger than memory fails to allocate."""
+    return ValueError(f"level {k} is too large: its labels do not fit in memory")
+
+
 def _check_label(k: int, mu: int) -> None:
     if not 0 <= mu <= k:  # also false for every negative level
         _check_level(k)
@@ -109,7 +116,10 @@ def xi_set(k: int, lam: int) -> list[int]:
     _check_label(k, lam)
     if lam % 2 != 0:
         return []
-    return list(range(lam // 2, k - lam // 2 + 1))
+    try:
+        return list(range(lam // 2, k - lam // 2 + 1))
+    except (OverflowError, MemoryError):
+        raise _too_large(k) from None
 
 
 def rep_dimension(k: int, lam: int) -> int:

@@ -36,6 +36,13 @@ def _fixture_note(entry) -> str:
     return "published series solves the level's differential equation, yet differs"
 
 
+def _first_difference(entries):
+    """The first (entry, got, want) of ``entries`` whose two values differ,
+    or None.  It reads ``entries`` up to that one only, as ``all`` would, and
+    a failed check formats its note from it."""
+    return next((e for e in entries if e[1] != e[2]), None)
+
+
 def check_tables(config):
     from . import generator_checks, generators
     from .qseries import euler_product, monomial
@@ -86,9 +93,12 @@ def check_bgg(config):
     for k in range(2, 13):
         for lam in range(2, k + 1, 2):
             ch = bgg.simple_character(k, lam, lam // 2 + 1)
-            ok = all(ch.trivial_multiplicity(n) == 0 for n in range(lam // 2))
-            ok = ok and ch.trivial_multiplicity(lam // 2) == 1
-            checks.append((f"trivial multiplicities k={k} lambda={lam}", ok, ""))
+            # 0 below grade lam/2, 1 at it
+            bad = _first_difference(
+                (n, ch.trivial_multiplicity(n), int(n == lam // 2)) for n in range(lam // 2 + 1)
+            )
+            note = "" if bad is None else "grade {}: multiplicity {}, expected {}".format(*bad)
+            checks.append((f"trivial multiplicities k={k} lambda={lam}", bad is None, note))
     return checks
 
 
@@ -99,17 +109,22 @@ def check_dims(config):
     for k in range(0, 21):
         for lam in range(0, k + 1, 2):
             ok = repanalysis.saturation_check(k, lam)
-            checks.append((f"saturation k={k} lambda={lam}", ok, ""))
+            note = "" if ok else "weight lower bound {}, form weight {}".format(
+                repanalysis.weight_lower_bound(repanalysis.leading_exponents(k, lam)),
+                repanalysis.form_weight(k, lam),
+            )
+            checks.append((f"saturation k={k} lambda={lam}", ok, note))
     for d, kmin in ((1, 2), (2, 3), (3, 4)):
         for k in range(kmin, 21):
             lam = k - d + 1
             if lam < 0 or lam % 2 != 0:
                 continue
-            ok = all(
-                repanalysis.graded_dimension(k, lam, n) == repanalysis.hp_coefficient(d, n)
+            bad = _first_difference(
+                (n, repanalysis.graded_dimension(k, lam, n), repanalysis.hp_coefficient(d, n))
                 for n in range(61)
             )
-            checks.append((f"graded dimensions d={d} k={k}", ok, ""))
+            note = "" if bad is None else "grade {}: graded dimension {}, HP coefficient {}".format(*bad)
+            checks.append((f"graded dimensions d={d} k={k}", bad is None, note))
     for k in range(3, 26, 2):
         verdict = repanalysis.congruence_classify(k, k - 1)
         want = 8 if k % 3 == 2 else 24
@@ -149,13 +164,14 @@ def check_mtc(config):
         checks.append((f"S^(0) equals character S-matrix k={k}", diff < config.tolerance, f"max diff {diff:.2e}"))
     for k in range(0, min(kmax, 8) + 1):
         table = sixj.verlinde_numbers(k)
-        ok = all(
-            round(table[lam][mu][nu]) == sl2data.fusion_coefficient(k, lam, mu, nu)
+        bad = _first_difference(
+            ((lam, mu, nu), round(table[lam][mu][nu]), sl2data.fusion_coefficient(k, lam, mu, nu))
             for lam in range(k + 1)
             for mu in range(k + 1)
             for nu in range(k + 1)
         )
-        checks.append((f"Verlinde numbers k={k}", ok, ""))
+        note = "" if bad is None else "N_({0[0]},{0[1]})^{0[2]}: Verlinde {1}, fusion rule {2}".format(*bad)
+        checks.append((f"Verlinde numbers k={k}", bad is None, note))
     for k in range(0, kmax + 1):
         for lam in range(0, k + 1, 2):
             rep = mtc.compare_with_analytic(k, lam, config.tolerance, pair=pairs[(k, lam)])

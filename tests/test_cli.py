@@ -106,6 +106,26 @@ def test_classify_rejects_odd_weight(capsys):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "-k", "100000000000000000000", "-l", "0"),
+        ("classify", "-k", str(2**63), "-l", "0"),
+        ("mtc", "-k", "100000000000000000000", "--p", "2"),
+        ("mtc", "-k", "100000000000000000000", "--p", "99999999999999999998"),
+    ],
+)
+def test_level_whose_labels_cannot_be_listed_is_invalid_input(capsys, argv):
+    """Each of these levels has 2^63 labels or more, whose ``range``
+    overflows before anything is allocated: exit 2, with a message that
+    names the level.  (A level such as 2^32 would try to allocate its
+    labels instead, so none is tested.)"""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"invalid input: level {argv[2]} is too large: its labels do not fit in memory\n"
+
+
 def test_mtc_subcommand(capsys):
     code, out, _ = run(capsys, "mtc", "--level", "5", "--p", "2", "--format", "json")
     assert code == EXIT_OK
@@ -683,6 +703,76 @@ def test_closed_pipe_exits_1_without_traceback(argv):
     assert code == EXIT_VERIFY_FAILED
 
 
+# the README's commands, the largest pair and generator of the quick
+# benchmark jobs, and every suite
+_GC_JOBS = (
+    (["expand", "--level", "3", "--lambda", "2", "--order", "5"], EXIT_OK),
+    (["classify", "--level", "5", "--lambda", "2"], EXIT_OK),
+    (["mtc", "--level", "5", "--p", "2"], EXIT_OK),
+    (["verify", "--suite", "all"], EXIT_VERIFY_FAILED),
+    (["mtc", "-k", "48", "--p", "2", "--format", "json"], EXIT_OK),
+    (["expand", "-k", "20", "-l", "20", "-n", "300", "--format", "json"], EXIT_OK),
+)
+
+
+def _fresh_process(script, *argv):
+    """Run ``script`` with ``argv`` in a fresh interpreter that imports the
+    package under test; the completed process, stdout and stderr as bytes."""
+    import os
+    import subprocess
+    import sys
+
+    import sl2onepoint
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, code", _GC_JOBS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_jobs_leave_no_cyclic_garbage(argv, code):
+    """With the collector off from the start of a fresh interpreter, a job
+    frees everything it allocates by reference counting: a collection
+    after it finds nothing.  This is what makes it safe for ``main``, run
+    as the program, to leave the collector off; a change that creates
+    reference cycles fails here instead of growing a job's memory."""
+    script = "\n".join(
+        [
+            "import gc, io, sys",
+            "gc.disable()",
+            "from sl2onepoint.cli import main",
+            "sys.stdout = io.StringIO()",
+            "code = main(sys.argv[1:])",
+            "sys.stdout = sys.__stdout__",
+            "print(code, gc.collect(), gc.garbage)",
+        ]
+    )
+    result = _fresh_process(script, *argv)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode() == f"{code} 0 []\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["mtc", "-k", "5", "--p", "2"], ["classify", "-k", "7", "-l", "6", "--format", "json"]]
+)
+def test_collector_policy_applies_only_to_the_program(capsys, argv):
+    """An explicit ``argv`` leaves the collector on and unfrozen; ``main()``
+    reading ``sys.argv``, as the program does, leaves it off with the heap
+    frozen, and prints the same bytes."""
+    import gc
+
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    script = (
+        "import gc, sys; from sl2onepoint.cli import main; code = main(); "
+        "print(code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)"
+    )
+    result = _fresh_process(script, *argv)
+    assert result.stderr.decode() == "0 False True\n"
+    assert result.stdout == out.encode()
+
+
 def test_verify_mlde_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "mlde")
     assert code == EXIT_OK
@@ -756,6 +846,60 @@ def test_verify_all_equals_each_suite_run_alone():
     together = checks(*suites.SUITES)
     assert len(together) == 407
     assert together == [check for name in suites.SUITES for check in checks(name)]
+
+
+def _failed_notes(suite):
+    """{check: note} of the failed checks of one verify suite at the default options."""
+    from sl2onepoint import suites
+
+    return {check: note for check, ok, note in suites.SUITES[suite](RunConfig()) if not ok}
+
+
+def test_verify_graded_dimension_note_names_the_first_wrong_grade(monkeypatch):
+    from sl2onepoint import repanalysis
+
+    real = repanalysis.hp_coefficient
+    monkeypatch.setattr(repanalysis, "hp_coefficient", lambda d, n: real(d, n) + ((d, n) == (2, 7)))
+    # every two-dimensional case, k = 3, 5, ..., 19, and no other check
+    assert _failed_notes("dims") == {
+        f"graded dimensions d=2 k={k}": "grade 7: graded dimension 0, HP coefficient 1" for k in range(3, 21, 2)
+    }
+
+
+def test_verify_saturation_note_gives_both_weights(monkeypatch):
+    from sl2onepoint import repanalysis
+
+    real = repanalysis.form_weight
+    monkeypatch.setattr(repanalysis, "form_weight", lambda k, lam: real(k, lam) + ((k, lam) == (4, 2)))
+    # h_2 + 1 = 1/3 + 1 at level 4, which the bound attains
+    assert _failed_notes("dims") == {"saturation k=4 lambda=2": "weight lower bound 4/3, form weight 7/3"}
+
+
+def test_verify_trivial_multiplicity_note_names_the_first_wrong_grade(monkeypatch):
+    from sl2onepoint import bgg
+
+    real = bgg.ZQCharacter.trivial_multiplicity
+
+    def wrong(ch, n):
+        return real(ch, n) + ((ch.level, ch.weight, n) == (6, 4, 1))
+
+    monkeypatch.setattr(bgg.ZQCharacter, "trivial_multiplicity", wrong)
+    assert _failed_notes("bgg") == {
+        "trivial multiplicities k=6 lambda=4": "grade 1: multiplicity 1, expected 0"
+    }
+
+
+def test_verify_verlinde_note_names_the_first_wrong_coefficient(monkeypatch):
+    from sl2onepoint import sl2data
+
+    real = sl2data.fusion_coefficient
+
+    def wrong(k, lam, mu, nu):
+        return real(k, lam, mu, nu) ^ ((k, lam, mu, nu) in ((2, 1, 1, 2), (2, 2, 2, 2)))
+
+    monkeypatch.setattr(sl2data, "fusion_coefficient", wrong)
+    # N_(1,1)^2 comes first in the order lambda, mu, nu
+    assert _failed_notes("mtc") == {"Verlinde numbers k=2": "N_(1,1)^2: Verlinde 1, fusion rule 0"}
 
 
 def test_verify_suite_choices_name_every_suite():

@@ -1249,6 +1249,14 @@ def test_cached_level_table_refuses_assignment():
         pair.stages["six_j_evaluations"] = 0
 
 
+def test_level_table_refuses_a_level_whose_labels_cannot_be_listed():
+    # a pair with p near such a level has a small basis, but its level
+    # table would still hold 10^20 + 1 twists
+    for p in (2, 10**20 - 2):
+        with pytest.raises(ValueError, match="level 100000000000000000000 is too large"):
+            gen_modular_pair(10**20, p)
+
+
 def test_compare_fixture_values():
     report = compare_with_analytic(3, 2)
     sig = rho_t(3, 2)

@@ -100,6 +100,14 @@ def test_xi_set_fixture_values():
             assert len(xi_set(k, lam)) == k - lam + 1
 
 
+def test_xi_set_refuses_a_level_whose_labels_cannot_be_listed():
+    # 2^63 labels or more overflow range before anything is allocated; a
+    # huge level with a label near it still has its few labels
+    with pytest.raises(ValueError, match="level 100000000000000000000 is too large"):
+        xi_set(10**20, 0)
+    assert xi_set(10**20, 10**20 - 2) == [10**20 // 2 - 1, 10**20 // 2, 10**20 // 2 + 1]
+
+
 def test_xi_set_matches_fusion_sweep():
     for k in range(0, 9):
         for lam in range(k + 1):
