@@ -36,11 +36,12 @@ def _zconv(a: Row, b: Row) -> Row:
     return {e: c for e, c in out.items() if c}
 
 
-class ZQCharacter(namedtuple("ZQCharacter", "level weight qorder rows")):
+class ZQCharacter(namedtuple("ZQCharacter", "level weight rows")):
     """Rows of a two-variable character, one sparse z-row per q-grade:
-    ``rows`` holds ``qorder`` of them, each a ``Row``."""
+    ``rows`` holds them, each a ``Row``; ``qorder`` is their number."""
 
     __slots__ = ()
+    qorder = property(lambda self: len(self.rows))
 
     def coefficient(self, z_exponent: int, n: int) -> int:
         self._check_grade(n)
@@ -124,7 +125,7 @@ def simple_character(k: int, lam: int, qorder: int) -> ZQCharacter:
                     rows[n][e] = rows[n].get(e, 0) + cc
         i += 1
     rows = [{e: cc for e, cc in row.items() if cc} for row in rows]
-    return ZQCharacter(level=k, weight=lam, qorder=qorder, rows=tuple(rows))
+    return ZQCharacter(level=k, weight=lam, rows=tuple(rows))
 
 
 def trivial_multiplicity(k: int, lam: int, n: int) -> int:

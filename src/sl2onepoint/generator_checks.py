@@ -49,7 +49,7 @@ from .qseries import (
     series_pow_rational,
 )
 from .repanalysis import weight_lower_bound
-from .sl2data import form_weight, leading_exponents, xi_set
+from .sl2data import leading_exponents, xi_set
 
 __all__ = [
     "HypergeomSpec",
@@ -205,8 +205,6 @@ def hypergeometric_generator(k: int, lam: int, order: int) -> VvmfVector:
         raise UnsupportedDimensionError("the hypergeometric construction covers dimensions 2-3")
     mus = xi_set(k, lam)
     exps = leading_exponents(k, lam)
-    weight = form_weight(k, lam)
-
     lambdas = minimal_exponents(k, lam)
     w = generator_weight(k, lam)
     mu_min = exps[0]
@@ -223,7 +221,7 @@ def hypergeometric_generator(k: int, lam: int, order: int) -> VvmfVector:
         comp = eta_part * monomial(c, order) * series_pow_rational(v_unit, c) * series
         _check_component(comp, exps[i])
         components.append((mu, comp))
-    return VvmfVector(k, lam, tuple(components), weight)
+    return VvmfVector(k, lam, tuple(components))
 
 
 # -- the monic differential equations, applied by modular derivatives --
@@ -269,25 +267,20 @@ def _apply_mlde(f: QExpansion, weight: Fraction, kappas) -> QExpansion:
     return _from_ints(lam, total, lcd)
 
 
-def mlde_residual(k: int, lam: int, order: int, gen: VvmfVector | None = None) -> list[QExpansion]:
-    """Residuals of the monic modular differential equation on the
-    generator components; identically zero when the construction is
-    correct.  ``gen`` is ``cyclic_generator(k, lam, order)`` when the
-    caller already holds it; otherwise it is built here.
+def mlde_residual(gen: VvmfVector) -> list[QExpansion]:
+    """Residuals of the generator's monic modular differential equation on
+    its components; identically zero when the construction is correct,
+    each valid to d orders fewer than its component.
 
-    The equation is ``mlde_equation(k, lam)``: its kappas come from the
-    indicial roots in closed form, not from any component, so every
-    component is checked from its leading term up.  It is applied by
-    repeated modular derivatives on integer lists (``_apply_mlde``), not
-    by the theta-form the recurrence solves.  Dimension 2 has
-    kappa_1 = -25/4, from the exponents {0, 1/4} after removing the eta
-    factor.
+    The equation is ``mlde_equation(gen.level, gen.weight_label)``: its
+    kappas come from the indicial roots in closed form, not from any
+    component, so every component is checked from its leading term up.  It
+    is applied by repeated modular derivatives on integer lists
+    (``_apply_mlde``), not by the theta-form the recurrence solves.
+    Dimension 2 has kappa_1 = -25/4, from the exponents {0, 1/4} after
+    removing the eta factor.
     """
-    weight, kappas = mlde_equation(k, lam)
-    if order < 4:
-        raise ValueError("order must be >= 4")
-    if gen is None:
-        gen = cyclic_generator(k, lam, order)
+    weight, kappas = mlde_equation(gen.level, gen.weight_label)
     return [_apply_mlde(comp, weight, kappas) for _, comp in gen.components]
 
 

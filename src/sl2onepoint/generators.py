@@ -52,16 +52,15 @@ _FORMS = (4, 6)
 _MAX_ORDER = len(_FORMS) + 1  # an equation of order d uses d - 1 forms
 
 
-class VvmfVector(namedtuple("VvmfVector", "level weight_label components form_weight")):
+class VvmfVector(namedtuple("VvmfVector", "level weight_label components")):
     """A vector of trace-function expansions, one component per label mu
     in the self-coupling set of (level, weight_label): ``components``
-    holds the pairs (mu, QExpansion), and ``form_weight`` is a Fraction."""
+    holds the pairs (mu, QExpansion).  Its dimension and form weight are
+    derived: the number of components, and h_lam + lam/2 as a Fraction."""
 
     __slots__ = ()
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
+    dimension = property(lambda self: len(self.components))
+    form_weight = property(lambda self: form_weight(self.level, self.weight_label))
 
     def component(self, mu: int) -> QExpansion:
         for label, series in self.components:
@@ -102,14 +101,13 @@ def cyclic_generator(k: int, lam: int, order: int) -> VvmfVector:
     mus = xi_set(k, lam)
     exps = leading_exponents(k, lam)
     if d == 1:
-        weight = form_weight(k, lam)
         comps = [eta_power(Fraction(3 * k, 2), order)]
     else:
         weight, kappas = mlde_equation(k, lam)
         comps = _solve_mlde(weight, exps, kappas, order)
     for comp, exponent in zip(comps, exps):
         _check_component(comp, exponent)
-    return VvmfVector(k, lam, tuple(zip(mus, comps)), weight)
+    return VvmfVector(k, lam, tuple(zip(mus, comps)))
 
 
 def _check_component(comp: QExpansion, expected_exponent: Fraction) -> None:

@@ -307,7 +307,7 @@ def f_r_g_matrices(k: int) -> MtcLevelData:
 class GenModularPair(
     namedtuple(
         "GenModularPair",
-        "level p_label basis s_matrix t_diagonal relation_residuals stages",
+        "level p_label s_matrix t_diagonal relation_residuals stages",
         defaults=(MappingProxyType({}),),
     )
 ):
@@ -326,9 +326,10 @@ class GenModularPair(
     not evaluated on its own), the assembly and certification times in
     seconds, and the headroom of the worst residual below the tolerance in
     decimal digits; read-only when not given, so that no two pairs share
-    a mutable default."""
+    a mutable default.  The basis is derived from (level, p_label)."""
 
     __slots__ = ()
+    basis = property(lambda self: tuple(xi_set(self.level, self.p_label)))
 
     def to_json(self) -> dict:
         def cpx(z: complex) -> list[float]:
@@ -487,7 +488,6 @@ def gen_modular_pair(k: int, p: int, tolerance: float = DEFAULT_TOLERANCE) -> Ge
     return GenModularPair(
         level=k,
         p_label=p,
-        basis=basis,
         s_matrix=s,
         t_diagonal=t_diag,
         relation_residuals=residuals,
@@ -509,7 +509,7 @@ def irreducibility_probe(pair: GenModularPair, tolerance: float = DEFAULT_TOLERA
     # the entries are tested one by one only where a sum is not
     if not all(map(_finite, map(sum, s))) and not all(_finite(z) for row in s for z in row):
         raise ValueError("refusing a pair whose S-matrix has non-finite entries")
-    dim = len(pair.basis)
+    dim = len(s)
     # no longer needed, but the benchmark's mtc references pin this message (ROADMAP item 6)
     if dim > 20:
         raise ValueError(f"refusing subset enumeration for basis size {dim} > 20")
@@ -547,8 +547,6 @@ def compare_with_analytic(
     elif (pair.level, pair.p_label) != (k, lam):
         raise ValueError(f"pair is for level {pair.level}, p={pair.p_label}, not {k}, {lam}")
     sig = rho_t(k, lam)
-    if list(pair.basis) != xi_set(k, lam):
-        raise RelationViolationError("categorical basis disagrees with the label set")
     nu_t_exponent = multiplier(sig.multiplier_weight, "T")
     nu_t = _e(nu_t_exponent)
     t_resid = {}

@@ -167,15 +167,25 @@ def irreducibility_subproduct_test(sig: RepSignature) -> str:
     Subset sums of the 12 r_i are decided by their residues modulo the
     common denominator m.  When all d residues sum to 0, a qualifying
     proper subset or its complement omits the last exponent, so only
-    subsets of the first d - 1 are searched.  The reachable sums are the
-    bits of one m-bit integer, rotated by each residue in turn: at most d
-    shifts of m bits, stopping at the first subset that reaches 0.
+    subsets of the n = d - 1 first are searched; otherwise n = d.  When
+    2^n < m, as at a huge level with a small d, the reachable sums are
+    held as a set of at most 2^n residues, O(n 2^n) work.  Otherwise they
+    are the bits of one m-bit integer, rotated by each residue in turn: at
+    most n shifts of m bits.  Both stop at the first subset that reaches 0.
     """
     exps = sig.t_exponents
     m = math.lcm(*(r.denominator // math.gcd(r.denominator, 12) for r in exps))
     residues = [12 * r.numerator * m // r.denominator % m for r in exps]
     if sum(residues) % m == 0:
         residues.pop()
+    if 1 << len(residues) < m:
+        sums = set()  # the residues of the non-empty subsets so far
+        for a in residues:
+            sums |= {(s + a) % m for s in sums}
+            sums.add(a)
+            if 0 in sums:
+                return INCONCLUSIVE
+        return IRREDUCIBLE
     full = (1 << m) - 1
     sums = 0  # bit s set: some non-empty subset so far sums to s mod m
     for a in residues:

@@ -65,15 +65,15 @@ def _check_label(k: int, mu: int) -> None:
         raise ValueError(f"label {mu} out of range 0..{k}")
 
 
-class RepSignature(
-    namedtuple("RepSignature", "level lam dimension t_exponents multiplier_weight")
-):
+class RepSignature(namedtuple("RepSignature", "level lam t_exponents")):
     """Diagonal T-data of the representation attached to insertions from
-    the simple module with finite weight ``lam``: the level, the weight,
-    the dimension, the T-exponents (a tuple of Fractions) and the
-    multiplier weight (a Fraction)."""
+    the simple module with finite weight ``lam``: the level, the weight and
+    the T-exponents (a tuple of Fractions).  Its dimension, the number of
+    exponents, and its multiplier weight h_lam, a Fraction, are derived."""
 
     __slots__ = ()
+    dimension = property(lambda self: len(self.t_exponents))
+    multiplier_weight = property(lambda self: _conformal_weight(self.level, self.lam))
 
     def t_exponents_mod1(self) -> tuple[tuple[Fraction, int], ...]:
         """Canonical representatives in [0,1) with their integer offsets."""
@@ -140,10 +140,14 @@ def leading_exponents(k: int, lam: int) -> list[Fraction]:
 
 def rho_t(k: int, lam: int) -> RepSignature:
     """Exact exponents r_mu = h_mu - c/24 - h_lam/12 of the diagonal T-action."""
-    d = rep_dimension(k, lam)
+    rep_dimension(k, lam)
     c = 6 * k + lam * (lam + 2)
     exps = tuple(Fraction(12 * mu * mu + 24 * mu - c, 48 * k + 96) for mu in xi_set(k, lam))
-    return RepSignature(k, lam, d, exps, _conformal_weight(k, lam))
+    return RepSignature(k, lam, exps)
+
+
+# the phase exponent on each generator is r over its divisor
+_MULTIPLIER_DIVISORS = {"T": 12, "S": -4, "ST": -6}
 
 
 def multiplier(r, generator: str) -> Fraction:
@@ -152,12 +156,9 @@ def multiplier(r, generator: str) -> Fraction:
 
     T -> r/12, S -> -r/4, ST -> -r/6, each reduced modulo 1.
     """
-    r = Fraction(r)
-    table = {"T": r / 12, "S": -r / 4, "ST": -r / 6}
-    if generator not in table:
+    if generator not in _MULTIPLIER_DIVISORS:
         raise ValueError(f"generator must be one of 'S', 'T', 'ST', got {generator!r}")
-    value = table[generator]
-    return value - math.floor(value)
+    return Fraction(r) / _MULTIPLIER_DIVISORS[generator] % 1
 
 
 def form_weight(k: int, lam: int) -> Fraction:

@@ -6,6 +6,7 @@ Only ``cli.cmd_verify`` imports this module, so no other job compiles it.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from . import sl2data
 
@@ -43,6 +44,16 @@ def _first_difference(entries):
     return next((e for e in entries if e[1] != e[2]), None)
 
 
+def _series_note(got, want) -> str:
+    """Evidence for a generator that differs from the series expected: the
+    two leading exponents when they differ, else the first coefficient that
+    does."""
+    if got.leading_exponent != want.leading_exponent:
+        return f"leading exponent {got.leading_exponent}, expected {want.leading_exponent}"
+    n, x, y = _first_difference((n, x, y) for n, (x, y) in enumerate(zip_longest(got.coeffs, want.coeffs)))
+    return f"coefficient of q^({got.leading_exponent + n}): generator {x}, Euler-product power {y}"
+
+
 def check_tables(config):
     from . import generator_checks, generators
     from .qseries import euler_product, monomial
@@ -60,9 +71,10 @@ def check_tables(config):
     cube = euler_product(30) ** 3
     power = cube
     for k in range(2, 21, 2):
-        gen = generators.cyclic_generator(k, k, 30)
+        got = generators.cyclic_generator(k, k, 30).components[0][1]
         want = monomial(Fraction(k, 16), 30) * power
-        checks.append((f"dimension-1 identity k={k}", gen.components[0][1] == want, ""))
+        ok = got == want
+        checks.append((f"dimension-1 identity k={k}", ok, "" if ok else _series_note(got, want)))
         power = power * cube
     return checks
 
@@ -76,7 +88,7 @@ def check_mlde(config):
     for name, levels, shift, order in _EQUATIONS:
         for k in levels:
             gen = _generator(k, k - shift)
-            res = generator_checks.mlde_residual(k, k - shift, order, gen)
+            res = generator_checks.mlde_residual(gen)
             solved = all(r.is_zero() and r.order >= 10 for r in res)
             same = gen == generator_checks.hypergeometric_generator(k, k - shift, order)
             note = "" if same else "recurrence differs from the hypergeometric construction"
@@ -126,18 +138,22 @@ def check_dims(config):
             note = "" if bad is None else "grade {}: graded dimension {}, HP coefficient {}".format(*bad)
             checks.append((f"graded dimensions d={d} k={k}", bad is None, note))
     for k in range(3, 26, 2):
-        verdict = repanalysis.congruence_classify(k, k - 1)
+        got = repanalysis.congruence_classify(k, k - 1).congruence_level
         want = 8 if k % 3 == 2 else 24
-        checks.append(
-            (f"two-dimensional congruence level k={k}", verdict.congruence_level == want, "")
-        )
+        note = "" if got == want else f"congruence level {got}, expected {want}"
+        checks.append((f"two-dimensional congruence level k={k}", got == want, note))
     for k in range(4, 101, 2):
+        got = repanalysis.t_order(k, k - 2)
         want = 12 * (k + 2) if k % 6 == 4 else 4 * (k + 2)
-        checks.append((f"T-order closed form k={k}", repanalysis.t_order(k, k - 2) == want, ""))
+        note = "" if got == want else f"T-order {got}, closed form {want}"
+        checks.append((f"T-order closed form k={k}", got == want, note))
     for k in range(0, 49, 2):
-        sig = sl2data.rho_t(k, k)
-        trivial = all(r.denominator == 1 for r in sig.t_exponents)
-        checks.append((f"trivial action iff 24 | k, k={k}", trivial == (k % 24 == 0), ""))
+        bad = next((r for r in sl2data.rho_t(k, k).t_exponents if r.denominator != 1), None)
+        ok = (bad is None) == (k % 24 == 0)
+        note = "" if ok else (
+            "every T-exponent is an integer" if bad is None else f"first non-integral T-exponent {bad}"
+        )
+        checks.append((f"trivial action iff 24 | k, k={k}", ok, note))
     return checks
 
 

@@ -119,10 +119,10 @@ def test_criterion_03_dimension_one_identity():
 def test_criterion_04_mlde_annihilation():
     ok = True
     for k in range(3, 14, 2):
-        residuals = generator_checks.mlde_residual(k, k - 1, 12)
+        residuals = generator_checks.mlde_residual(generators.cyclic_generator(k, k - 1, 12))
         ok = ok and all(r.is_zero() and r.order >= 10 for r in residuals)
     for k in range(4, 11, 2):
-        residuals = generator_checks.mlde_residual(k, k - 2, 13)
+        residuals = generator_checks.mlde_residual(generators.cyclic_generator(k, k - 2, 13))
         ok = ok and all(r.is_zero() and r.order >= 10 for r in residuals)
     ok = _report(
         "criterion 4: exact differential-equation residuals vanish through order 10", ok

@@ -117,12 +117,12 @@ def test_records_keep_their_fields_and_defaults():
     from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sl2data
 
     fields = {
-        sl2data.RepSignature: "level lam dimension t_exponents multiplier_weight",
+        sl2data.RepSignature: "level lam t_exponents",
         repanalysis.AdmissibleSet: "exponents",
-        bgg.ZQCharacter: "level weight qorder rows",
-        generators.VvmfVector: "level weight_label components form_weight",
+        bgg.ZQCharacter: "level weight rows",
+        generators.VvmfVector: "level weight_label components",
         mtc.MtcLevelData: "level labels theta zeta qdim global_dim_root qint qfact",
-        mtc.GenModularPair: "level p_label basis s_matrix t_diagonal relation_residuals stages",
+        mtc.GenModularPair: "level p_label s_matrix t_diagonal relation_residuals stages",
         generator_checks.FixtureEntry: (
             "level mu expected_exponent got_exponent expected_coeffs got_coeffs published_residual"
         ),
@@ -132,7 +132,7 @@ def test_records_keep_their_fields_and_defaults():
         assert record._fields == tuple(names.split()), record.__name__
         assert record.__slots__ == (), record.__name__
     assert {r.__name__ for r in fields if r._field_defaults} == {"GenModularPair"}
-    stages = mtc.GenModularPair(0, 0, (0,), ((1.0,),), (1.0,), {}).stages
+    stages = mtc.GenModularPair(0, 0, ((1.0,),), (1.0,), {}).stages
     assert stages == {}
     with pytest.raises(TypeError):
         stages["assembly_s"] = 0.0

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,28 @@ def test_level_whose_labels_cannot_be_listed_is_invalid_input(capsys, argv):
     assert code == EXIT_INVALID
     assert out == ""
     assert err == f"invalid input: level {argv[2]} is too large: its labels do not fit in memory\n"
+
+
+@pytest.mark.parametrize("k", [10**20, 10**12])
+def test_classify_of_three_labels_at_a_huge_level_stays_bounded(k):
+    """With lambda = k - 2 the level has three labels, and the subproduct
+    test's common denominator m grows like 48(k+2): it searches the four
+    subset sums as a set, not as an m-bit integer, which overflowed at
+    10^20 and would take about 125 GB at 10^12.  The job runs under a 2 GB
+    address-space limit, so a regression fails with ``MemoryError``
+    instead of exhausting the machine."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    entry = "import sys; from sl2onepoint.cli import main; sys.exit(main())"
+    argv = ("classify", "-k", str(k), "-l", str(k - 2), "--format", "json")
+    result = _fresh_process(entry, *argv, text=True, preexec_fn=limit_memory)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert "Traceback" not in result.stderr
+    payload = json.loads(result.stdout)
+    assert (payload["dimension"], payload["irreducibility"]) == (3, "irreducible")
 
 
 def test_mtc_subcommand(capsys):
@@ -715,9 +738,10 @@ _GC_JOBS = (
 )
 
 
-def _fresh_process(script, *argv):
+def _fresh_process(script, *argv, **options):
     """Run ``script`` with ``argv`` in a fresh interpreter that imports the
-    package under test; the completed process, stdout and stderr as bytes."""
+    package under test; the completed process, stdout and stderr as bytes.
+    ``options`` go to ``subprocess.run``."""
     import os
     import subprocess
     import sys
@@ -726,7 +750,7 @@ def _fresh_process(script, *argv):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, timeout=120, **options)
 
 
 @pytest.mark.parametrize("argv, code", _GC_JOBS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -900,6 +924,67 @@ def test_verify_verlinde_note_names_the_first_wrong_coefficient(monkeypatch):
     monkeypatch.setattr(sl2data, "fusion_coefficient", wrong)
     # N_(1,1)^2 comes first in the order lambda, mu, nu
     assert _failed_notes("mtc") == {"Verlinde numbers k=2": "N_(1,1)^2: Verlinde 1, fusion rule 0"}
+
+
+def test_verify_dimension_one_note_names_the_first_wrong_coefficient(monkeypatch):
+    from sl2onepoint import generators
+    from sl2onepoint.qseries import QExpansion
+
+    real = generators.cyclic_generator
+
+    def wrong(k, lam, order):
+        gen = real(k, lam, order)
+        if (k, lam) != (4, 4):
+            return gen
+        (mu, series), = gen.components
+        coeffs = list(series.coeffs)
+        coeffs[3] += 1
+        return gen._replace(components=((mu, QExpansion(series.leading_exponent, coeffs)),))
+
+    monkeypatch.setattr(generators, "cyclic_generator", wrong)
+    notes = {check: note for check, note in _failed_notes("tables").items() if not check.startswith("table")}
+    # eta^6 = q^(1/4) (1 - 6q + 9q^2 + 10q^3 - 30q^4 + ...)
+    assert notes == {"dimension-1 identity k=4": "coefficient of q^(13/4): generator 11, Euler-product power 10"}
+
+
+def test_verify_congruence_level_note_gives_both_levels(monkeypatch):
+    from sl2onepoint import repanalysis
+
+    real = repanalysis.congruence_classify
+
+    def wrong(k, lam):
+        verdict = real(k, lam)
+        return verdict._replace(congruence_level=24) if (k, lam) == (5, 4) else verdict
+
+    monkeypatch.setattr(repanalysis, "congruence_classify", wrong)
+    assert _failed_notes("dims") == {"two-dimensional congruence level k=5": "congruence level 24, expected 8"}
+
+
+def test_verify_t_order_note_gives_both_orders(monkeypatch):
+    from sl2onepoint import repanalysis
+
+    real = repanalysis.t_order
+    monkeypatch.setattr(repanalysis, "t_order", lambda k, lam: real(k, lam) * (1 + ((k, lam) == (10, 8))))
+    # 12 (k + 2) at k = 10, since 10 = 4 mod 6
+    assert _failed_notes("dims") == {"T-order closed form k=10": "T-order 288, closed form 144"}
+
+
+def test_verify_trivial_action_note_names_the_first_non_integral_exponent(monkeypatch):
+    from sl2onepoint import sl2data
+
+    real = sl2data.rho_t
+
+    def wrong(k, lam):
+        sig = real(k, lam)
+        shift = {(24, 24): Fraction(1, 2), (12, 12): Fraction(1, 2)}.get((k, lam), 0)
+        return sig._replace(t_exponents=tuple(r + shift for r in sig.t_exponents))
+
+    monkeypatch.setattr(sl2data, "rho_t", wrong)
+    # r = 1 at k = 24 and r = 1/2 at k = 12, each moved by 1/2
+    assert _failed_notes("dims") == {
+        "trivial action iff 24 | k, k=12": "every T-exponent is an integer",
+        "trivial action iff 24 | k, k=24": "first non-integral T-exponent 3/2",
+    }
 
 
 def test_verify_suite_choices_name_every_suite():

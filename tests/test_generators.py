@@ -411,7 +411,7 @@ def test_indicial_kappas_refuse_orders_without_forms(exponents):
 
 def test_mlde_residuals_dimension_two():
     for k in (3, 5, 9, 13):
-        residuals = mlde_residual(k, k - 1, 8)
+        residuals = mlde_residual(cyclic_generator(k, k - 1, 8))
         assert len(residuals) == 2
         assert all(r.is_zero() for r in residuals)
         assert all(r.order == 6 for r in residuals)
@@ -419,7 +419,7 @@ def test_mlde_residuals_dimension_two():
 
 def test_mlde_residuals_dimension_three():
     for k in (4, 6, 10):
-        residuals = mlde_residual(k, k - 2, 8)
+        residuals = mlde_residual(cyclic_generator(k, k - 2, 8))
         assert len(residuals) == 3
         assert all(r.is_zero() for r in residuals)
         assert all(r.order == 5 for r in residuals)
@@ -427,9 +427,22 @@ def test_mlde_residuals_dimension_three():
 
 def test_mlde_rejects_dimension_one():
     with pytest.raises(UnsupportedDimensionError):
-        mlde_residual(4, 4, 8)
-    with pytest.raises(ValueError):
-        mlde_residual(3, 2, 3)
+        mlde_residual(cyclic_generator(4, 4, 8))
+    # an equation of order d leaves nothing valid on a component of order d
+    for k, lam in ((3, 2), (4, 2)):
+        d = k - lam + 1
+        assert [r.order for r in mlde_residual(cyclic_generator(k, lam, d + 1))] == [1] * d
+        with pytest.raises(ValueError, match=f"order {d} needs a series of order above {d}"):
+            mlde_residual(cyclic_generator(k, lam, d))
+
+
+def test_mlde_residual_reads_the_generators_own_equation():
+    """The equation comes from the generator's (level, weight_label): the
+    (3, 2) equation leaves a non-zero residual on the (5, 4) components."""
+    gen = cyclic_generator(5, 4, 8)
+    assert all(r.is_zero() for r in mlde_residual(gen))
+    foreign = gen._replace(level=3, weight_label=2)
+    assert not all(r.is_zero() for r in mlde_residual(foreign))
 
 
 # -- the equation applied on integer lists, against the composed oracle --------

@@ -1110,7 +1110,6 @@ def test_probe_inconclusive_on_t_collision():
     fake = GenModularPair(
         level=1,
         p_label=0,
-        basis=(0, 1),
         s_matrix=_diag([1.0 + 0j, 1.0 + 0j]),
         t_diagonal=(1.0 + 0j, 1.0 + 0j),
         relation_residuals={},
@@ -1122,7 +1121,6 @@ def test_probe_detects_zero_coupling():
     fake = GenModularPair(
         level=1,
         p_label=0,
-        basis=(0, 1),
         s_matrix=_diag([1.0 + 0j, -1.0 + 0j]),  # block diagonal: invariant axes
         t_diagonal=(1.0 + 0j, 1j),
         relation_residuals={},
@@ -1133,9 +1131,8 @@ def test_probe_detects_zero_coupling():
 def test_probe_refuses_large_basis():
     n = 21
     fake = GenModularPair(
-        level=1,
+        level=n - 1,
         p_label=0,
-        basis=tuple(range(n)),
         s_matrix=_diag([1.0 + 0j] * n),
         t_diagonal=tuple(complex(np.exp(2j * np.pi * a / n)) for a in range(n)),
         relation_residuals={},
@@ -1152,20 +1149,19 @@ def test_probe_refuses_non_finite_s(bad):
     fake = GenModularPair(
         level=3,
         p_label=2,
-        basis=(1, 2),
         s_matrix=s,
         t_diagonal=(1.0 + 0j, 1j),
         relation_residuals={},
     )
     with pytest.raises(ValueError, match="non-finite"):
         irreducibility_probe(fake)
-    imaginary = GenModularPair(3, 2, (1, 2), ((complex(0.0, bad), 0.5 + 0j), s[1]), fake.t_diagonal, {})
+    imaginary = GenModularPair(3, 2, ((complex(0.0, bad), 0.5 + 0j), s[1]), fake.t_diagonal, {})
     with pytest.raises(ValueError, match="non-finite"):
         irreducibility_probe(imaginary)
-    finite = GenModularPair(3, 2, (1, 2), ((0.5 + 0j, 0.5 + 0j), s[1]), fake.t_diagonal, {})
+    finite = GenModularPair(3, 2, ((0.5 + 0j, 0.5 + 0j), s[1]), fake.t_diagonal, {})
     assert irreducibility_probe(finite) == "irreducible"
     # finite entries whose row sum overflows to inf are not refused
-    huge = GenModularPair(3, 2, (1, 2), ((1e308 + 0j, 1e308 + 0j), s[1]), fake.t_diagonal, {})
+    huge = GenModularPair(3, 2, ((1e308 + 0j, 1e308 + 0j), s[1]), fake.t_diagonal, {})
     assert sum(huge.s_matrix[0]) == complex(math.inf, 0.0)
     assert irreducibility_probe(huge) == "irreducible"
 
@@ -1193,9 +1189,8 @@ def _synthetic_pairs(draw):
         st.lists(st.sampled_from(_COUPLINGS), min_size=dim * dim, max_size=dim * dim)
     )
     return GenModularPair(
-        level=1,
+        level=dim - 1,
         p_label=0,
-        basis=tuple(range(dim)),
         s_matrix=tuple(tuple(entries[o * dim : (o + 1) * dim]) for o in range(dim)),
         t_diagonal=tuple(cmath.exp(2j * math.pi * a / dim) for a in range(dim)),
         relation_residuals={},
@@ -1243,7 +1238,7 @@ def test_cached_level_table_refuses_assignment():
     assert data.zeta != 1.0
     # a pair built without stages gets a read-only mapping, shared by no
     # mutable default
-    pair = GenModularPair(1, 0, (0, 1), _diag([1j, 1j]), (1j, 1j), {})
+    pair = GenModularPair(1, 0, _diag([1j, 1j]), (1j, 1j), {})
     assert pair.stages == {}
     with pytest.raises(TypeError):
         pair.stages["six_j_evaluations"] = 0

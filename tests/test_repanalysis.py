@@ -54,9 +54,8 @@ def test_minimal_admissible_dimension_three():
 
 
 def test_minimal_admissible_integral_inputs():
-    sig = RepSignature(
-        level=0, lam=0, dimension=3, t_exponents=(F(1), F(-2), F(5)), multiplier_weight=F(0)
-    )
+    sig = RepSignature(level=0, lam=0, t_exponents=(F(1), F(-2), F(5)))
+    assert (sig.dimension, sig.multiplier_weight) == (3, F(0))
     adm = minimal_admissible_set(sig, 0)
     assert adm.exponents == (F(0), F(0), F(0))
 
@@ -283,6 +282,17 @@ def test_subproduct_bitset_equals_residue_sets():
         verdicts.append(irreducibility_subproduct_test(sig))
         assert verdicts[-1] == subproduct_by_residue_sets(sig), (k, lam)
     assert verdicts.count(IRREDUCIBLE) == 599
+
+
+def test_subproduct_at_huge_levels_equals_residue_sets():
+    """Past 2^n < m the library holds the subset sums as a set: small
+    dimensions at levels where an m-bit integer would not fit in memory."""
+    for k in (10**9, 10**12, 10**20, 10**20 + 1):
+        for d in range(1, 8):
+            lam = k - d + 1
+            if lam % 2 == 0:
+                sig = rho_t(k, lam)
+                assert irreducibility_subproduct_test(sig) == subproduct_by_residue_sets(sig), (k, lam)
 
 
 # -- congruence rule engine ------------------------------------------------------------
