@@ -20,9 +20,9 @@ integer.
 from collections import namedtuple
 from functools import lru_cache
 
-from .sl2data import _check_label, _conformal_weight, rep_dimension
+from .sl2data import _check_label, _conformal_weight
 
-__all__ = ["ZQCharacter", "simple_character", "trivial_multiplicity"]
+__all__ = ["ZQCharacter", "simple_character"]
 
 Row = dict[int, int]
 
@@ -38,14 +38,11 @@ def _zconv(a: Row, b: Row) -> Row:
 
 class ZQCharacter(namedtuple("ZQCharacter", "level weight rows")):
     """Rows of a two-variable character, one sparse z-row per q-grade:
-    ``rows`` holds them, each a ``Row``; ``qorder`` is their number."""
+    ``rows`` holds them, each a ``Row``; ``qorder`` is their number, and
+    the coefficient of z^a q^n is ``rows[n].get(a, 0)``."""
 
     __slots__ = ()
     qorder = property(lambda self: len(self.rows))
-
-    def coefficient(self, z_exponent: int, n: int) -> int:
-        self._check_grade(n)
-        return self.rows[n].get(z_exponent, 0)
 
     def trivial_multiplicity(self, n: int) -> int:
         """Multiplicity of the trivial sl(2) module at grade n: the
@@ -61,17 +58,6 @@ class ZQCharacter(namedtuple("ZQCharacter", "level weight rows")):
     def _check_grade(self, n: int) -> None:
         if not 0 <= n < self.qorder:
             raise ValueError(f"grade {n} outside computed range 0..{self.qorder - 1}")
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "weight": self.weight,
-            "qorder": self.qorder,
-            "rows": [
-                [[e, str(c)] for e, c in sorted(row.items())]
-                for row in self.rows
-            ],
-        }
 
 
 @lru_cache(maxsize=None)
@@ -126,12 +112,3 @@ def simple_character(k: int, lam: int, qorder: int) -> ZQCharacter:
         i += 1
     rows = [{e: cc for e, cc in row.items() if cc} for row in rows]
     return ZQCharacter(level=k, weight=lam, rows=tuple(rows))
-
-
-def trivial_multiplicity(k: int, lam: int, n: int) -> int:
-    """Multiplicity of the trivial sl(2) module at conformal grade n of
-    L(k, lam), for even lam: coeff(z^0 q^n) - coeff(z^2 q^n)."""
-    rep_dimension(k, lam)
-    if n < 0:
-        raise ValueError("grade must be non-negative")
-    return simple_character(k, lam, n + 1).trivial_multiplicity(n)

@@ -14,7 +14,8 @@ message on stderr.  So does a command whose reader closes the pipe
 before all of its output is written (``| head``): stdout then points at
 the null device, so that neither the interrupted write nor the
 interpreter's final flush prints a traceback.  A level whose labels do
-not fit in memory (2^63 or more of them never do) is invalid input, exit 2.
+not fit in memory (2^63 or more of them never do) is invalid input, exit 2,
+and so is an order whose coefficients do not.
 
 Garbage collection.  When ``main`` runs as the program, with ``argv``
 None (the ``sl2onepoint`` console script, ``python -m sl2onepoint.cli``),

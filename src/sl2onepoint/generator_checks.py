@@ -80,11 +80,6 @@ class HypergeomSpec(namedtuple("HypergeomSpec", "upper lower")):
     # ``_replace`` builds through ``_make``: check there too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def coefficients(self, count: int) -> list[Fraction]:
-        """First ``count`` series coefficients from the rising-factorial
-        recurrence c_{n+1}/c_n = prod(a_i+n) / (prod(b_j+n) * (n+1))."""
-        return [Fraction(c, d) for c, d in zip(*self._integer_coefficients(count))]
-
     def _integer_coefficients(self, count: int) -> tuple[list[int], list[int]]:
         """(nums, dens) with c_n = nums[n]/dens[n], not reduced: the same
         recurrence on ints, each parameter over its own denominator, so
@@ -307,18 +302,6 @@ class FixtureEntry(
             and self.expected_coeffs == self.got_coeffs
         )
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "mu": self.mu,
-            "passed": self.passed,
-            "expected_exponent": str(self.expected_exponent),
-            "got_exponent": str(self.got_exponent),
-            "expected_coeffs": [str(c) for c in self.expected_coeffs],
-            "got_coeffs": [str(c) for c in self.got_coeffs],
-            "published_residual": [str(c) for c in self.published_residual],
-        }
-
 
 class FixtureReport(namedtuple("FixtureReport", "table entries")):
     """The entries (``FixtureEntry``) of one published table."""
@@ -328,13 +311,6 @@ class FixtureReport(namedtuple("FixtureReport", "table entries")):
     @property
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "table": self.table,
-            "all_passed": self.all_passed,
-            "entries": [e.to_json() for e in self.entries],
-        }
 
 
 @lru_cache(maxsize=None)

@@ -130,7 +130,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, neg, sub
-from types import MappingProxyType
 
 from .errors import PrecisionLossError, RelationViolationError
 from .sl2data import (
@@ -308,7 +307,6 @@ class GenModularPair(
     namedtuple(
         "GenModularPair",
         "level p_label s_matrix t_diagonal relation_residuals stages",
-        defaults=(MappingProxyType({}),),
     )
 ):
     """The action of the once-punctured-torus mapping class group on the
@@ -325,8 +323,8 @@ class GenModularPair(
     mirrored ones included; each is summed as a slice of the table rows,
     not evaluated on its own), the assembly and certification times in
     seconds, and the headroom of the worst residual below the tolerance in
-    decimal digits; read-only when not given, so that no two pairs share
-    a mutable default.  The basis is derived from (level, p_label)."""
+    decimal digits; every field is required.  The basis is derived from
+    (level, p_label)."""
 
     __slots__ = ()
     basis = property(lambda self: tuple(xi_set(self.level, self.p_label)))

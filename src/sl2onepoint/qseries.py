@@ -7,7 +7,7 @@ Every modular object in this package is stored as a truncated expansion
 where ``lam`` is a :class:`fractions.Fraction` and every ``c[n]`` is an
 exact rational.  The leading exponent may be fractional, but all exponents
 of a single series live in the coset ``lam + Z``; binary operations insist
-on compatible cosets.  The ``order`` field records how many coefficients
+on compatible cosets.  The ``order`` property records how many coefficients
 are trustworthy; operations shrink it conservatively and never extrapolate.
 
 A series holds c[n] = nums[n]/den with Python ints ``nums`` and ``den`` > 0
@@ -55,25 +55,20 @@ def _frac(x) -> Fraction:
 class QExpansion:
     """A truncated series q^lam * sum_{n<order} (nums[n]/den) q^n.
 
-    Instances are immutable.  ``nums`` is a tuple of ints of length exactly
-    ``order`` over the int ``den`` > 0, with gcd(den, *nums) = 1, and
+    Instances are immutable.  ``nums`` is a tuple of ints, whose length is
+    ``order``, over the int ``den`` > 0, with gcd(den, *nums) = 1, and
     ``coeffs`` is the same tuple as reduced Fractions.  A series is exactly
     zero below its leading exponent, so zero-extension downwards is always
     legitimate, while coefficients at index >= order are unknown.
     """
 
-    __slots__ = ("leading_exponent", "order", "den", "nums", "_coeffs")
+    __slots__ = ("leading_exponent", "den", "nums", "_coeffs")
+    order = property(lambda self: len(self.nums))
 
-    def __init__(self, leading_exponent, coeffs, order: int | None = None):
+    def __init__(self, leading_exponent, coeffs):
         lam = _frac(leading_exponent)
         # a Fraction is immutable and kept as it is; _frac converts the rest and refuses floats
         cs = tuple(c if type(c) is Fraction else _frac(c) for c in coeffs)
-        if order is None:
-            order = len(cs)
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        if len(cs) != order:
-            raise ValueError(f"got {len(cs)} coefficients for order {order}")
         # over the lcm of reduced denominators no prime divides den and every numerator
         den = math.lcm(*(c.denominator for c in cs))
         _init(self, lam, den, tuple(c.numerator * (den // c.denominator) for c in cs), cs)
@@ -92,18 +87,6 @@ class QExpansion:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def coefficient(self, exponent) -> Fraction:
-        """Coefficient of q^exponent; 0 below the leading exponent."""
-        diff = _frac(exponent) - self.leading_exponent
-        if diff.denominator != 1:
-            raise ValueError(f"exponent {exponent} not in coset {self.leading_exponent} + Z")
-        n = int(diff)
-        if n < 0:
-            return Fraction(0)
-        if n >= self.order:
-            raise ValueError(f"exponent {exponent} beyond valid order {self.order}")
-        return self.coeffs[n]
 
     def canonical(self) -> "QExpansion":
         """Strip leading zero coefficients, bumping the exponent; a series
@@ -242,17 +225,9 @@ class QExpansion:
             "order": self.order,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QExpansion":
-        return cls(
-            Fraction(obj["leading_exponent"]),
-            [Fraction(c) for c in obj["coeffs"]],
-            obj["order"],
-        )
-
 
 def _init(s: QExpansion, lam: Fraction, den: int, nums: tuple, coeffs) -> QExpansion:
-    for name, value in zip(QExpansion.__slots__, (lam, len(nums), den, nums, coeffs)):
+    for name, value in zip(QExpansion.__slots__, (lam, den, nums, coeffs)):
         object.__setattr__(s, name, value)
     return s
 
@@ -397,6 +372,17 @@ def _sigma(n: int, power: int) -> int:
     return total
 
 
+def _zeros(order: int) -> list[int]:
+    """The ``order`` zeros that a constructor fills in, allocated before any
+    per-coefficient work, so that an order whose coefficients do not fit in
+    memory (2^63 or more never do) is refused at once, as a ``ValueError``
+    that names it."""
+    try:
+        return [0] * order
+    except (OverflowError, MemoryError):
+        raise ValueError(f"order {order} is too large: its coefficients do not fit in memory") from None
+
+
 @lru_cache(maxsize=None)
 def eisenstein(weight: int, order: int) -> QExpansion:
     """Eisenstein series normalised with constant term -B_{2k}/(2k)!.
@@ -409,7 +395,10 @@ def eisenstein(weight: int, order: int) -> QExpansion:
         raise ValueError("order must be >= 1")
     # -B/w! + (2/(w-1)!) sigma(n) q^n, over the denominator of B times w!
     b = bernoulli(weight)
-    nums = [-b.numerator] + [2 * weight * b.denominator * _sigma(n, weight - 1) for n in range(1, order)]
+    nums = _zeros(order)
+    nums[0] = -b.numerator
+    for n in range(1, order):
+        nums[n] = 2 * weight * b.denominator * _sigma(n, weight - 1)
     return _from_ints(Fraction(0), nums, b.denominator * math.factorial(weight))
 
 
@@ -418,7 +407,8 @@ def euler_product(order: int) -> QExpansion:
     """prod_{n>=1} (1 - q^n) truncated, via the pentagonal number theorem."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [1] + [0] * (order - 1)
+    coeffs = _zeros(order)
+    coeffs[0] = 1
     m = 1
     while True:
         p1 = m * (3 * m - 1) // 2

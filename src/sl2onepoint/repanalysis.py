@@ -58,6 +58,11 @@ HOLOMORPHIC_EQUAL = "holomorphic_equal"
 HOLOMORPHIC_PROPER = "holomorphic_proper"
 WEAKLY_ONLY = "weakly_only"
 
+# The widest sum set the subproduct test holds as bits: an integer of 2^30
+# bits takes 128 MB, and a search that reaches 0 only at its 30th residue,
+# m = 2^30 - 1, peaked at 561 MB with its shifted copies, well inside 2 GB.
+_BITSET_LIMIT = 1 << 30
+
 # Ranges of k for which torus one-point functions exhaust the holomorphic
 # forms, per dimension d = k - lambda + 1.  Sharp, hence table-driven.
 _EQUALITY_RANGES = {1: (2, 14), 2: (3, 13), 3: (4, 10)}
@@ -69,9 +74,6 @@ class AdmissibleSet(namedtuple("AdmissibleSet", "exponents")):
     unique such choice."""
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"exponents": [str(x) for x in self.exponents]}
 
 
 class CongruenceVerdict(namedtuple("CongruenceVerdict", "status congruence_level basis")):
@@ -172,6 +174,9 @@ def irreducibility_subproduct_test(sig: RepSignature) -> str:
     held as a set of at most 2^n residues, O(n 2^n) work.  Otherwise they
     are the bits of one m-bit integer, rotated by each residue in turn: at
     most n shifts of m bits.  Both stop at the first subset that reaches 0.
+    When that integer would exceed ``_BITSET_LIMIT`` bits, the search is
+    not made and the answer is inconclusive, which is sound because the
+    criterion is one-sided.
     """
     exps = sig.t_exponents
     m = math.lcm(*(r.denominator // math.gcd(r.denominator, 12) for r in exps))
@@ -186,6 +191,8 @@ def irreducibility_subproduct_test(sig: RepSignature) -> str:
             if 0 in sums:
                 return INCONCLUSIVE
         return IRREDUCIBLE
+    if m > _BITSET_LIMIT:
+        return INCONCLUSIVE
     full = (1 << m) - 1
     sums = 0  # bit s set: some non-empty subset so far sums to s mod m
     for a in residues:

@@ -32,35 +32,35 @@ def add(a: QExpansion, b: QExpansion) -> QExpansion:
         ca = a.coeffs[i - sa] if 0 <= i - sa < a.order else Fraction(0)
         cb = b.coeffs[i - sb] if 0 <= i - sb < b.order else Fraction(0)
         coeffs.append(ca + cb)
-    return QExpansion(lam, coeffs, n)
+    return QExpansion(lam, coeffs)
 
 
 def scale(a: QExpansion, scalar) -> QExpansion:
     """scalar * a, coefficient by coefficient."""
     scalar = Fraction(scalar)
-    return QExpansion(a.leading_exponent, tuple(scalar * c for c in a.coeffs), a.order)
+    return QExpansion(a.leading_exponent, tuple(scalar * c for c in a.coeffs))
 
 
 def cauchy(a: QExpansion, b: QExpansion) -> QExpansion:
     """a * b, each coefficient a sum of Fraction products."""
     n = min(a.order, b.order)
     coeffs = [sum((a.coeffs[i] * b.coeffs[m - i] for i in range(m + 1)), Fraction(0)) for m in range(n)]
-    return QExpansion(a.leading_exponent + b.leading_exponent, coeffs, n)
+    return QExpansion(a.leading_exponent + b.leading_exponent, coeffs)
 
 
 def modular_derivative(f: QExpansion, weight) -> QExpansion:
     """(q d/dq) f + weight * eis_2 * f, valid to one order less than f."""
     lam = f.leading_exponent
-    qd = QExpansion(lam, tuple((lam + n) * c for n, c in enumerate(f.coeffs)), f.order)
+    qd = QExpansion(lam, tuple((lam + n) * c for n, c in enumerate(f.coeffs)))
     result = add(qd, scale(cauchy(eisenstein(2, f.order), f), weight))
-    return QExpansion(lam, result.coeffs[: f.order - 1], f.order - 1)
+    return QExpansion(lam, result.coeffs[: f.order - 1])
 
 
 def hypergeom_series(spec, arg: QExpansion, order: int) -> QExpansion:
     """F(arg) = sum_n c_n arg^n for ``arg`` that vanishes at q = 0 and lives
     in integer exponents, with c_{n+1}/c_n = prod(a_i+n) / (prod(b_j+n)
     (n+1)), each power a Fraction Cauchy product of the one before."""
-    arg = QExpansion(arg.leading_exponent, arg.coeffs[:order], order)
+    arg = QExpansion(arg.leading_exponent, arg.coeffs[:order])
     total = one(order)
     power = one(order)
     c = Fraction(1)
@@ -93,7 +93,7 @@ def series_pow_rational(a: QExpansion, alpha) -> QExpansion:
                 break
             acc += ((alpha + 1) * i - m) * c * b[m - i]
         b[m] = acc / m
-    return QExpansion(0, b, n)
+    return QExpansion(0, b)
 
 
 def series_div(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -109,7 +109,7 @@ def series_div(a: QExpansion, b: QExpansion) -> QExpansion:
             if b.coeffs[m] != 0:
                 acc -= b.coeffs[m] * coeffs[i - m]
         coeffs.append(acc * inv0)
-    return QExpansion(a.leading_exponent - b.leading_exponent, coeffs, n)
+    return QExpansion(a.leading_exponent - b.leading_exponent, coeffs)
 
 
 def theta_form(weight, kappas, order: int) -> list[QExpansion]:
@@ -125,7 +125,7 @@ def theta_form(weight, kappas, order: int) -> list[QExpansion]:
         v = weight + 2 * i
         nxt = [zero(order)] * (len(prev) + 1)
         for j, a in enumerate(prev):
-            theta_a = QExpansion(0, tuple(n * c for n, c in enumerate(a.coeffs)), order)
+            theta_a = QExpansion(0, tuple(n * c for n, c in enumerate(a.coeffs)))
             nxt[j] = nxt[j] + theta_a + v * (e2 * a)
             nxt[j + 1] = nxt[j + 1] + a
         powers.append(nxt)
@@ -179,5 +179,5 @@ def mlde_solutions(weight, exponents, kappas, order: int) -> list[QExpansion]:
                 if b:
                     acc += b * cs[m]
             cs.append(-acc / (den * r ** (top - 1) * indicial(x + n)))
-        out.append(QExpansion(x, cs, order))
+        out.append(QExpansion(x, cs))
     return out

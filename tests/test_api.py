@@ -74,6 +74,32 @@ def test_moved_names_have_no_old_spelling():
         qseries.modular_derivative
 
 
+def test_removed_names_do_not_resolve():
+    """The codecs, accessors and wrapper that no command called are gone,
+    ``QExpansion`` reads its order from its coefficients, and
+    ``GenModularPair`` has no default ``stages``."""
+    from sl2onepoint import bgg, generator_checks, mtc, qseries, repanalysis
+
+    removed = {
+        qseries.QExpansion: ("from_json", "coefficient"),
+        bgg.ZQCharacter: ("coefficient", "to_json"),
+        bgg: ("trivial_multiplicity",),
+        generator_checks.HypergeomSpec: ("coefficients",),
+        generator_checks.FixtureEntry: ("to_json",),
+        generator_checks.FixtureReport: ("to_json",),
+        repanalysis.AdmissibleSet: ("to_json",),
+    }
+    for owner, names in removed.items():
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(owner, name)
+    assert "trivial_multiplicity" not in bgg.__all__
+    with pytest.raises(TypeError):
+        qseries.QExpansion(0, [1], 1)
+    assert qseries.QExpansion(0, [1, 2]).order == 2
+    assert mtc.GenModularPair._field_defaults == {}
+
+
 def _records():
     from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sl2data
     from sl2onepoint.cli import RunConfig
@@ -112,8 +138,8 @@ def test_every_record_refuses_assignment():
 
 def test_records_keep_their_fields_and_defaults():
     """The records are ``collections.namedtuple`` classes with the field
-    order of their constructors; only ``GenModularPair.stages`` has a
-    default, a read-only empty mapping."""
+    order of their constructors, and no field has a default: each is built
+    with all of its fields."""
     from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sl2data
 
     fields = {
@@ -131,8 +157,6 @@ def test_records_keep_their_fields_and_defaults():
     for record, names in fields.items():
         assert record._fields == tuple(names.split()), record.__name__
         assert record.__slots__ == (), record.__name__
-    assert {r.__name__ for r in fields if r._field_defaults} == {"GenModularPair"}
-    stages = mtc.GenModularPair(0, 0, ((1.0,),), (1.0,), {}).stages
-    assert stages == {}
+    assert [r.__name__ for r in fields if r._field_defaults] == []
     with pytest.raises(TypeError):
-        stages["assembly_s"] = 0.0
+        mtc.GenModularPair(0, 0, ((1.0,),), (1.0,), {})

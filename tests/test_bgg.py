@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sl2onepoint.bgg import simple_character, trivial_multiplicity
+from sl2onepoint.bgg import simple_character
 
 from pbw_oracle import VermaOracle
 
@@ -157,10 +157,10 @@ def test_two_variable_product_identity():
 
 
 def test_trivial_multiplicity_fixture_values():
-    assert trivial_multiplicity(4, 2, 0) == 0
-    assert trivial_multiplicity(4, 2, 1) == 1
+    assert simple_character(4, 2, 1).trivial_multiplicity(0) == 0
+    assert simple_character(4, 2, 2).trivial_multiplicity(1) == 1
     for k in (1, 3, 6):
-        assert trivial_multiplicity(k, 0, 0) == 1
+        assert simple_character(k, 0, 1).trivial_multiplicity(0) == 1
 
 
 def test_trivial_multiplicity_lemma_sweep_small():
@@ -173,19 +173,11 @@ def test_trivial_multiplicity_lemma_sweep_small():
 
 
 def test_trivial_multiplicity_errors():
-    with pytest.raises(ValueError):
-        trivial_multiplicity(4, 3, 0)
-    with pytest.raises(ValueError):
-        trivial_multiplicity(4, 2, -1)
+    # a grade outside the computed rows, below or above
     ch = simple_character(4, 2, 2)
-    with pytest.raises(ValueError):
-        ch.trivial_multiplicity(2)
-
-
-def test_character_json():
-    ch = simple_character(2, 2, 2)
-    payload = ch.to_json()
-    assert payload["rows"][0] == [[-2, "1"], [0, "1"], [2, "1"]]
+    for n in (-1, 2):
+        with pytest.raises(ValueError):
+            ch.trivial_multiplicity(n)
 
 
 def test_simple_character_input_validation():

@@ -127,26 +127,70 @@ def test_level_whose_labels_cannot_be_listed_is_invalid_input(capsys, argv):
     assert err == f"invalid input: level {argv[2]} is too large: its labels do not fit in memory\n"
 
 
-@pytest.mark.parametrize("k", [10**20, 10**12])
-def test_classify_of_three_labels_at_a_huge_level_stays_bounded(k):
+def _limit_memory():
+    """Lower this process's address space to 2 GB, so that a job which
+    asks for more fails with ``MemoryError`` instead of exhausting the
+    machine."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+
+def _bounded_job(*argv):
+    """``main(argv)`` in a fresh interpreter under ``_limit_memory``."""
+    pytest.importorskip("resource")
+    entry = "import sys; from sl2onepoint.cli import main; sys.exit(main())"
+    return _fresh_process(entry, *argv, text=True, preexec_fn=_limit_memory)
+
+
+@pytest.mark.parametrize(
+    "k, d, irreducibility",
+    [
+        pytest.param(10**20, 3, "irreducible", id=str(10**20)),
+        pytest.param(10**12, 3, "irreducible", id=str(10**12)),
+        pytest.param(10**12, 41, "inconclusive", id=f"{10**12}-dimension-41"),
+    ],
+)
+def test_classify_of_three_labels_at_a_huge_level_stays_bounded(k, d, irreducibility):
     """With lambda = k - 2 the level has three labels, and the subproduct
     test's common denominator m grows like 48(k+2): it searches the four
     subset sums as a set, not as an m-bit integer, which overflowed at
-    10^20 and would take about 125 GB at 10^12.  The job runs under a 2 GB
-    address-space limit, so a regression fails with ``MemoryError``
-    instead of exhausting the machine."""
-    resource = pytest.importorskip("resource")
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
-
-    entry = "import sys; from sl2onepoint.cli import main; sys.exit(main())"
-    argv = ("classify", "-k", str(k), "-l", str(k - 2), "--format", "json")
-    result = _fresh_process(entry, *argv, text=True, preexec_fn=limit_memory)
+    10^20 and would take about 125 GB at 10^12.  With lambda = k - 40, 41
+    labels, the search would need an m-bit integer with m = 333,333,333,334
+    (about 42 GB), past the bitset limit, so the answer is inconclusive
+    without a search.  Each job runs under a 2 GB address-space limit, so
+    a regression fails with ``MemoryError`` instead of exhausting the
+    machine."""
+    result = _bounded_job("classify", "-k", str(k), "-l", str(k - d + 1), "--format", "json")
     assert result.returncode == EXIT_OK, result.stderr
     assert "Traceback" not in result.stderr
     payload = json.loads(result.stdout)
-    assert (payload["dimension"], payload["irreducibility"]) == (3, "irreducible")
+    assert (payload["dimension"], payload["irreducibility"]) == (d, irreducibility)
+
+
+@pytest.mark.parametrize(
+    "k, lam, order",
+    [
+        pytest.param(4, 4, 10**20, id="dimension-1-order-1e20"),
+        pytest.param(4, 4, 10**10, id="dimension-1-order-1e10"),
+        pytest.param(3, 2, 10**10, id="dimension-2-order-1e10"),
+        pytest.param(3, 2, 10**20, id="dimension-2-order-1e20"),
+        pytest.param(4, 2, 10**10, id="dimension-3-order-1e10"),
+    ],
+)
+def test_expand_of_an_order_too_large_for_memory_is_invalid_input(k, lam, order):
+    """An order whose coefficient list cannot be allocated is refused
+    before any coefficient is computed: exit 2 with a message that names
+    the order.  Without that, 10^20 overflowed the list in dimension one,
+    10^10 ran out of memory there, and dimensions two and three summed
+    divisors term by term without end.  Under the 2 GB limit even 10^10
+    fails at once."""
+    result = _bounded_job("expand", "-k", str(k), "-l", str(lam), "-n", str(order))
+    assert result.returncode == EXIT_INVALID, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr == (
+        f"invalid input: order {order} is too large: its coefficients do not fit in memory\n"
+    )
 
 
 def test_mtc_subcommand(capsys):

@@ -1113,6 +1113,7 @@ def test_probe_inconclusive_on_t_collision():
         s_matrix=_diag([1.0 + 0j, 1.0 + 0j]),
         t_diagonal=(1.0 + 0j, 1.0 + 0j),
         relation_residuals={},
+        stages={},
     )
     assert irreducibility_probe(fake) == "inconclusive"
 
@@ -1124,6 +1125,7 @@ def test_probe_detects_zero_coupling():
         s_matrix=_diag([1.0 + 0j, -1.0 + 0j]),  # block diagonal: invariant axes
         t_diagonal=(1.0 + 0j, 1j),
         relation_residuals={},
+        stages={},
     )
     assert irreducibility_probe(fake) == "inconclusive"
 
@@ -1136,6 +1138,7 @@ def test_probe_refuses_large_basis():
         s_matrix=_diag([1.0 + 0j] * n),
         t_diagonal=tuple(complex(np.exp(2j * np.pi * a / n)) for a in range(n)),
         relation_residuals={},
+        stages={},
     )
     with pytest.raises(ValueError):
         irreducibility_probe(fake)
@@ -1152,16 +1155,17 @@ def test_probe_refuses_non_finite_s(bad):
         s_matrix=s,
         t_diagonal=(1.0 + 0j, 1j),
         relation_residuals={},
+        stages={},
     )
     with pytest.raises(ValueError, match="non-finite"):
         irreducibility_probe(fake)
-    imaginary = GenModularPair(3, 2, ((complex(0.0, bad), 0.5 + 0j), s[1]), fake.t_diagonal, {})
+    imaginary = GenModularPair(3, 2, ((complex(0.0, bad), 0.5 + 0j), s[1]), fake.t_diagonal, {}, {})
     with pytest.raises(ValueError, match="non-finite"):
         irreducibility_probe(imaginary)
-    finite = GenModularPair(3, 2, ((0.5 + 0j, 0.5 + 0j), s[1]), fake.t_diagonal, {})
+    finite = GenModularPair(3, 2, ((0.5 + 0j, 0.5 + 0j), s[1]), fake.t_diagonal, {}, {})
     assert irreducibility_probe(finite) == "irreducible"
     # finite entries whose row sum overflows to inf are not refused
-    huge = GenModularPair(3, 2, ((1e308 + 0j, 1e308 + 0j), s[1]), fake.t_diagonal, {})
+    huge = GenModularPair(3, 2, ((1e308 + 0j, 1e308 + 0j), s[1]), fake.t_diagonal, {}, {})
     assert sum(huge.s_matrix[0]) == complex(math.inf, 0.0)
     assert irreducibility_probe(huge) == "irreducible"
 
@@ -1194,6 +1198,7 @@ def _synthetic_pairs(draw):
         s_matrix=tuple(tuple(entries[o * dim : (o + 1) * dim]) for o in range(dim)),
         t_diagonal=tuple(cmath.exp(2j * math.pi * a / dim) for a in range(dim)),
         relation_residuals={},
+        stages={},
     )
 
 
@@ -1236,12 +1241,6 @@ def test_cached_level_table_refuses_assignment():
     with pytest.raises(AttributeError):
         data.zeta = 1.0
     assert data.zeta != 1.0
-    # a pair built without stages gets a read-only mapping, shared by no
-    # mutable default
-    pair = GenModularPair(1, 0, _diag([1j, 1j]), (1j, 1j), {})
-    assert pair.stages == {}
-    with pytest.raises(TypeError):
-        pair.stages["six_j_evaluations"] = 0
 
 
 def test_level_table_refuses_a_level_whose_labels_cannot_be_listed():

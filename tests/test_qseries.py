@@ -148,8 +148,8 @@ def test_j_inverse_fixture_values():
     assert ji.leading_exponent == 1
     assert ji.coeffs == (F(1728), F(-1285632))
     assert j_inverse(1).coeffs == (F(1728),)
-    # vanishing at the cusp: exponent coset includes q^0 with coefficient 0
-    assert j_inverse(3).coefficient(0) == 0
+    # vanishing at the cusp: the series starts at q^1, so q^0 has coefficient 0
+    assert j_inverse(3).leading_exponent == 1
 
 
 def test_j_inverse_internal_cross_check_runs():
@@ -406,7 +406,7 @@ _ALPHAS = [F(0), F(1, 3), F(-5, 7), F(7, 2), F(-3), F(24)]
 def _v_unit(order):
     """The unit-constant part of 1728/(jq), a dense series with
     non-integer coefficients (the v of the hypergeometric generator)."""
-    return QExpansion(0, tuple(c / 1728 for c in j_inverse(order).coeffs), order)
+    return QExpansion(0, tuple(c / 1728 for c in j_inverse(order).coeffs))
 
 
 @pytest.mark.parametrize("alpha", _ALPHAS)
@@ -432,11 +432,11 @@ def test_pow_rational_equals_fraction_oracle_on_random_unit_series(tail, alpha):
 
 def test_order_zero_series_integer_powers():
     # an order-0 series knows no coefficients; its powers know none either
-    empty = QExpansion(0, [], 0)
+    empty = QExpansion(0, [])
     for got in (empty**2, series_pow_rational(empty, 2), empty**0, one(0)):
         assert got.order == 0
         assert got.coeffs == ()
-    assert (QExpansion(F(1, 3), [], 0) ** 2).leading_exponent == F(2, 3)
+    assert (QExpansion(F(1, 3), []) ** 2).leading_exponent == F(2, 3)
 
 
 def test_series_div_round_trip():
@@ -531,17 +531,6 @@ def test_derivative_shrinks_order():
 # -- bookkeeping and serialization ----------------------------------------
 
 
-def test_coefficient_lookup():
-    f = QExpansion(F(3, 40), [F(1), F(5)])
-    assert f.coefficient(F(3, 40)) == 1
-    assert f.coefficient(F(43, 40)) == 5
-    assert f.coefficient(F(-37, 40)) == 0  # below the leading exponent
-    with pytest.raises(ValueError):
-        f.coefficient(F(1, 2))  # wrong coset
-    with pytest.raises(ValueError):
-        f.coefficient(F(83, 40))  # beyond validity
-
-
 def test_canonical_and_monic():
     f = QExpansion(F(1, 2), [F(0), F(0), F(3), F(6)])
     c = f.canonical()
@@ -558,8 +547,10 @@ def test_immutability():
 
 def test_json_round_trip():
     f = QExpansion(F(-5, 24), [F(1), F(-7, 3), F(0)])
-    assert QExpansion.from_json(f.to_json()) == f
-    assert f.to_json()["leading_exponent"] == "-5/24"
+    payload = f.to_json()
+    assert payload == {"leading_exponent": "-5/24", "coeffs": ["1", "-7/3", "0"], "order": 3}
+    # each string reads back as the Fraction it was written from
+    assert QExpansion(F(payload["leading_exponent"]), map(F, payload["coeffs"])) == f
 
 
 def test_fraction_codec():
