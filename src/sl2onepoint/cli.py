@@ -13,9 +13,13 @@ below double-precision error), or whose value a double cannot hold (a
 message on stderr.  So does a command whose reader closes the pipe
 before all of its output is written (``| head``): stdout then points at
 the null device, so that neither the interrupted write nor the
-interpreter's final flush prints a traceback.  A level whose labels do
-not fit in memory (2^63 or more of them never do) is invalid input, exit 2,
-and so is an order whose coefficients do not.
+interpreter's final flush prints a traceback.  A job too large for
+memory is invalid input, exit 2, with one line that names its level and
+its order, if one was given.  ``_run`` is the one place that knows this
+rule: any ``OverflowError`` or ``MemoryError`` of a job ends there, at once
+for 2^63 labels or coefficients or more, whose ``range`` or list
+overflows, and otherwise when an allocation fails.  The library raises
+either as Python does.
 
 Garbage collection.  When ``main`` runs as the program, with ``argv``
 None (the ``sl2onepoint`` console script, ``python -m sl2onepoint.cli``),
@@ -128,8 +132,11 @@ class RunConfig(namedtuple("RunConfig", "order tolerance output_format")):
 def _emit(payload, config: RunConfig, table_lines) -> None:
     """Print the JSON payload or the table lines.  ``payload`` is a
     function returning the payload's dict, called only for JSON output,
-    and ``table_lines`` is iterated only for table output, so neither
-    format builds what the other would throw away."""
+    and ``table_lines`` is iterated only for table output.  ``expand``,
+    ``classify`` and ``mtc`` pass a function that builds the payload and a
+    generator of the lines, so neither format builds what the other would
+    throw away; ``verify`` builds both first, since they list only the
+    failures."""
     if config.output_format == "json":
         import json
 
@@ -176,7 +183,7 @@ def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
     from .repanalysis import classification_report
 
     payload, lines = classification_report(k, lam)
-    _emit(lambda: payload, config, lines)
+    _emit(payload, config, lines)
     return EXIT_OK
 
 
@@ -368,6 +375,11 @@ def _run(argv: list) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (OverflowError, MemoryError):
+        pass  # leaving the block frees the job's frames, so the message below fits
+    sizes = [f"{name} {getattr(args, name)}" for name in ("level", "order") if hasattr(args, name)]
+    print("invalid input: too large for memory:", ", ".join(sizes) or args.command, file=sys.stderr)
+    return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -372,17 +372,6 @@ def _sigma(n: int, power: int) -> int:
     return total
 
 
-def _zeros(order: int) -> list[int]:
-    """The ``order`` zeros that a constructor fills in, allocated before any
-    per-coefficient work, so that an order whose coefficients do not fit in
-    memory (2^63 or more never do) is refused at once, as a ``ValueError``
-    that names it."""
-    try:
-        return [0] * order
-    except (OverflowError, MemoryError):
-        raise ValueError(f"order {order} is too large: its coefficients do not fit in memory") from None
-
-
 @lru_cache(maxsize=None)
 def eisenstein(weight: int, order: int) -> QExpansion:
     """Eisenstein series normalised with constant term -B_{2k}/(2k)!.
@@ -395,7 +384,7 @@ def eisenstein(weight: int, order: int) -> QExpansion:
         raise ValueError("order must be >= 1")
     # -B/w! + (2/(w-1)!) sigma(n) q^n, over the denominator of B times w!
     b = bernoulli(weight)
-    nums = _zeros(order)
+    nums = [0] * order  # allocated before any per-coefficient work
     nums[0] = -b.numerator
     for n in range(1, order):
         nums[n] = 2 * weight * b.denominator * _sigma(n, weight - 1)
@@ -407,7 +396,7 @@ def euler_product(order: int) -> QExpansion:
     """prod_{n>=1} (1 - q^n) truncated, via the pentagonal number theorem."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = _zeros(order)
+    coeffs = [0] * order  # allocated before any per-coefficient work
     coeffs[0] = 1
     m = 1
     while True:

@@ -291,11 +291,13 @@ def saturation_check(k: int, lam: int) -> bool:
     return weight_lower_bound(leading_exponents(k, lam)) == form_weight(k, lam)
 
 
-def classification_report(k: int, lam: int) -> tuple[dict, list[str]]:
-    """Everything ``sl2onepoint classify`` reports on (k, lam): the JSON
-    payload and the lines of the table format.  Above dimension 3, where
-    the holomorphy has no sharp refinement, ``holomorphy`` is None, and
-    an undetermined verdict carries a hint to run the categorical probe."""
+def classification_report(k: int, lam: int):
+    """Everything ``sl2onepoint classify`` reports on (k, lam), as a
+    function that builds the JSON payload and a generator of the lines of
+    the table format; the verdicts are computed here, once, and each format
+    formats only what it prints.  Above dimension 3, where the holomorphy
+    has no sharp refinement, ``holomorphy`` is None, and an undetermined
+    verdict carries a hint to run the categorical probe."""
     sig = rho_t(k, lam)
     exponents = leading_exponents(k, lam)
     try:
@@ -304,31 +306,41 @@ def classification_report(k: int, lam: int) -> tuple[dict, list[str]]:
         holomorphy = None  # no sharp refinement above dimension 3
     verdict = congruence_classify(k, lam)
     irred = irreducibility_subproduct_test(sig)
-    payload = {
-        "level": k,
-        "lambda": lam,
-        "dimension": sig.dimension,
-        "leading_exponents": [str(x) for x in exponents],
-        "rho_t": sig.to_json(),
-        "t_order": t_order(k, lam),
-        "irreducibility": irred,
-        "congruence": verdict.to_json(),
-        "holomorphy": holomorphy,
-        "saturation": saturation_check(k, lam),
-    }
-    lines = [
-        f"level={k} lambda={lam}: dimension {sig.dimension}",
-        "  leading exponents: " + ", ".join(map(str, exponents)),
-        "  T-exponents: " + ", ".join(map(str, sig.t_exponents)),
-        f"  order of T-action: {payload['t_order']}",
-        f"  irreducibility (subproduct test): {irred}",
-        f"  congruence: {verdict.status}"
-        + (f" (level {verdict.congruence_level})" if verdict.congruence_level else "")
-        + f" [{verdict.basis}]",
-        f"  holomorphy: {holomorphy if holomorphy else 'holomorphic (no sharp refinement above dimension 3)'}",
-        f"  weight-bound saturation: {payload['saturation']}",
-    ]
-    if verdict.status == UNDETERMINED and sig.dimension >= 4:
-        lines.append("  hint: run `sl2onepoint mtc` for the categorical irreducibility probe")
-        payload["hint"] = "mtc"
-    return payload, lines
+    order = t_order(k, lam)
+    saturation = saturation_check(k, lam)
+    hint = verdict.status == UNDETERMINED and sig.dimension >= 4
+
+    def payload():
+        out = {
+            "level": k,
+            "lambda": lam,
+            "dimension": sig.dimension,
+            "leading_exponents": [str(x) for x in exponents],
+            "rho_t": sig.to_json(),
+            "t_order": order,
+            "irreducibility": irred,
+            "congruence": verdict.to_json(),
+            "holomorphy": holomorphy,
+            "saturation": saturation,
+        }
+        if hint:
+            out["hint"] = "mtc"
+        return out
+
+    def lines():
+        yield f"level={k} lambda={lam}: dimension {sig.dimension}"
+        yield "  leading exponents: " + ", ".join(map(str, exponents))
+        yield "  T-exponents: " + ", ".join(map(str, sig.t_exponents))
+        yield f"  order of T-action: {order}"
+        yield f"  irreducibility (subproduct test): {irred}"
+        yield (
+            f"  congruence: {verdict.status}"
+            + (f" (level {verdict.congruence_level})" if verdict.congruence_level else "")
+            + f" [{verdict.basis}]"
+        )
+        yield f"  holomorphy: {holomorphy if holomorphy else 'holomorphic (no sharp refinement above dimension 3)'}"
+        yield f"  weight-bound saturation: {saturation}"
+        if hint:
+            yield "  hint: run `sl2onepoint mtc` for the categorical irreducibility probe"
+
+    return payload, lines()

@@ -102,6 +102,20 @@ def test_classify_dimension_four_points_to_mtc(capsys):
     assert "mtc" in out
 
 
+def test_classify_table_does_not_build_the_json_payload(capsys, monkeypatch):
+    """The table format of ``classify`` prints without building the JSON
+    payload: with ``RepSignature.to_json`` broken, the table still prints."""
+    from sl2onepoint.sl2data import RepSignature
+
+    def broken(self):
+        raise AssertionError("the table format built the JSON payload")
+
+    monkeypatch.setattr(RepSignature, "to_json", broken)
+    code, out, _ = run(capsys, "classify", "-k", "5", "-l", "2")
+    assert code == EXIT_OK
+    assert "dimension 4" in out
+
+
 def test_classify_rejects_odd_weight(capsys):
     code, _, err = run(capsys, "classify", "--level", "5", "--lambda", "3")
     assert code == EXIT_INVALID
@@ -120,27 +134,49 @@ def test_level_whose_labels_cannot_be_listed_is_invalid_input(capsys, argv):
     """Each of these levels has 2^63 labels or more, whose ``range``
     overflows before anything is allocated: exit 2, with a message that
     names the level.  (A level such as 2^32 would try to allocate its
-    labels instead, so none is tested.)"""
+    labels instead; see ``test_job_too_large_for_memory_is_invalid_input``.)"""
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INVALID
     assert out == ""
-    assert err == f"invalid input: level {argv[2]} is too large: its labels do not fit in memory\n"
+    assert "Traceback" not in err
+    assert err == f"invalid input: too large for memory: level {argv[2]}\n"
 
 
-def _limit_memory():
-    """Lower this process's address space to 2 GB, so that a job which
-    asks for more fails with ``MemoryError`` instead of exhausting the
+def _bounded_job(*argv, limit=2 * 10**9):
+    """``main(argv)`` run as the program in a fresh interpreter whose
+    address space is lowered to ``limit`` bytes, so that a job which asks
+    for more fails with ``MemoryError`` instead of exhausting the
     machine."""
-    import resource
-
-    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
-
-
-def _bounded_job(*argv):
-    """``main(argv)`` in a fresh interpreter under ``_limit_memory``."""
-    pytest.importorskip("resource")
+    resource = pytest.importorskip("resource")
     entry = "import sys; from sl2onepoint.cli import main; sys.exit(main())"
-    return _fresh_process(entry, *argv, text=True, preexec_fn=_limit_memory)
+    return _fresh_process(
+        entry,
+        *argv,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("mtc", "-k", "2000000", "--p", "2"), id="mtc-level-table"),
+        pytest.param(("classify", "-k", "2000000", "-l", "0"), id="classify-exponents"),
+        pytest.param(("classify", "-k", "500000", "-l", "0", "--format", "json"), id="classify-json"),
+    ],
+)
+def test_job_too_large_for_memory_is_invalid_input(argv):
+    """Under a 200 MB address-space limit each of these jobs runs out of
+    memory partway: the ``mtc`` level table after its labels are listed,
+    ``classify``'s T-exponents, and the JSON report of 500,001 exponents,
+    whose strings are built last.  Each exits 2 with one line that names
+    the level and no traceback; the message is printed after the failed
+    job's frames are freed, so it fits where the job did not."""
+    result = _bounded_job(*argv, limit=200 * 2**20)
+    assert result.returncode == EXIT_INVALID, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert result.stderr == f"invalid input: too large for memory: level {argv[2]}\n"
 
 
 @pytest.mark.parametrize(
@@ -188,9 +224,8 @@ def test_expand_of_an_order_too_large_for_memory_is_invalid_input(k, lam, order)
     result = _bounded_job("expand", "-k", str(k), "-l", str(lam), "-n", str(order))
     assert result.returncode == EXIT_INVALID, result.stderr
     assert "Traceback" not in result.stderr
-    assert result.stderr == (
-        f"invalid input: order {order} is too large: its coefficients do not fit in memory\n"
-    )
+    assert result.stdout == ""
+    assert result.stderr == f"invalid input: too large for memory: level {k}, order {order}\n"
 
 
 def test_mtc_subcommand(capsys):
