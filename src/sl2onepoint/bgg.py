@@ -27,10 +27,10 @@ __all__ = ["ZQCharacter", "simple_character"]
 Row = dict[int, int]
 
 
-def _zconv(a: Row, b: Row) -> Row:
+def _zconv(a: Row, b: tuple[tuple[int, int], ...]) -> Row:
     out: Row = {}
     for ea, ca in a.items():
-        for eb, cb in b.items():
+        for eb, cb in b:
             e = ea + eb
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
@@ -91,7 +91,7 @@ def simple_character(k: int, lam: int, qorder: int) -> ZQCharacter:
     _check_label(k, lam)
     if qorder < 1:
         raise ValueError("qorder must be >= 1")
-    inv = [dict(row) for row in _denominator_inverse(qorder)]
+    inv = _denominator_inverse(qorder)
     h_lam = _conformal_weight(k, lam)
     rows: list[Row] = [{} for _ in range(qorder)]
     i = 0

@@ -14,8 +14,8 @@ message on stderr.  So does a command whose reader closes the pipe
 before all of its output is written (``| head``): stdout then points at
 the null device, so that neither the interrupted write nor the
 interpreter's final flush prints a traceback.  A job too large for
-memory is invalid input, exit 2, with one line that names its level and
-its order, if one was given.  ``_run`` is the one place that knows this
+memory is invalid input, exit 2, with one line that names its level and,
+for ``expand``, its order.  ``_run`` is the one place that knows this
 rule: any ``OverflowError`` or ``MemoryError`` of a job ends there, at once
 for 2^63 labels or coefficients or more, whose ``range`` or list
 overflows, and otherwise when an allocation fails.  The library raises
@@ -43,9 +43,10 @@ process.
 
 The command line is read from one table, ``_COMMANDS``: each
 subcommand's options, with their flag spellings, the attribute each sets,
-the type or the choices of its value, whether it is required, and its
-help.  ``main`` first reads ``argv`` with ``_parse``, which accepts only
-``<subcommand> (<flag> <value>)*`` with every flag spelled as in the
+the type or the choices of its value, whether it is required, its help,
+and its default (``--order`` 12, ``--tolerance`` 1e-9, ``--format
+table``).  ``main`` first reads ``argv`` with ``_parse``, which accepts
+only ``<subcommand> (<flag> <value>)*`` with every flag spelled as in the
 table and given once, no value starting with ``-``, every value of its
 type or among its choices, and every required option given.  Any other
 ``argv`` (``-h``, an abbreviation such as ``--lev``, ``--level=3``,
@@ -53,7 +54,8 @@ type or among its choices, and every required option given.  Any other
 value) goes to the argparse parser that ``_build_parser`` builds from
 the same table, which prints the help, or the usage error with exit
 code 2.  So a well-formed job loads neither ``argparse`` nor ``gettext``
-nor ``locale``, and ``json`` loads only for ``--format json``.
+nor ``locale``, and ``json`` loads only for ``--format json``.  ``_run``
+checks the tolerance and passes each command the values it reads.
 
 Each subcommand imports the layers it uses, inside the function that
 uses them: ``generators`` in ``cmd_expand``, ``repanalysis`` in
@@ -110,26 +112,7 @@ SUITES = ("tables", "mlde", "bgg", "dims", "mtc", "all")
 FORMATS = ("json", "table")
 
 
-class RunConfig(namedtuple("RunConfig", "order tolerance output_format")):
-    """The options shared by the subcommands, checked on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, order: int = 12, tolerance: float = 1e-9, output_format: str = "table"):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        # phrased so that NaN fails too
-        if not 0 < tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-        if output_format not in FORMATS:
-            raise ValueError(f"unknown format {output_format!r}")
-        return super().__new__(cls, order, tolerance, output_format)
-
-    # ``_replace`` builds through ``_make``: check there too
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-
-def _emit(payload, config: RunConfig, table_lines) -> None:
+def _emit(payload, output_format: str, table_lines) -> None:
     """Print the JSON payload or the table lines.  ``payload`` is a
     function returning the payload's dict, called only for JSON output,
     and ``table_lines`` is iterated only for table output.  ``expand``,
@@ -137,7 +120,7 @@ def _emit(payload, config: RunConfig, table_lines) -> None:
     generator of the lines, so neither format builds what the other would
     throw away; ``verify`` builds both first, since they list only the
     failures."""
-    if config.output_format == "json":
+    if output_format == "json":
         import json
 
         print(json.dumps(payload()))
@@ -149,11 +132,11 @@ def _emit(payload, config: RunConfig, table_lines) -> None:
 # -- expand -------------------------------------------------------------
 
 
-def cmd_expand(k: int, lam: int, config: RunConfig) -> int:
+def cmd_expand(k: int, lam: int, order: int, output_format: str) -> int:
     from . import generators
 
     start = time.perf_counter()
-    gen = generators.cyclic_generator(k, lam, config.order)
+    gen = generators.cyclic_generator(k, lam, order)
     generator_s = time.perf_counter() - start
 
     def lines():
@@ -172,30 +155,30 @@ def cmd_expand(k: int, lam: int, config: RunConfig) -> int:
         out["stages"] = {"generator_s": generator_s, "coeff_bits_max": bits}
         return out
 
-    _emit(payload, config, lines())
+    _emit(payload, output_format, lines())
     return EXIT_OK
 
 
 # -- classify -----------------------------------------------------------
 
 
-def cmd_classify(k: int, lam: int, config: RunConfig) -> int:
+def cmd_classify(k: int, lam: int, output_format: str) -> int:
     from .repanalysis import classification_report
 
     payload, lines = classification_report(k, lam)
-    _emit(payload, config, lines)
+    _emit(payload, output_format, lines)
     return EXIT_OK
 
 
 # -- mtc ----------------------------------------------------------------
 
 
-def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
+def cmd_mtc(k: int, p: int, tolerance: float, output_format: str) -> int:
     from . import mtc
 
-    pair = mtc.gen_modular_pair(k, p, config.tolerance)
+    pair = mtc.gen_modular_pair(k, p, tolerance)
     try:
-        probe = mtc.irreducibility_probe(pair, tolerance=config.tolerance)
+        probe = mtc.irreducibility_probe(pair, tolerance=tolerance)
     except ValueError as exc:
         probe = f"refused: {exc}"
 
@@ -203,7 +186,7 @@ def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
         # JSON only: the table format prints no comparison with the analytic T
         out = pair.to_json()
         out["irreducibility_probe"] = probe
-        out["analytic_comparison"] = mtc.compare_with_analytic(k, p, config.tolerance, pair=pair)
+        out["analytic_comparison"] = mtc.compare_with_analytic(k, p, tolerance, pair=pair)
         return out
 
     def lines():
@@ -215,18 +198,18 @@ def cmd_mtc(k: int, p: int, config: RunConfig) -> int:
         for row in pair.s_matrix:
             yield "    " + "  ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in row)
 
-    _emit(payload, config, lines())
+    _emit(payload, output_format, lines())
     return EXIT_OK
 
 
 # -- verify -------------------------------------------------------------
 
 
-def cmd_verify(suite: str, config: RunConfig) -> int:
+def cmd_verify(suite: str, tolerance: float, output_format: str) -> int:
     from .suites import report
 
-    payload, lines = report(suite, config)
-    _emit(lambda: payload, config, lines)
+    payload, lines = report(suite, tolerance)
+    _emit(lambda: payload, output_format, lines)
     return EXIT_OK if not payload["failed"] else EXIT_VERIFY_FAILED
 
 
@@ -234,21 +217,21 @@ def cmd_verify(suite: str, config: RunConfig) -> int:
 
 
 class _Option(
-    namedtuple("_Option", "flags dest type choices required help", defaults=(None, None, False, None))
+    namedtuple("_Option", "flags dest type choices required help default", defaults=(None, None, False, None, None))
 ):
     """One option of a subcommand: its flag spellings, the namespace
-    attribute it sets, and either the type its value converts with or the
-    choices it must be one of.  An optional option left out stays off the
-    namespace, so that ``RunConfig`` supplies its default."""
+    attribute it sets, either the type its value converts with or the
+    choices it must be one of, and the value it takes when left out."""
 
     __slots__ = ()
 
 
 _LEVEL = _Option(("--level", "-k"), "level", int, required=True, help="level k >= 0")
 _LAMBDA = _Option(("--lambda", "-l"), "lam", int, required=True, help="finite weight lambda (even)")
-_ORDER = _Option(("--order", "-n"), "order", int, help="series truncation order")
-_TOLERANCE = _Option(("--tolerance",), "tolerance", float)
-_FORMAT = _Option(("--format",), "output_format", choices=FORMATS)
+_ORDER = _Option(("--order", "-n"), "order", int, help="series truncation order", default=12)
+# the same as ``mtc.DEFAULT_TOLERANCE``, which this module may not import at load
+_TOLERANCE = _Option(("--tolerance",), "tolerance", float, default=1e-9)
+_FORMAT = _Option(("--format",), "output_format", choices=FORMATS, default="table")
 
 # the grammar: each subcommand's help and its options, in the order of its help
 _COMMANDS = {
@@ -275,8 +258,9 @@ def _parse(argv):
     <value>)*``, read from the table, or None for any other ``argv``.  Each
     flag is spelled as in the table and given once, no value starts with
     ``-``, each value converts with its type or is one of its choices, and
-    every required option is given; the namespace is then the one
-    ``_build_parser`` would return."""
+    every required option is given; the namespace, with the table's default
+    for each option left out, is then the one ``_build_parser`` would
+    return."""
     if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
     options = _COMMANDS[argv[0]][1]
@@ -295,8 +279,10 @@ def _parse(argv):
             except ValueError:
                 return None
         values[opt.dest] = value
-    if any(opt.required and opt.dest not in values for opt in options):
+    missing = [opt for opt in options if opt.dest not in values]
+    if any(opt.required for opt in missing):
         return None
+    values.update((opt.dest, opt.default) for opt in missing)
     return SimpleNamespace(**values)
 
 
@@ -321,7 +307,7 @@ def _build_parser():
                 choices=opt.choices,
                 required=opt.required,
                 help=opt.help,
-                default=None if opt.required else argparse.SUPPRESS,
+                default=opt.default,
             )
     return parser
 
@@ -342,17 +328,17 @@ def _run(argv: list) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            **{name: getattr(args, name) for name in RunConfig._fields if hasattr(args, name)}
-        )
+        # phrased so that NaN fails too
+        if hasattr(args, "tolerance") and not 0 < args.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {args.tolerance}")
         if args.command == "expand":
-            code = cmd_expand(args.level, args.lam, config)
+            code = cmd_expand(args.level, args.lam, args.order, args.output_format)
         elif args.command == "classify":
-            code = cmd_classify(args.level, args.lam, config)
+            code = cmd_classify(args.level, args.lam, args.output_format)
         elif args.command == "mtc":
-            code = cmd_mtc(args.level, args.p, config)
+            code = cmd_mtc(args.level, args.p, args.tolerance, args.output_format)
         else:
-            code = cmd_verify(args.suite, config)
+            code = cmd_verify(args.suite, args.tolerance, args.output_format)
         # a reader that closed the pipe shows here, not at interpreter exit
         sys.stdout.flush()
         return code

@@ -34,7 +34,6 @@ from .generators import (
     VvmfVector,
     _check_component,
     _dimension,
-    cyclic_generator,
     mlde_equation,
 )
 from .qseries import (
@@ -59,7 +58,6 @@ __all__ = [
     "generator_weight",
     "mlde_residual",
     "FixtureEntry",
-    "FixtureReport",
     "table_fixture_check",
 ]
 
@@ -303,16 +301,6 @@ class FixtureEntry(
         )
 
 
-class FixtureReport(namedtuple("FixtureReport", "table entries")):
-    """The entries (``FixtureEntry``) of one published table."""
-
-    __slots__ = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
 @lru_cache(maxsize=None)
 def _published_tables() -> tuple:
     """(table, level, ((mu, series), ...)) for each level of both tables,
@@ -332,17 +320,15 @@ def _published_tables() -> tuple:
     )
 
 
-def table_fixture_check(which: str, generator=None) -> FixtureReport:
+def table_fixture_check(which: str, generator) -> tuple:
     """Compare computed generators against the embedded five-coefficient
-    expansion fixtures.  ``which`` is 'table1' (two components, odd k) or
-    'table2' (three components, even k).  Mismatches are reported, not
+    expansion fixtures, one ``FixtureEntry`` per published series.
+    ``which`` is 'table1' (two components, odd k) or 'table2' (three
+    components, even k), and ``generator(k, lam)`` gives the (k, lam)
+    generator to at least five terms.  Mismatches are reported, not
     raised.  Each entry also carries the residual that the level's monic
     equation leaves on the published series: zero for a series that
-    solves it, so a non-zero residual shows the published side at fault.
-
-    ``generator(k, lam)`` gives the (k, lam) generator to at least five
-    terms when the caller already holds them; by default each is built
-    here to five."""
+    solves it, so a non-zero residual shows the published side at fault."""
     shift = {"table1": 1, "table2": 2}.get(which)
     if shift is None:
         raise ValueError(f"unknown table {which!r}; expected 'table1' or 'table2'")
@@ -350,7 +336,7 @@ def table_fixture_check(which: str, generator=None) -> FixtureReport:
     for table, k, comps in _published_tables():
         if table != which:
             continue
-        gen = generator(k, k - shift) if generator else cyclic_generator(k, k - shift, 5)
+        gen = generator(k, k - shift)
         weight, kappas = mlde_equation(k, k - shift)
         for mu, published in comps:
             got = gen.component(mu)
@@ -365,4 +351,4 @@ def table_fixture_check(which: str, generator=None) -> FixtureReport:
                     published_residual=_apply_mlde(published, weight, kappas).coeffs,
                 )
             )
-    return FixtureReport(table=which, entries=tuple(entries))
+    return tuple(entries)

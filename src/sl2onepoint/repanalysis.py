@@ -21,7 +21,6 @@ from .errors import UnsupportedDimensionError
 from .sl2data import RepSignature, form_weight, leading_exponents, rep_dimension, rho_t
 
 __all__ = [
-    "AdmissibleSet",
     "CongruenceVerdict",
     "CONGRUENCE",
     "NONCONGRUENCE",
@@ -68,14 +67,6 @@ _BITSET_LIMIT = 1 << 30
 _EQUALITY_RANGES = {1: (2, 14), 2: (3, 13), 3: (4, 10)}
 
 
-class AdmissibleSet(namedtuple("AdmissibleSet", "exponents")):
-    """Exponents in [0,1), a tuple of Fractions, compatible with a
-    (representation, multiplier) pair; the minimal admissible set is the
-    unique such choice."""
-
-    __slots__ = ()
-
-
 class CongruenceVerdict(namedtuple("CongruenceVerdict", "status congruence_level basis")):
     __slots__ = ()
 
@@ -99,15 +90,17 @@ def _frac_mod(x: Fraction, modulus: int) -> Fraction:
     return x - modulus * math.floor(x / modulus)
 
 
-def minimal_admissible_set(sig: RepSignature, multiplier_weight) -> AdmissibleSet:
+def minimal_admissible_set(sig: RepSignature, multiplier_weight) -> tuple[Fraction, ...]:
     """lam_j = frac(r_j + m/12) with m the cusp parameter of the weight-r
-    multiplier system (its weight reduced into [0,12))."""
+    multiplier system (its weight reduced into [0,12)), as a tuple of
+    Fractions: the unique choice of exponents in [0,1) compatible with the
+    (representation, multiplier) pair."""
     m = _frac_mod(Fraction(multiplier_weight), 12)
     out = []
     for r in sig.t_exponents:
         x = r + m / 12
         out.append(x - math.floor(x))
-    return AdmissibleSet(exponents=tuple(out))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
-"""The suites of ``sl2onepoint verify``: each takes the ``cli.RunConfig``
-and returns (name, passed, note) checks, importing the layers it checks;
-``report`` runs one suite, or all, and gives what ``verify`` prints.
+"""The suites of ``sl2onepoint verify``: each takes the tolerance of
+``--tolerance`` and returns (name, passed, note) checks, importing the
+layers it checks; ``report`` runs one suite, or all, and gives what
+``verify`` prints.
 Only ``cli.cmd_verify`` imports this module, so no other job compiles it.
 """
 
@@ -54,14 +55,13 @@ def _series_note(got, want) -> str:
     return f"coefficient of q^({got.leading_exponent + n}): generator {x}, Euler-product power {y}"
 
 
-def check_tables(config):
+def check_tables(tolerance):
     from . import generator_checks, generators
     from .qseries import euler_product, monomial
 
     checks = []
     for which in ("table1", "table2"):
-        report = generator_checks.table_fixture_check(which, _generator)
-        for entry in report.entries:
+        for entry in generator_checks.table_fixture_check(which, _generator):
             checks.append(
                 (f"{which} k={entry.level} mu={entry.mu}", entry.passed,
                  "" if entry.passed else _fixture_note(entry))
@@ -79,7 +79,7 @@ def check_tables(config):
     return checks
 
 
-def check_mlde(config):
+def check_mlde(tolerance):
     """Each generator solves its equation, and equals the hypergeometric
     construction it is built to replace."""
     from . import generator_checks
@@ -98,7 +98,7 @@ def check_mlde(config):
     return checks
 
 
-def check_bgg(config):
+def check_bgg(tolerance):
     from . import bgg
 
     checks = []
@@ -114,7 +114,7 @@ def check_bgg(config):
     return checks
 
 
-def check_dims(config):
+def check_dims(tolerance):
     from . import repanalysis
 
     checks = []
@@ -157,7 +157,7 @@ def check_dims(config):
     return checks
 
 
-def check_mtc(config):
+def check_mtc(tolerance):
     from . import mtc, sixj
 
     checks = []
@@ -165,19 +165,19 @@ def check_mtc(config):
     pairs = {}  # (k, p) -> the certified pair, built once for all three sweeps
     # certify no tighter than the default, so that a residual above a tight
     # --tolerance fails its check below instead of aborting the suite
-    build_tolerance = max(config.tolerance, mtc.DEFAULT_TOLERANCE)
+    build_tolerance = max(tolerance, mtc.DEFAULT_TOLERANCE)
     for k in range(0, kmax + 1):
         for p in range(0, k + 1, 2):
             pair = pairs[(k, p)] = mtc.gen_modular_pair(k, p, build_tolerance)
             worst = max(pair.relation_residuals.values())
-            checks.append((f"braid relations k={k} p={p}", worst < config.tolerance, f"residual {worst:.2e}"))
+            checks.append((f"braid relations k={k} p={p}", worst < tolerance, f"residual {worst:.2e}"))
     for k in range(0, kmax + 1):
         diff = max(
             abs(x - y)
             for row, char_row in zip(pairs[(k, 0)].s_matrix, sixj.character_s_matrix(k))
             for x, y in zip(row, char_row)
         )
-        checks.append((f"S^(0) equals character S-matrix k={k}", diff < config.tolerance, f"max diff {diff:.2e}"))
+        checks.append((f"S^(0) equals character S-matrix k={k}", diff < tolerance, f"max diff {diff:.2e}"))
     for k in range(0, min(kmax, 8) + 1):
         table = sixj.verlinde_numbers(k)
         bad = _first_difference(
@@ -190,7 +190,7 @@ def check_mtc(config):
         checks.append((f"Verlinde numbers k={k}", bad is None, note))
     for k in range(0, kmax + 1):
         for lam in range(0, k + 1, 2):
-            rep = mtc.compare_with_analytic(k, lam, config.tolerance, pair=pairs[(k, lam)])
+            rep = mtc.compare_with_analytic(k, lam, tolerance, pair=pairs[(k, lam)])
             checks.append(
                 (f"categorical/analytic T k={k} lambda={lam}", rep["t_consistent"],
                  f"max residual {rep['max_t_residual']:.2e}")
@@ -204,13 +204,13 @@ SUITES = {
 }
 
 
-def report(suite: str, config) -> tuple[dict, list[str]]:
+def report(suite: str, tolerance: float) -> tuple[dict, list[str]]:
     """Run ``suite``, or every suite for ``"all"``, and give the JSON
     payload and the lines of the table format: the counts of checks run
     and failed, and each failure with its note."""
     checks = []
     for key in SUITES if suite == "all" else (suite,):
-        checks.extend(SUITES[key](config))
+        checks.extend(SUITES[key](tolerance))
     failures = [(name, note) for name, ok, note in checks if not ok]
     payload = {
         "suite": suite,

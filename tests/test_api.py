@@ -76,9 +76,10 @@ def test_moved_names_have_no_old_spelling():
 
 def test_removed_names_do_not_resolve():
     """The codecs, accessors and wrapper that no command called are gone,
+    and so are the records that only re-wrapped what their callers held,
     ``QExpansion`` reads its order from its coefficients, and
     ``GenModularPair`` has no default ``stages``."""
-    from sl2onepoint import bgg, generator_checks, mtc, qseries, repanalysis
+    from sl2onepoint import bgg, cli, generator_checks, mtc, qseries, repanalysis
 
     removed = {
         qseries.QExpansion: ("from_json", "coefficient"),
@@ -86,8 +87,9 @@ def test_removed_names_do_not_resolve():
         bgg: ("trivial_multiplicity",),
         generator_checks.HypergeomSpec: ("coefficients",),
         generator_checks.FixtureEntry: ("to_json",),
-        generator_checks.FixtureReport: ("to_json",),
-        repanalysis.AdmissibleSet: ("to_json",),
+        cli: ("RunConfig",),
+        generator_checks: ("FixtureReport",),
+        repanalysis: ("AdmissibleSet",),
     }
     for owner, names in removed.items():
         for name in names:
@@ -102,22 +104,17 @@ def test_removed_names_do_not_resolve():
 
 def _records():
     from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sl2data
-    from sl2onepoint.cli import RunConfig
 
-    sig = sl2data.rho_t(5, 2)
-    report = generator_checks.table_fixture_check("table1")
+    entries = generator_checks.table_fixture_check("table1", lambda k, lam: generators.cyclic_generator(k, lam, 5))
     return [
-        sig,
-        repanalysis.minimal_admissible_set(sig, 0),
+        sl2data.rho_t(5, 2),
         repanalysis.congruence_classify(5, 4),
         bgg.simple_character(3, 2, 3),
         generators.cyclic_generator(3, 2, 5),
         generator_checks.HypergeomSpec((1,), (2,)),
-        report,
-        report.entries[0],
+        entries[0],
         mtc.f_r_g_matrices(4),
         mtc.gen_modular_pair(4, 2),
-        RunConfig(),
     ]
 
 
@@ -144,7 +141,6 @@ def test_records_keep_their_fields_and_defaults():
 
     fields = {
         sl2data.RepSignature: "level lam t_exponents",
-        repanalysis.AdmissibleSet: "exponents",
         bgg.ZQCharacter: "level weight rows",
         generators.VvmfVector: "level weight_label components",
         mtc.MtcLevelData: "level labels theta zeta qdim global_dim_root qint qfact",
@@ -152,7 +148,6 @@ def test_records_keep_their_fields_and_defaults():
         generator_checks.FixtureEntry: (
             "level mu expected_exponent got_exponent expected_coeffs got_coeffs published_residual"
         ),
-        generator_checks.FixtureReport: "table entries",
     }
     for record, names in fields.items():
         assert record._fields == tuple(names.split()), record.__name__

@@ -14,7 +14,7 @@ from sl2onepoint.cli import (
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_VERIFY_FAILED,
-    RunConfig,
+    _TOLERANCE,
     _build_parser,
     _parse,
     main,
@@ -376,15 +376,41 @@ def test_expand_rejects_odd_lambda(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "1e400", "0", "-1e-9"])
 @pytest.mark.parametrize(
     "argv", [("mtc", "-k", "5", "--p", "2"), ("verify", "--suite", "mtc")]
 )
 def test_non_finite_tolerance_is_invalid_input(capsys, argv, tolerance):
-    code, out, err = run(capsys, *argv, "--tolerance", tolerance, "--format", "json")
+    """A tolerance that is not finite and positive is refused.  A negative
+    one is joined to its flag by ``=``: on its own, argparse reads
+    ``-1e-9`` as an option and prints a usage error."""
+    option = (f"--tolerance={tolerance}",) if tolerance.startswith("-") else ("--tolerance", tolerance)
+    code, out, err = run(capsys, *argv, *option, "--format", "json")
     assert code == EXIT_INVALID
     assert out == ""
     assert "invalid input: tolerance must be finite and positive" in err
+
+
+def test_expand_rejects_order_zero(capsys):
+    code, out, err = run(capsys, "expand", "-k", "3", "-l", "2", "-n", "0")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "invalid input: order must be >= 1\n"
+
+
+def test_unknown_format_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "-k", "3", "-l", "2", "--format", "yaml"])
+    assert exc.value.code == EXIT_INVALID
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
+
+
+def test_default_tolerance_is_the_library_default():
+    """The option table writes the default that ``mtc`` holds, since this
+    module may not import ``mtc`` at load."""
+    from sl2onepoint.mtc import DEFAULT_TOLERANCE
+
+    assert _TOLERANCE.default == DEFAULT_TOLERANCE
 
 
 def test_verify_mtc_suite_builds_each_pair_once(capsys, monkeypatch):
@@ -936,7 +962,7 @@ def test_verify_all_equals_each_suite_run_alone():
     script = (
         "import json, sys\n"
         "from sl2onepoint import cli, suites\n"
-        "print(json.dumps([c for name in sys.argv[1:] for c in suites.SUITES[name](cli.RunConfig())]))"
+        "print(json.dumps([c for name in sys.argv[1:] for c in suites.SUITES[name](cli._TOLERANCE.default)]))"
     )
 
     def checks(*names):
@@ -952,10 +978,10 @@ def test_verify_all_equals_each_suite_run_alone():
 
 
 def _failed_notes(suite):
-    """{check: note} of the failed checks of one verify suite at the default options."""
+    """{check: note} of the failed checks of one verify suite at the default tolerance."""
     from sl2onepoint import suites
 
-    return {check: note for check, ok, note in suites.SUITES[suite](RunConfig()) if not ok}
+    return {check: note for check, ok, note in suites.SUITES[suite](_TOLERANCE.default) if not ok}
 
 
 def test_verify_graded_dimension_note_names_the_first_wrong_grade(monkeypatch):
@@ -1079,18 +1105,6 @@ def test_verify_bgg_suite_json(capsys):
     payload = json.loads(out)
     assert payload["failed"] == 0
     assert payload["total"] == 36
-
-
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(order=0)
-    for tolerance in (0.0, -1e-9, float("nan"), float("inf"), float("1e400")):
-        with pytest.raises(ValueError):
-            RunConfig(tolerance=tolerance)
-    with pytest.raises(ValueError):
-        RunConfig(output_format="yaml")
-    with pytest.raises(ValueError):
-        RunConfig()._replace(order=0)
 
 
 def test_deterministic_output(capsys):

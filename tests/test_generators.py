@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from sl2onepoint import generator_checks, generators
 from sl2onepoint.errors import DegenerateMldeError, UnsupportedDimensionError
 from sl2onepoint.generator_checks import (
-    FixtureReport,
     _component_factors,
     HypergeomSpec,
     generator_weight,
@@ -217,7 +216,7 @@ def test_rescaled_exponents_form_minimal_admissible_set():
         assert shifted == minimal_exponents(k, lam)
         sig = rho_t(k, lam)
         adm = minimal_admissible_set(sig, conformal_weight(k, lam) - 12 * mu_min)
-        assert list(adm.exponents) == shifted
+        assert list(adm) == shifted
 
 
 def test_generator_weight_values():
@@ -531,12 +530,17 @@ def test_dim3_kappa_indicial_roots():
 # -- published tables -----------------------------------------------------------
 
 
+def _five_terms(k, lam):
+    """The (k, lam) generator to the published tables' five terms."""
+    return cyclic_generator(k, lam, 5)
+
+
 def test_table1_matches_exactly():
-    report = table_fixture_check("table1")
-    assert isinstance(report, FixtureReport)
-    assert len(report.entries) == 12
-    assert report.all_passed
-    by_key = {(e.level, e.mu): e for e in report.entries}
+    entries = table_fixture_check("table1", _five_terms)
+    assert isinstance(entries, tuple)
+    assert len(entries) == 12
+    assert all(e.passed for e in entries)
+    by_key = {(e.level, e.mu): e for e in entries}
     assert by_key[(13, 7)].got_coeffs[4] == F(309009, 625)
 
 
@@ -583,13 +587,13 @@ def test_table2_known_discrepancy_pattern():
     disagreeing entry is the generator's own construction with one
     parameter set wrongly, and the same construction without the slip is
     the computed entry."""
-    report = table_fixture_check("table2")
-    assert len(report.entries) == 12
-    failed = {(e.level, e.mu) for e in report.entries if not e.passed}
+    entries = table_fixture_check("table2", _five_terms)
+    assert len(entries) == 12
+    failed = {(e.level, e.mu) for e in entries if not e.passed}
     assert failed == {
         (4, 1), (4, 2), (6, 2), (6, 3), (8, 3), (8, 4), (10, 4), (10, 5)
     }
-    for e in report.entries:
+    for e in entries:
         assert e.expected_exponent == e.got_exponent  # exponents always agree
         if e.passed:
             assert e.mu == e.level // 2 + 1  # the largest label in each triple
@@ -608,7 +612,7 @@ def test_table_fixture_rejects_unknown_table(monkeypatch):
 
     monkeypatch.setattr(generator_checks, "_published_tables", unread)
     with pytest.raises(ValueError, match="unknown table 'table3'"):
-        table_fixture_check("table3")
+        table_fixture_check("table3", _five_terms)
 
 
 def test_table_fixtures_are_parsed_once_and_shared_immutable(monkeypatch):
@@ -617,12 +621,12 @@ def test_table_fixtures_are_parsed_once_and_shared_immutable(monkeypatch):
     monkeypatch.setattr(generator_checks.json, "loads", lambda text: parsed.append(1) or real(text))
     generator_checks._published_tables.cache_clear()
     try:
-        reports = [table_fixture_check(which) for which in ("table1", "table2", "table1")]
+        reports = [table_fixture_check(which, _five_terms) for which in ("table1", "table2", "table1")]
         assert len(parsed) == 1
     finally:
         generator_checks._published_tables.cache_clear()
     assert reports[0] == reports[2]
-    assert [len(r.entries) for r in reports] == [12, 12, 12]
+    assert [len(r) for r in reports] == [12, 12, 12]
     # what every caller shares holds no dict or list: it hashes
     hash(generator_checks._published_tables())
 
