@@ -21,9 +21,9 @@ Subpackages:
 - :mod:`sl2onepoint.mtc` -- numerical modular-tensor-category data:
   the generalised modular pairs acting on self-coupling spaces, built
   from the level's table and certified by their relations.
-- :mod:`sl2onepoint.sixj` -- what ``verify`` and the tests read besides
-  the pairs: quantum 6j-symbols, the character S-matrix and the Verlinde
-  formula.
+- :mod:`sl2onepoint.suites` -- the checks of ``verify``, with the
+  character S-matrix and the Verlinde numbers that only its mtc suite
+  reads.
 - :mod:`sl2onepoint.cli` -- the ``sl2onepoint`` command line tool.
 """
 

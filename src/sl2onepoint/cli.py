@@ -74,8 +74,8 @@ module takes about 3.5 ms, where ``argparse`` and ``json`` would add
 6.7 ms (``repanalysis`` with ``sl2data``), ``mtc`` 8.4 ms (with
 ``sl2data``), and ``verify --suite all`` 30 ms, of which ``suites``
 with ``sl2data`` takes 6.1.  An ``mtc`` job compiles only the modular
-pair: the 6j-symbols and the ordinary modular data are ``sixj``, which
-``verify --suite mtc`` loads.  No layer loads with this module:
+pair: the ordinary modular data, which only ``verify --suite mtc``
+reads, is in ``suites``.  No layer loads with this module:
 ``sl2data``, the level data, loads with the first layer a job imports,
 ``qseries`` with ``generators`` alone, and ``generator_checks``, the
 oracles that only ``verify`` and the tests call, with ``verify`` alone.

@@ -12,16 +12,17 @@ with residuals stored on the object and a loud error when they exceed
 tolerance or are not numbers at all (a convention bug or lost precision,
 never a user error).  These residuals are the only precision guard.
 
-What an ``mtc`` job never runs lives in ``sixj``: the general 6j-symbol
-``six_j`` and its kernel ``_six_j2``, ``quantum_integer``, the character
-S-matrix, the Verlinde formula and ``adjoint_members``, so an ``mtc`` job
-does not compile them; import those names from ``sixj``.
+No 6j-symbol is evaluated on its own here.  The general 6j-symbol
+``six_j``, its kernel ``_six_j2`` and ``quantum_integer`` are oracles in
+``tests/mtc_oracle.py``; the character S-matrix and the Verlinde formula,
+which only ``verify`` reads, are in ``suites``.  So an ``mtc`` job
+compiles none of them.
 
 Per-level state lives in one table, the immutable ``MtcLevelData`` that
 ``f_r_g_matrices`` builds once and caches by level: the twists, quantum
 dimensions, and the rescaled quantum integers and factorials.  It reads
 the character S-matrix's column 0 only; the whole matrix, which the
-Verlinde formula and ``verify`` read, is ``sixj.character_s_matrix``,
+Verlinde formula and ``verify`` read, is ``suites.character_s_matrix``,
 cached apart, with its sines read from this table.  The quantum integers
 are tabulated as sin(pi n/(k+2)) = [n] sin(pi/(k+2)), so the factorials
 stay in (0, 1] at every level, where the unscaled [k+1]! overflows a
@@ -74,7 +75,7 @@ k = 1030; the symbol kernel instead divides by a product of seven table
 entries, which underflows from k = 600 when p is near k.  The symbol
 kernel, ``_self_coupling_six_j`` in ``tests/mtc_oracle.py``, evaluates
 the same sum one symbol at a time and is the oracle of this one, with
-``sixj._six_j2``, the general kernel behind ``six_j``, as its own.
+the general kernel ``_six_j2`` there as its own.
 ``tests/mtc_oracle.py`` also keeps the three-symbol sum, term by term
 and with every braiding phase, as the oracle of S: it alone checks that
 the phases cancel.  Nothing is cached across pairs.
@@ -142,9 +143,9 @@ from .sl2data import (
     xi_set,
 )
 
-# Names of ``sixj`` that ``__getattr__`` still resolves here: only the one the
+# Names of ``suites`` that ``__getattr__`` resolves here: only the one the
 # benchmark's tracer looks up by this module (ROADMAP item 6).
-_SIXJ = ("verlinde_fusion",)
+_SUITES = ("verlinde_fusion",)
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -154,15 +155,15 @@ __all__ = [
     "gen_modular_pair",
     "irreducibility_probe",
     "compare_with_analytic",
-    *_SIXJ,
+    *_SUITES,
 ]
 
 
 def __getattr__(name: str):
-    if name in _SIXJ:
-        from . import sixj
+    if name in _SUITES:
+        from . import suites
 
-        return getattr(sixj, name)
+        return getattr(suites, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -260,7 +261,7 @@ def _s_rows(data: "MtcLevelData", p: int, basis: tuple[int, ...]) -> tuple[list[
 class MtcLevelData(namedtuple("MtcLevelData", "level labels theta zeta qdim global_dim_root qint qfact")):
     """The level-k constants: labels, twists (complex), zeta = e(c/24),
     quantum dimensions and the global dimension root, from column 0 of
-    the character S-matrix (``sixj.character_s_matrix``); the
+    the character S-matrix (``suites.character_s_matrix``); the
     rescaled quantum integers sin(pi n/(k+2)), n = 0..k+2, and their
     running products, the rescaled factorials, n = 0..k+1, all in (0, 1].
     Every sequence is a tuple.
@@ -274,15 +275,15 @@ class MtcLevelData(namedtuple("MtcLevelData", "level labels theta zeta qdim glob
 @lru_cache(maxsize=None)
 def f_r_g_matrices(k: int) -> MtcLevelData:
     """The level-k table, O(k^2) work, and the only per-level state of
-    this module.  The 6j-symbols (``sixj._six_j2``) and the rows of the modular
-    pairs (``_s_rows``) are evaluated directly from it, and the pairs need
-    no braiding phase; no F, R or G tensor is ever built."""
+    this module.  The rows of the modular pairs (``_s_rows``) are evaluated
+    directly from it, and the pairs need no braiding phase; no F, R or G
+    tensor is ever built."""
     _check_level(k)
     n = k + 2
     labels = tuple(range(k + 1))
     # sin(pi m/n) = sin(pi (n-m)/n): an argument rounded near pi loses digits
     qint = tuple(math.sin(math.pi * min(m, n - m) / n) for m in range(k + 3))
-    # column 0 of sixj.character_s_matrix(k), bit for bit: m = (i+1)(0+1) < n
+    # column 0 of suites.character_s_matrix(k), bit for bit: m = (i+1)(0+1) < n
     s_col = [math.sqrt(2.0 / n) * qint[i + 1] for i in labels]
     qfact = [1.0]
     for m in range(1, k + 2):

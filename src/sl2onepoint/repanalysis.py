@@ -34,6 +34,7 @@ __all__ = [
     "irreducibility_subproduct_test",
     "congruence_classify",
     "prime_power_parameters",
+    "PRIME_PROOF_BOUND",
     "prime_power_rule_applies",
     "NONCONGRUENCE_ORDER_BOUND",
     "HOLOMORPHIC_EQUAL",
@@ -61,6 +62,15 @@ WEAKLY_ONLY = "weakly_only"
 # bits takes 128 MB, and a search that reaches 0 only at its 30th residue,
 # m = 2^30 - 1, peaked at 561 MB with its shifted copies, well inside 2 GB.
 _BITSET_LIMIT = 1 << 30
+
+# The residue set gets the same 128 MB.  Holding 2^20 residues below 2^61
+# peaked at 140 MB: about 96 bytes a residue besides its own digits.
+_SET_BYTES = _BITSET_LIMIT // 8
+
+# Miller-Rabin to the first 13 primes as bases proves every n below this
+# bound prime or composite (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
 # Ranges of k for which torus one-point functions exhaust the holomorphic
 # forms, per dimension d = k - lambda + 1.  Sharp, hence table-driven.
@@ -167,9 +177,10 @@ def irreducibility_subproduct_test(sig: RepSignature) -> str:
     held as a set of at most 2^n residues, O(n 2^n) work.  Otherwise they
     are the bits of one m-bit integer, rotated by each residue in turn: at
     most n shifts of m bits.  Both stop at the first subset that reaches 0.
-    When that integer would exceed ``_BITSET_LIMIT`` bits, the search is
-    not made and the answer is inconclusive, which is sound because the
-    criterion is one-sided.
+    A set that the next residue could grow past ``_SET_BYTES`` is dropped
+    for the bits.  When that integer would exceed ``_BITSET_LIMIT`` bits,
+    the search is not made and the answer is inconclusive, which is sound
+    because the criterion is one-sided.
     """
     exps = sig.t_exponents
     m = math.lcm(*(r.denominator // math.gcd(r.denominator, 12) for r in exps))
@@ -177,13 +188,17 @@ def irreducibility_subproduct_test(sig: RepSignature) -> str:
     if sum(residues) % m == 0:
         residues.pop()
     if 1 << len(residues) < m:
+        limit = _SET_BYTES // (96 + m.bit_length() // 8)
         sums = set()  # the residues of the non-empty subsets so far
         for a in residues:
+            if 2 * len(sums) + 1 > limit:
+                break
             sums |= {(s + a) % m for s in sums}
             sums.add(a)
             if 0 in sums:
                 return INCONCLUSIVE
-        return IRREDUCIBLE
+        else:
+            return IRREDUCIBLE
     if m > _BITSET_LIMIT:
         return INCONCLUSIVE
     full = (1 << m) - 1
@@ -195,17 +210,55 @@ def irreducibility_subproduct_test(sig: RepSignature) -> str:
     return IRREDUCIBLE
 
 
+def _integer_root(n: int, t: int) -> int:
+    """floor(n^(1/t)) for n >= 1, by Newton's method from above."""
+    if t == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // t)
+    while True:
+        y = ((t - 1) * x + n // x ** (t - 1)) // t
+        if y >= x:
+            return x
+        x = y
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """n > 1 passes the strong probable-prime test to every base of
+    ``_MILLER_RABIN_BASES``: n is prime if it does and n is below
+    ``PRIME_PROOF_BOUND``."""
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_power_parameters(k: int) -> tuple[int, int] | None:
-    """(p, t) with k + 2 = p^t for a prime p > 3, or None."""
+    """(p, t) with k + 2 = p^t for a p > 3 that passes Miller-Rabin to the
+    first 13 prime bases, or None.  That proves p prime below
+    ``PRIME_PROOF_BOUND``; a larger p is only a probable prime.
+
+    The largest t <= log2(k + 2) with an exact t-th root is found by
+    integer roots: k + 2 = p^t with p prime is a perfect s-th power
+    exactly when s divides t, so p is that root."""
     n = k + 2
-    if n < 2:
-        return None  # no prime factor
-    p = next((c for c in range(2, math.isqrt(n) + 1) if n % c == 0), n)
-    t = 0
-    while n % p == 0:
-        n //= p
-        t += 1
-    return (p, t) if n == 1 and p > 3 else None
+    for t in range(n.bit_length() - 1, 0, -1):
+        p = _integer_root(n, t)
+        if p ** t == n:
+            return (p, t) if p > 3 and _passes_miller_rabin(p) else None
+    return None  # n < 2: no prime factor
 
 
 def prime_power_rule_applies(k: int, lam: int) -> bool:
@@ -228,7 +281,9 @@ def congruence_classify(k: int, lam: int) -> CongruenceVerdict:
     dimension 2 (congruence, level 8 iff k = 2 mod 3 else 24), dimension 3
     (non-congruence iff the T-order does not divide 2^8 3^4 5^2 7^2),
     then the prime-power rule (non-congruence conditional on
-    irreducibility).  Anything unmatched is undetermined."""
+    irreducibility), which leaves a prime p >= ``PRIME_PROOF_BOUND``
+    unproven and the verdict undetermined.  Anything unmatched is
+    undetermined."""
     d = rep_dimension(k, lam)
     if d == 1:
         return CongruenceVerdict(CONGRUENCE, None, "thm-dim1")
@@ -241,6 +296,8 @@ def congruence_classify(k: int, lam: int) -> CongruenceVerdict:
             return CongruenceVerdict(NONCONGRUENCE, None, "thm-dim3-order")
         return CongruenceVerdict(UNDETERMINED, None, "thm-dim3-order-divides")
     if prime_power_rule_applies(k, lam):
+        if prime_power_parameters(k)[0] >= PRIME_PROOF_BOUND:
+            return CongruenceVerdict(UNDETERMINED, None, "thm-prime-power-unproven-prime")
         if irreducibility_subproduct_test(rho_t(k, lam)) == IRREDUCIBLE:
             return CongruenceVerdict(NONCONGRUENCE, None, "thm-prime-power")
         return CongruenceVerdict(UNDETERMINED, None, "thm-prime-power-conditional")

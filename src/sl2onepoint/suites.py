@@ -1,15 +1,32 @@
 """The suites of ``sl2onepoint verify``: each takes the tolerance of
 ``--tolerance`` and returns (name, passed, note) checks, importing the
 layers it checks; ``report`` runs one suite, or all, and gives what
-``verify`` prints.
+``verify`` prints.  The ordinary modular data that only the mtc suite
+reads lives here too: the character S-matrix, the Verlinde numbers of a
+level and ``verlinde_fusion``, their one-triple oracle.
 Only ``cli.cmd_verify`` imports this module, so no other job compiles it.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from operator import mul, truediv
 
 from . import sl2data
+
+__all__ = [
+    "character_s_matrix",
+    "verlinde_fusion",
+    "verlinde_numbers",
+    "check_tables",
+    "check_mlde",
+    "check_bgg",
+    "check_dims",
+    "check_mtc",
+    "SUITES",
+    "report",
+]
 
 # the equations of the mlde suite: name, levels, k - lambda, and the order,
 # which leaves each residual ten valid terms
@@ -157,8 +174,53 @@ def check_dims(tolerance):
     return checks
 
 
+@lru_cache(maxsize=None)
+def character_s_matrix(k: int) -> tuple[tuple[float, ...], ...]:
+    """The character S-matrix S_ij = sqrt(2/(k+2)) sin(pi (i+1)(j+1)/(k+2))
+    of level k, real and symmetric; cached by level and immutable.  Each
+    sine is the level table's: with n = k + 2, sin(pi m/n) = +-``qint[m
+    mod n]``, negative on the odd half-periods, so the argument is folded
+    as ``qint``'s is and column 0 is, by construction, the one that
+    ``mtc.f_r_g_matrices`` builds."""
+    from .mtc import f_r_g_matrices
+
+    n, qint = k + 2, f_r_g_matrices(k).qint
+    scale = math.sqrt(2.0 / n)
+    signed = (scale, -scale)
+    labels = range(1, k + 2)
+    return tuple(tuple(signed[a * b // n % 2] * qint[a * b % n] for b in labels) for a in labels)
+
+
+def verlinde_fusion(k: int, lam: int, mu: int, nu: int) -> float:
+    """Fusion number from the character S-matrix:
+    sum_m S_{lam,m} S_{mu,m} conj(S_{nu,m}) / S_{0,m}; the matrix is
+    real, so the conjugation is the identity."""
+    for label in (lam, mu, nu):
+        sl2data._check_label(k, label)
+    s = character_s_matrix(k)
+    return float(sum(s[lam][m] * s[mu][m] * s[nu][m] / s[0][m] for m in range(k + 1)))
+
+
+def verlinde_numbers(k: int) -> list[list[list[float]]]:
+    """Every fusion number of level k by the Verlinde formula, in one pass:
+    N[lam][mu][nu] is the weights S_{lam,m} S_{mu,m} / S_{0,m} of the pair
+    (lam, mu) dotted with row nu of the character S-matrix, one label
+    check for the level.  The sum of ``verlinde_fusion`` in another order,
+    so equal to it up to rounding."""
+    s = character_s_matrix(k)
+    table = []
+    for s_lam in s:
+        ratios = list(map(truediv, s_lam, s[0]))
+        by_mu = []
+        for s_mu in s:
+            weights = list(map(mul, ratios, s_mu))
+            by_mu.append([sum(map(mul, weights, s_nu)) for s_nu in s])
+        table.append(by_mu)
+    return table
+
+
 def check_mtc(tolerance):
-    from . import mtc, sixj
+    from . import mtc
 
     checks = []
     kmax = 10
@@ -174,12 +236,12 @@ def check_mtc(tolerance):
     for k in range(0, kmax + 1):
         diff = max(
             abs(x - y)
-            for row, char_row in zip(pairs[(k, 0)].s_matrix, sixj.character_s_matrix(k))
+            for row, char_row in zip(pairs[(k, 0)].s_matrix, character_s_matrix(k))
             for x, y in zip(row, char_row)
         )
         checks.append((f"S^(0) equals character S-matrix k={k}", diff < tolerance, f"max diff {diff:.2e}"))
     for k in range(0, min(kmax, 8) + 1):
-        table = sixj.verlinde_numbers(k)
+        table = verlinde_numbers(k)
         bad = _first_difference(
             ((lam, mu, nu), round(table[lam][mu][nu]), sl2data.fusion_coefficient(k, lam, mu, nu))
             for lam in range(k + 1)

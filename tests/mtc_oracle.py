@@ -2,7 +2,14 @@
 full recoupling tensors that only the coherence tests read, and the
 subset enumeration behind the irreducibility probe.
 
-Test fixture only.  ``_six_j_2`` evaluates one quantum 6j-symbol by a
+Test fixture only.  ``six_j`` is the general quantum 6j-symbol of
+half-integer spins, its triads checked by the fusion rules, and
+``_six_j2`` its Kirillov-Reshetikhin kernel on the rescaled tables of
+``mtc.f_r_g_matrices``, with the precision refusals of the library;
+``quantum_integer`` is the unscaled [n], the oracle of those tables, and
+``adjoint_members`` the labels with a self-coupling, by a fusion sweep.
+``f_tensor`` reads ``_six_j2``, so the pentagon and hexagon checks test
+it.  ``_six_j_2`` evaluates one quantum 6j-symbol by a
 Python loop over z with its own admissibility check and its own tables
 of unscaled quantum integers [n] and factorials [n]!.  ``r_phase`` is
 the braiding phase R^{(rs)t} = (-1)^(r+s-t) e((h_r + h_s - h_t)/2),
@@ -13,10 +20,9 @@ these two, as the categorical definition reads: three 6j-symbols per
 term, two of them inside G-entries, and every braiding phase.  The
 library sums the one-punctured-torus formula of ``mtc.gen_modular_pair``
 instead, one symbol per term and no phase, as table rows on the rescaled
-tables of ``sixj._six_j2``, and the tests compare it against these.
+tables that ``_six_j2`` reads, and the tests compare it against these.
 
-``f_tensor``, ``r_tensor`` and ``g_tensor`` tabulate F (the library's
-6j-symbols), R (``r_phase``) and G on every admissible index tuple of a level, a count that grows like
+``f_tensor``, ``r_tensor`` and ``g_tensor`` tabulate F (``_six_j2``), R (``r_phase``) and G on every admissible index tuple of a level, a count that grows like
 the sixth power of the level, so they serve the coherence tests at
 k <= 8 only.  f_tensor[(r,s,t,u,p,q)] is the recoupling coefficient from
 the tree r(st) with inner edge p to the tree (rs)t with inner edge q,
@@ -40,7 +46,7 @@ one-punctured-torus formula reads, one symbol at a time.  That sum is
 the oracle of the table rows of ``mtc._s_rows``, which reorder the same
 terms by m = z - t and sum only the anti-diagonals i + j <= k, mirroring
 the rest; the oracle sums every entry and mirrors nothing.
-``sixj._six_j2`` is the oracle of the symbol.
+``_six_j2`` is the oracle of the symbol.
 
 ``twist`` is e(x) = exp(2 pi i x) as ``cmath.exp`` gives it, the oracle
 of ``mtc._e``, which takes the cosine and the sine without ``cmath``.
@@ -48,19 +54,121 @@ of ``mtc._e``, which takes the cosine and the sine without ``cmath``.
 
 import cmath
 import math
+import sys
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
 import numpy as np
 
-from sl2onepoint import mtc, sixj
-from sl2onepoint.sl2data import conformal_weight, fusion_coefficient
+from sl2onepoint import mtc
+from sl2onepoint.sl2data import _check_level, conformal_weight, fusion_coefficient
 
 
 def twist(x) -> complex:
     """e(x) = exp(2 pi i x), x reduced mod 1 first, by ``cmath.exp``."""
     return cmath.exp(2j * cmath.pi * float(x % 1))
+
+
+def quantum_integer(k: int, n: int) -> float:
+    """[n] = sin(pi n/(k+2)) / sin(pi/(k+2)), with the numerator's argument
+    folded into [0, pi/2] by its own expression, not read from the level
+    table, whose oracle this is: n is reduced mod 2(k+2) with the sign of
+    its half-period, and m taken to min(m, k+2-m)."""
+    half = k + 2
+    m = n % (2 * half)
+    sign = -1.0 if m >= half else 1.0
+    m %= half
+    return sign * math.sin(math.pi * min(m, half - m) / half) / math.sin(math.pi / half)
+
+
+def _as_twice(x) -> int:
+    """A half-integer as its doubled integer value."""
+    d = Fraction(x) * 2
+    if d.denominator != 1:
+        raise ValueError(f"{x} is not a half-integer")
+    return int(d)
+
+
+def _six_j2(
+    data: mtc.MtcLevelData, a2: int, b2: int, e2: int, d2: int, c2: int, f2: int
+) -> float:
+    """Unitary quantum 6j-symbol {a b e; d c f} at the level of ``data``,
+    from the rescaled tables there and doubled labels whose
+    four triads are admissible (not checked here), by the
+    Kirillov-Reshetikhin formula (Kirillov & Reshetikhin, "Representations
+    of the algebra U_q(sl(2)), q-orthogonal polynomials and invariants of
+    links", 1989).
+
+    Admissible triads make every factorial argument an integer in
+    0..k+1.  The sum runs z from the largest triad sum to the smallest of
+    the quadrilateral sums and k ([k+2] = 0 kills anything beyond k), in
+    the order of z.  A value lost to underflow or overflow raises
+    ``PrecisionLossError``: such a symbol is not representable in double
+    precision, and returning NaN or a zero would pass it on silently.  So
+    does a term whose denominator product is below the normal doubles,
+    and an alternating sum whose terms dwarf it: 16 eps pref sum |term|
+    bounds the rounding of the value, and above ``mtc.DEFAULT_TOLERANCE``
+    the symbol is refused, not returned with its digits lost.
+    """
+    k, qint, fact = data.level, data.qint, data.qfact
+    # triad sums, halved
+    t1, t2 = (a2 + b2 + e2) // 2, (a2 + c2 + f2) // 2
+    t3, t4 = (b2 + d2 + f2) // 2, (c2 + d2 + e2) // 2
+    # quadrilateral sums, halved
+    s1, s2, s3 = (a2 + b2 + c2 + d2) // 2, (a2 + d2 + e2 + f2) // 2, (b2 + c2 + e2 + f2) // 2
+    try:
+        # sqrt([2e+1][2f+1]) times the four triangle coefficients, all positive
+        pref = math.sqrt(qint[e2 + 1] * qint[f2 + 1])
+        pref *= math.sqrt(fact[t1 - a2] * fact[t1 - b2] * fact[t1 - e2] / fact[t1 + 1])
+        pref *= math.sqrt(fact[t2 - a2] * fact[t2 - c2] * fact[t2 - f2] / fact[t2 + 1])
+        pref *= math.sqrt(fact[t4 - c2] * fact[t4 - e2] * fact[t4 - d2] / fact[t4 + 1])
+        pref *= math.sqrt(fact[t3 - d2] * fact[t3 - b2] * fact[t3 - f2] / fact[t3 + 1])
+        total = size = 0.0
+        for z in range(max(t1, t2, t3, t4), min(s1, s2, s3, k) + 1):
+            den = (
+                fact[z - t1] * fact[z - t2] * fact[z - t3] * fact[z - t4]
+                * fact[s1 - z] * fact[s2 - z] * fact[s3 - z]
+            )
+            if den < sys.float_info.min:
+                raise mtc._precision_loss(k, a2, b2, e2, d2, c2, f2)
+            term = fact[z + 1] / den
+            total += -term if z % 2 else term
+            size += term
+        value = -pref * total if (a2 + b2 - c2 - d2 - 2 * e2) // 2 % 2 else pref * total
+        rounding = 16 * sys.float_info.epsilon * pref * size
+    except ZeroDivisionError:
+        value = rounding = math.nan
+    if not math.isfinite(value):
+        raise mtc._precision_loss(k, a2, b2, e2, d2, c2, f2)
+    # phrased so that a NaN bound fails too
+    if not rounding <= mtc.DEFAULT_TOLERANCE:
+        why = f"its alternating sum cancels (rounding bound {rounding:.1e})"
+        raise mtc._precision_loss(k, a2, b2, e2, d2, c2, f2, reason=why)
+    return value
+
+
+def six_j(k: int, a, b, e, d, c, f) -> float:
+    """Quantum 6j-symbol {a b e; d c f} for half-integer spins at level k.
+    A spin triad whose doubled labels break the fusion rule raises
+    ``ValueError``."""
+    a2, b2, e2, d2, c2, f2 = (_as_twice(x) for x in (a, b, e, d, c, f))
+    for triad in ((a2, b2, e2), (a2, c2, f2), (c2, e2, d2), (d2, b2, f2)):
+        if not fusion_coefficient(k, *triad):
+            raise ValueError(f"inadmissible spin triad {tuple(x / 2 for x in triad)} at level {k}")
+    return _six_j2(mtc.f_r_g_matrices(k), a2, b2, e2, d2, c2, f2)
+
+
+def adjoint_members(k: int) -> list[int]:
+    """Labels p admitting a self-coupling Hom(p (x) i, i) != 0 for some i,
+    found by a fusion sweep (the even labels, but computed, not assumed)."""
+    _check_level(k)
+    out = []
+    for p in range(k + 1):
+        if any(fusion_coefficient(k, p, i, i) == 1 for i in range(k + 1)):
+            out.append(p)
+    return out
 
 
 def _triad_ok_2(k: int, a2: int, b2: int, c2: int) -> bool:
@@ -79,7 +187,7 @@ class _QNumbers:
 
     def __init__(self, k: int):
         self.k = k
-        self.qint = [sixj.quantum_integer(k, n) for n in range(k + 3)]
+        self.qint = [quantum_integer(k, n) for n in range(k + 3)]
         fact = [1.0] * (k + 2)
         for n in range(2, k + 2):
             fact[n] = fact[n - 1] * self.qint[n]
@@ -205,7 +313,7 @@ def r_tensor(k: int) -> dict:
 @lru_cache(maxsize=None)
 def f_tensor(k: int) -> dict:
     """F^{(rst)u}_{pq} = {t/2 s/2 p/2; r/2 u/2 q/2} on every admissible
-    index tuple, from the library's 6j-symbols."""
+    index tuple, from ``_six_j2``."""
     labels = range(k + 1)
     keys = [
         (r, s, t, u, p, q)
@@ -220,7 +328,7 @@ def f_tensor(k: int) -> dict:
         if _triad_ok_2(k, r, s, q) and _triad_ok_2(k, q, t, u)
     ]
     data = mtc.f_r_g_matrices(k)
-    return {(r, s, t, u, p, q): sixj._six_j2(data, t, s, p, r, u, q) for r, s, t, u, p, q in keys}
+    return {(r, s, t, u, p, q): _six_j2(data, t, s, p, r, u, q) for r, s, t, u, p, q in keys}
 
 
 @lru_cache(maxsize=None)
@@ -290,13 +398,13 @@ def _self_coupling_six_j(
     """{p/2 i/2 i/2; r/2 j/2 j/2} for admissible integer labels, with
     ``norm_i`` and ``norm_j`` the ``_coupling_norm`` of i and j.
 
-    The Kirillov-Reshetikhin formula of ``sixj._six_j2`` collapses here:
+    The Kirillov-Reshetikhin formula of ``_six_j2`` collapses here:
     the triad sums are i + p/2, j + p/2 and twice t = (i+j+r)/2, the
     quadrilateral sums twice t + p/2 and once i + j, and the prefactor is
     A_i A_j [t-i]! [t-j]! [t-r]! / [t+1]!, with no square root.  Every
     product is formed so that swapping i and j gives the same float: the
     tetrahedral symmetry holds exactly.  Underflow raises
-    ``PrecisionLossError`` as in ``sixj._six_j2``."""
+    ``PrecisionLossError`` as in ``_six_j2``."""
     k, fact = data.level, data.qfact
     t1, t2, t = i + p // 2, j + p // 2, (i + j + r) // 2
     s, s3 = t + p // 2, i + j

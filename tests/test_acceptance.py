@@ -26,7 +26,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sixj, sl2data
+from sl2onepoint import bgg, generator_checks, generators, mtc, repanalysis, sl2data, suites
 from sl2onepoint.qseries import QExpansion, eta_power, euler_product
 
 from mlde_oracle import apply_monic_operator, indicial_kappas
@@ -200,14 +200,14 @@ def test_criterion_09_s0_and_verlinde():
     worst = 0.0
     for k in range(0, 11):
         pair = mtc.gen_modular_pair(k, 0, TOL)
-        diff = np.asarray(pair.s_matrix) - np.asarray(sixj.character_s_matrix(k))
+        diff = np.asarray(pair.s_matrix) - np.asarray(suites.character_s_matrix(k))
         worst = max(worst, float(np.max(np.abs(diff))))
     ok = worst < TOL
     for k in range(0, 9):
         for lam in range(k + 1):
             for mu in range(k + 1):
                 for nu in range(k + 1):
-                    got = round(sixj.verlinde_fusion(k, lam, mu, nu))
+                    got = round(suites.verlinde_fusion(k, lam, mu, nu))
                     ok = ok and got == sl2data.fusion_coefficient(k, lam, mu, nu)
     ok = _report(
         "criterion 9: S^(0) equals the character S-matrix; Verlinde numbers equal fusion rules",

@@ -9,7 +9,7 @@ import inspect
 
 import pytest
 
-MODULES = ("bgg", "generator_checks", "generators", "mtc", "qseries", "repanalysis", "sixj", "sl2data")
+MODULES = ("bgg", "generator_checks", "generators", "mtc", "qseries", "repanalysis", "sl2data", "suites")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,7 +33,7 @@ TRACER_PINS = {
     "generators.hypergeom_series": "generator_checks",
     "generators.mlde_residual": "generator_checks",
     "generators.table_fixture_check": "generator_checks",
-    "mtc.verlinde_fusion": "sixj",
+    "mtc.verlinde_fusion": "suites",
 }
 
 
@@ -72,6 +72,25 @@ def test_moved_names_have_no_old_spelling():
         sl2data.leading_trace_sum
     with pytest.raises(AttributeError):
         qseries.modular_derivative
+
+
+def test_six_j_lives_in_the_tests_alone():
+    """No command evaluates a 6j-symbol on its own, so the general symbol,
+    its quantum integers and the fusion sweep of ``adjoint_members`` are
+    oracles in ``tests/mtc_oracle.py``: the module that held them is gone,
+    and no library module defines them."""
+    import pkgutil
+
+    import sl2onepoint
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("sl2onepoint.sixj")
+    names = [info.name for info in pkgutil.iter_modules(sl2onepoint.__path__)]
+    assert "sixj" not in names and set(MODULES) <= set(names)
+    for name in names:
+        module = importlib.import_module(f"sl2onepoint.{name}")
+        for attr in ("six_j", "_six_j2", "quantum_integer", "adjoint_members"):
+            assert attr not in vars(module), (name, attr)
 
 
 def test_removed_names_do_not_resolve():

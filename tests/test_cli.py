@@ -561,11 +561,11 @@ def test_subcommands_load_only_their_layers():
     out: for the import alone ``dataclasses``, ``inspect`` and ``qseries``;
     for ``expand`` ``dataclasses``, ``bgg``, ``repanalysis`` and ``mtc``;
     for ``classify`` ``qseries`` and ``generators``; and for ``mtc``
-    ``qseries``, ``generators``, ``bgg``, ``repanalysis`` and ``sixj``,
-    the 6j-symbols and ordinary modular data that ``verify --suite mtc``
-    loads, and ``cmath``.  None of them loads the verification suites,
-    ``suites``, and no well-formed job of any subcommand loads
-    ``argparse``, ``gettext`` or ``locale``: the table parses its argv.
+    ``qseries``, ``generators``, ``bgg``, ``repanalysis`` and ``cmath``.
+    None of them loads the verification suites, ``suites``, which hold the
+    ordinary modular data that ``verify --suite mtc`` loads, and no
+    well-formed job of any subcommand loads ``argparse``, ``gettext`` or
+    ``locale``: the table parses its argv.
     Neither the import nor any job, ``verify --suite all`` included,
     loads ``__future__``: no module of the package needs it."""
     import os
@@ -578,7 +578,7 @@ def test_subcommands_load_only_their_layers():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     layer = "sl2onepoint.{}".format
     never = ("argparse", "gettext", "locale", "__future__")
-    mtc_layers = (layer("qseries"), layer("generators"), layer("bgg"), layer("repanalysis"), layer("sixj"))
+    mtc_layers = (layer("qseries"), layer("generators"), layer("bgg"), layer("repanalysis"))
     for argv, code, unloaded, needed in (
         (None, None, ("dataclasses", "inspect", layer("qseries"), layer("suites"), *never), ()),
         (
@@ -600,7 +600,7 @@ def test_subcommands_load_only_their_layers():
             (layer("mtc"),),
         ),
         (["verify", "--suite", "bgg", "--format", "table"], 0, never, ()),
-        (["verify", "--suite", "mtc"], 0, never, (layer("sixj"),)),
+        (["verify", "--suite", "mtc"], 0, never, (layer("suites"),)),
         # exit 1: the eight documented table2 failures
         (["verify", "--suite", "all", "--format", "json"], 1, never, (layer("suites"),)),
     ):

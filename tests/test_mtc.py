@@ -39,30 +39,26 @@ from sl2onepoint.mtc import (
     gen_modular_pair,
     irreducibility_probe,
 )
-from sl2onepoint.sixj import (
-    _six_j2,
-    adjoint_members,
-    character_s_matrix,
-    quantum_integer,
-    six_j,
-    verlinde_fusion,
-    verlinde_numbers,
-)
 from sl2onepoint.sl2data import conformal_weight, fusion_coefficient, rho_t, xi_set
+from sl2onepoint.suites import character_s_matrix, verlinde_fusion, verlinde_numbers
 
 from mtc_oracle import _qnumbers as oracle_qnumbers
 from mtc_oracle import (
     _coupling_norm,
     _matmul,
     _self_coupling_six_j,
+    _six_j2,
     _six_j_2,
+    adjoint_members,
     certification,
     f_tensor,
     g_tensor,
     irreducibility_by_subsets,
+    quantum_integer,
     r_tensor,
     s_entry_by_symbols,
     s_matrix_loop,
+    six_j,
     twist,
 )
 
@@ -1261,20 +1257,19 @@ def test_compare_fixture_values():
 
 
 def test_mtc_resolves_the_moved_names_lazily():
-    """Of the public names that moved to ``sixj``, ``mtc`` still resolves
-    exactly ``verlinde_fusion``, which the benchmark's tracer looks up, as
-    the same object; every other spelling raises ``AttributeError``."""
+    """Of the public names of ``suites``, ``mtc`` resolves exactly
+    ``verlinde_fusion``, which the benchmark's tracer looks up, as the same
+    object; every other spelling raises ``AttributeError``, and so do the
+    6j-symbols, which only the tests evaluate."""
     import sl2onepoint.mtc as mtc_module
-    from sl2onepoint import sixj
+    from sl2onepoint import suites
 
     moved = [name for name in mtc_module.__all__ if name not in vars(mtc_module)]
     assert moved == ["verlinde_fusion"]
     from sl2onepoint.mtc import verlinde_fusion as via_mtc
 
     assert via_mtc is verlinde_fusion
-    for name in sorted(set(sixj.__all__) - {"verlinde_fusion"}):
+    for name in sorted(set(suites.__all__) - {"verlinde_fusion"}) + ["_six_j2", "six_j"]:
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(mtc_module, name)
-    with pytest.raises(AttributeError, match="has no attribute '_six_j2'"):
-        mtc_module._six_j2
     assert not hasattr(mtc_module, "no_such_name")

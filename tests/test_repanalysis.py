@@ -2,6 +2,7 @@
 congruence rule engine."""
 
 import math
+import os
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from sl2onepoint.repanalysis import (
     IRREDUCIBLE,
     NONCONGRUENCE,
     NONCONGRUENCE_ORDER_BOUND,
+    PRIME_PROOF_BOUND,
     UNDETERMINED,
     CongruenceVerdict,
     congruence_classify,
@@ -295,6 +297,42 @@ def test_subproduct_at_huge_levels_equals_residue_sets():
                 assert irreducibility_subproduct_test(sig) == subproduct_by_residue_sets(sig), (k, lam)
 
 
+def test_subproduct_set_past_its_budget_falls_back_to_the_bitset():
+    """21 powers of 2 modulo m = 2^22 - 3 have 2^21 - 1 distinct non-zero
+    subset sums, past the set's budget, and m fits in the bitset.  The
+    T-exponents 2^i/(12 m), m coprime to 6, have the residues 2^i."""
+    m = (1 << 22) - 3
+    sig = RepSignature(0, 0, tuple(F(1 << i, 12 * m) for i in range(21)))
+    assert irreducibility_subproduct_test(sig) == IRREDUCIBLE == subproduct_by_residue_sets(sig)
+
+
+def test_subproduct_set_past_its_budget_is_inconclusive_within_400_mb():
+    """24 powers of 2 modulo 2^61 - 1 would fill a set of 2^24 residues,
+    about 2 GB; past the set's budget, with m too wide for the bitset, the
+    answer is inconclusive, within a 400 MB address space."""
+    import subprocess
+    import sys
+
+    import sl2onepoint
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sl2onepoint.__file__)))
+    script = "\n".join(
+        [
+            "import resource, sys",
+            f"sys.path.insert(0, {src!r})",
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))",
+            "from fractions import Fraction",
+            "from sl2onepoint.repanalysis import irreducibility_subproduct_test",
+            "from sl2onepoint.sl2data import RepSignature",
+            "m = (1 << 61) - 1",
+            "sig = RepSignature(0, 0, tuple(Fraction(1 << i, 12 * m) for i in range(24)))",
+            "print(irreducibility_subproduct_test(sig))",
+        ]
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, INCONCLUSIVE + "\n"), result.stderr
+
+
 # -- congruence rule engine ------------------------------------------------------------
 
 
@@ -351,6 +389,44 @@ def test_congruence_prime_power_rule():
     assert prime_power_rule_applies(123, 2) is False  # t=3, 3 <= 5^1
     assert prime_power_rule_applies(123, 6)  # t=3, 7 > 5
     assert prime_power_rule_applies(5, 0) is False  # lambda must be >= 2
+
+
+def _prime_power_by_trial_division(k):
+    n = k + 2
+    if n < 2:
+        return None
+    p = next((c for c in range(2, math.isqrt(n) + 1) if n % c == 0), n)
+    t = 0
+    while n % p == 0:
+        n //= p
+        t += 1
+    return (p, t) if n == 1 and p > 3 else None
+
+
+def test_prime_power_parameters_equal_trial_division():
+    """Integer roots and Miller-Rabin find what trial division finds, for
+    every k + 2 below 2 10^5 and at prime powers far past its reach."""
+    for k in range(-2, 2 * 10**5 - 2):
+        assert prime_power_parameters(k) == _prime_power_by_trial_division(k), k
+    m31, m61 = (1 << 31) - 1, (1 << 61) - 1
+    assert prime_power_parameters(m31**2 - 2) == (m31, 2)
+    assert prime_power_parameters(5**27 - 2) == (5, 27)
+    assert prime_power_parameters(7**22 - 2) == (7, 22)
+    assert prime_power_parameters(m61 - 2) == (m61, 1)
+    assert prime_power_parameters(m31 * m61 - 2) is None
+
+
+def test_prime_power_rule_leaves_an_unproven_prime_undetermined():
+    """k + 2 = 2^61 - 1 lies below ``PRIME_PROOF_BOUND``, so its primality
+    is proved; k + 2 = 2^89 - 1, a prime past the bound, passes the test
+    unproven, and the rule gives no verdict."""
+    assert (1 << 61) - 1 < PRIME_PROOF_BOUND < (1 << 89) - 1
+    k = (1 << 61) - 3
+    assert congruence_classify(k, k - 3).basis.startswith("thm-prime-power-")
+    assert congruence_classify(k, k - 3).basis != "thm-prime-power-unproven-prime"
+    k = (1 << 89) - 3
+    assert prime_power_parameters(k) == (k + 2, 1)
+    assert congruence_classify(k, k - 3) == CongruenceVerdict(UNDETERMINED, None, "thm-prime-power-unproven-prime")
 
 
 def test_congruence_undetermined_cases():
